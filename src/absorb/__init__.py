@@ -37,12 +37,14 @@ from .decide import (
 )
 from .engine import (
     DEFAULT_VERTEX_CAP,
+    Coverage,
     EssentialWitness,
     HomInstance,
     Subpower,
     absorption_term_search,
     ac_fixpoint,
     closure_unary,
+    cover,
     essential_witness_search,
     find_hom,
     generate_subpower,

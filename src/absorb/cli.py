@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout (tagged "schema": "absorb/1"),
 human-oriented diagnostics to stderr.  Exit codes: 0 the queried property
-holds, 1 it fails, 2 input or usage error, 3 a resource cap was exceeded.
+holds, 1 it fails, 2 input or usage error, 3 a resource cap was exceeded,
+4 an internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import codec
 from .corpus import build_corpus, manifest_obj
@@ -31,6 +33,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload, code):
@@ -46,6 +49,14 @@ def _read_file(path):
             return fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from None
 
 
 def _load_inputs(args):
@@ -70,13 +81,10 @@ def cmd_decide(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
     decide = decide_jonsson if args.mode == "jonsson" else decide_absorption
-    decision = decide(a, b, cap)
+    decision = decide(a, b, cap, certificate=bool(args.certificate))
     if decision.holds and args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(codec.dump_certificate(decision.certificate) + "\n")
+        _write_file(args.certificate, codec.dump_certificate(decision.certificate) + "\n")
     payload = codec.decision_to_obj(decision)
-    if not args.certificate:
-        payload.pop("certificate", None)
     payload["mode"] = decision.mode
     return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS)
 
@@ -138,15 +146,18 @@ def cmd_corpus(args):
     manifest = build_corpus(args.size, args.max_arity, cap)
     obj = manifest_obj(manifest)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InputError("cannot create %s: %s" % (args.out, exc)) from None
         for label, a in manifest.structures:
-            path = os.path.join(args.out, "%s.json" % label)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(codec.dump_structure(a) + "\n")
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            obj_with_schema = dict(obj)
-            obj_with_schema["schema"] = SCHEMA
-            fh.write(json.dumps(obj_with_schema, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_file(os.path.join(args.out, "%s.json" % label), codec.dump_structure(a) + "\n")
+        obj_with_schema = dict(obj)
+        obj_with_schema["schema"] = SCHEMA
+        _write_file(
+            os.path.join(args.out, "manifest.json"),
+            json.dumps(obj_with_schema, sort_keys=True, separators=(",", ":")) + "\n",
+        )
         print("wrote %d structures to %s" % (len(manifest.structures), args.out), file=sys.stderr)
     return _emit(obj, EXIT_HOLDS)
 
@@ -208,6 +219,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

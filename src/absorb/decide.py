@@ -9,6 +9,18 @@ read off the subpower generated by (b1,a,a), (b2,c,c), (d,a,c).  A verdict of
 notions coincide, and no absorption term is ever synthesized (the arity bound
 is astronomically large); the certificate of the path test is the proof
 object.
+
+The digraphs are not generated one quintuple at a time.  A ternary
+polymorphism phi puts (b,u,v) in a quintuple's subpower when phi(b1,b2,d)=b,
+phi(a,c,a)=u and phi(a,c,c)=v, and only the first column depends on
+(d,b1,b2).  So when the quintuples of a pair a != c come up, the decider
+pins (a,c,a)->u and (a,c,c)->v in power(A,3) for each (u,v) and covers the
+columns (b1,b2,d) in B x B x A with B (engine.cover).  The edges of a
+quintuple are then the (u,v) whose table covers its column.  A walk step
+takes the least color in B that extends the cached (u,v) fixpoint to a
+solution with (b1,b2,d) pinned to it; since a pinned instance has a unique
+GAC fixpoint and the search is deterministic, that table is the one a
+from-scratch find_hom returns.  jonsson_digraph keeps the definition.
 """
 
 from __future__ import annotations
@@ -21,9 +33,10 @@ from typing import Optional
 from .errors import CapExceeded, InputError, NotSubuniverseError
 from .engine import (
     DEFAULT_VERTEX_CAP,
+    Coverage,
     HomInstance,
     closure_unary,
-    find_hom,
+    cover,
     generate_subpower,
     power_structure,
 )
@@ -115,20 +128,6 @@ def jonsson_digraph(a: RelationalStructure, b: Subset, q: Quintuple, cap: int = 
     return Digraph(a.size, edges), r
 
 
-def _recover_table(a: RelationalStructure, q: Quintuple, target, cap: int) -> OperationTable:
-    """A ternary polymorphism mapping the quintuple's generators to `target`."""
-    power = power_structure(a, 3, cap)
-    gens = q.generators()
-    pins = {}
-    for j in range(3):
-        col = tuple_rank([g[j] for g in gens], a.size)
-        pins[col] = target[j]
-    values = find_hom(HomInstance(power, a, pins=tuple(sorted(pins.items()))))
-    if values is None:
-        raise AssertionError("generated tuple has no generating polymorphism")
-    return OperationTable(3, a.size, values)
-
-
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     if len(b) == 0:
         raise InputError("B must be nonempty")
@@ -142,40 +141,85 @@ def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     return expanded
 
 
-def decide_jonsson(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP) -> Decision:
+def _coverage_tables(a: RelationalStructure, b: Subset, x: int, y: int, base: Coverage):
+    """{(u, v): Coverage} for the pair a=x, c=y.
+
+    Each entry pins the columns (x,y,x) -> u and (x,y,y) -> v of power(A,3)
+    and covers the generator columns (b1,b2,d) in B x B x A with mask B: a
+    covered column means (b,u,v) lies in the subpower of that quintuple for
+    some color b in B.  base is the coverage of the unpinned instance, whose
+    fixpoint every entry starts from.
+    """
+    size = a.size
+    col_u = tuple_rank((x, y, x), size)
+    col_v = tuple_rank((x, y, y), size)
+    pending = [
+        tuple_rank((b1, b2, d), size)
+        for b1, b2 in product(b.sorted_elements(), repeat=2)
+        for d in range(size)
+    ]
+    bmask = sum(1 << e for e in b.elements)
+    tables = {}
+    for u, v in product(range(size), repeat=2):
+        inst = HomInstance(base.instance.source, a, pins=((col_u, u), (col_v, v)))
+        tables[u, v] = cover(inst, pending, bmask, base.masks)
+    return tables
+
+
+def _cert_step(coverage, col: int, u: int, v: int, b: Subset) -> CertStep:
+    """The least color b in B with (b,u,v) generated, and find_hom's table for it."""
+    for color in b.sorted_elements():
+        values = coverage.extend(col, color)
+        if values is not None:
+            return CertStep(color, u, v, OperationTable(3, coverage.instance.target.size, values))
+    raise AssertionError("covered edge has no generating polymorphism")
+
+
+def decide_jonsson(
+    a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP, certificate: bool = True
+) -> Decision:
     """Decide B Jónsson-absorbs Pol(A); on failure report the least failing
-    quintuple, on success assemble the NP certificate."""
+    quintuple, on success assemble the NP certificate (unless certificate is
+    False, in which case Decision.certificate is None)."""
     expanded = _validate_inputs(a, b, cap)
     size = a.size
+    entries = []
     if len(b) == size:
         # B = A: every quintuple passes via the third-projection witness.
         proj3 = projection_table(size, 3, 2)
-        entries = []
         for q in _quintuples(size, b):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
-        return Decision(True, "jonsson", certificate=Certificate(tuple(entries)))
-    entries = []
+        return Decision(
+            True, "jonsson", certificate=Certificate(tuple(entries)) if certificate else None
+        )
+    base = cover(HomInstance(power_structure(expanded, 3, cap), expanded), (), 0)
+    pair = tables = None
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))
             continue
-        graph, r = jonsson_digraph(expanded, b, q, cap)
-        walk = digraph_reach(graph, {q.a}, {q.c})
+        if pair != (q.a, q.c):
+            pair = (q.a, q.c)
+            tables = _coverage_tables(expanded, b, q.a, q.c, base)
+        col = tuple_rank((q.b1, q.b2, q.d), size)
+        edges = frozenset(uv for uv, cov in tables.items() if col in cov.covered)
+        walk = digraph_reach(Digraph(size, edges), {q.a}, {q.c})
         if walk is None:
             return Decision(False, "jonsson", failing=q)
-        steps = []
-        for u, v in zip(walk, walk[1:]):
-            color = min(col for (col, x, y) in r.tuples.tuples if x == u and y == v and col in b)
-            phi = _recover_table(expanded, q, (color, u, v), cap)
-            steps.append(CertStep(color, u, v, phi))
-        entries.append(CertEntry(q, tuple(steps)))
-    return Decision(True, "jonsson", certificate=Certificate(tuple(entries)))
+        if certificate:
+            steps = tuple(_cert_step(tables[u, v], col, u, v, b) for u, v in zip(walk, walk[1:]))
+            entries.append(CertEntry(q, steps))
+    return Decision(
+        True, "jonsson", certificate=Certificate(tuple(entries)) if certificate else None
+    )
 
 
-def decide_absorption(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP) -> Decision:
+def decide_absorption(
+    a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP, certificate: bool = True
+) -> Decision:
     """Identical verdict to decide_jonsson; annotated as an absorption verdict."""
-    d = decide_jonsson(a, b, cap)
+    d = decide_jonsson(a, b, cap, certificate)
     return Decision(d.holds, "absorb", failing=d.failing, certificate=d.certificate)
 
 

@@ -162,24 +162,43 @@ def _bits(mask):
     return out
 
 
-def _search(masks, cons, var_cons):
-    """First solution under MRV + lexicographic value order, or None."""
+def _mrv_vertex(masks):
+    """The unassigned vertex with fewest candidates (lowest index on ties), or -1."""
     best = -1
     best_count = None
     for v, m in enumerate(masks):
         c = bin(m).count("1")
         if c > 1 and (best_count is None or c < best_count):
             best, best_count = v, c
-    if best < 0:
-        return list(masks)
-    for val in _bits(masks[best]):
-        masks2 = list(masks)
-        masks2[best] = 1 << val
-        if _gac(masks2, cons, var_cons, queue=var_cons[best]):
-            result = _search(masks2, cons, var_cons)
-            if result is not None:
-                return result
-    return None
+    return best
+
+
+def _search(masks, cons, var_cons):
+    """First solution under MRV + lexicographic value order, or None.
+
+    Depth-first with an explicit stack of (masks, vertex, remaining values)
+    frames, so the depth is bounded by the vertex count, not by Python's
+    recursion limit.
+    """
+    stack = []
+    while True:
+        best = _mrv_vertex(masks)
+        if best < 0:
+            return list(masks)
+        stack.append((masks, best, iter(_bits(masks[best]))))
+        masks = None
+        while masks is None:
+            if not stack:
+                return None
+            parent, v, values = stack[-1]
+            for val in values:
+                child = list(parent)
+                child[v] = 1 << val
+                if _gac(child, cons, var_cons, queue=var_cons[v]):
+                    masks = child
+                    break
+            else:
+                stack.pop()
 
 
 def ac_fixpoint(inst: HomInstance) -> Optional[dict]:
@@ -201,6 +220,69 @@ def find_hom(inst: HomInstance) -> Optional[tuple]:
     if solution is None:
         return None
     return tuple(_bits(m)[0] for m in solution)
+
+
+@dataclass(frozen=True)
+class Coverage:
+    """The GAC fixpoint of a homomorphism instance (None on a wipeout) and
+    the pending vertices that some homomorphism sends into the value mask."""
+
+    instance: HomInstance
+    masks: Optional[tuple]
+    covered: frozenset
+
+    def extend(self, vertex: int, value: int) -> Optional[tuple]:
+        """find_hom of the instance with vertex also pinned to value.
+
+        Starts from the cached fixpoint: the pinned instance's fixpoint is
+        unique, so the first solution is the one find_hom would return.
+        """
+        if self.masks is None or not (self.masks[vertex] >> value) & 1:
+            return None
+        cons, var_cons = _constraints(self.instance.source, self.instance.target)
+        masks = list(self.masks)
+        masks[vertex] = 1 << value
+        if not _gac(masks, cons, var_cons, queue=var_cons[vertex]):
+            return None
+        solution = _search(masks, cons, var_cons)
+        if solution is None:
+            return None
+        return tuple(_bits(m)[0] for m in solution)
+
+
+def cover(inst: HomInstance, pending, mask: int, start: Optional[tuple] = None) -> Coverage:
+    """Which pending vertices some homomorphism sends into the value bitmask.
+
+    Solutions are reused: solve with the lowest uncovered vertex restricted
+    to the mask, mark every pending vertex that solution sends into the mask
+    as covered, and drop the vertex when its restricted solve fails.
+
+    start, when given, is the GAC fixpoint of an instance that inst only
+    tightens (same structures, fewer pins and domain restrictions);
+    propagation then resumes from the vertices inst restricts further.
+    """
+    cons, var_cons = _constraints(inst.source, inst.target)
+    masks = _initial_masks(inst)
+    queue = None
+    if start is not None:
+        changed = [v for v, m in enumerate(masks) if start[v] & ~m]
+        masks = [m & s for m, s in zip(masks, start)]
+        queue = sorted({ci for v in changed for ci in var_cons[v]})
+    if 0 in masks or not _gac(masks, cons, var_cons, queue=queue):
+        return Coverage(inst, None, frozenset())
+    todo = sorted(v for v in set(pending) if masks[v] & mask)
+    covered = set()
+    for v in todo:
+        if v in covered:
+            continue
+        trial = list(masks)
+        trial[v] &= mask
+        if not _gac(trial, cons, var_cons, queue=var_cons[v]):
+            continue
+        solution = _search(trial, cons, var_cons)
+        if solution is not None:
+            covered.update(w for w in todo if solution[w] & mask)
+    return Coverage(inst, tuple(masks), frozenset(covered))
 
 
 # --- power structures and subpowers ------------------------------------------

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3.
+Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3, and
+any other exception -> 4 (an internal error: the traceback, then
+"internal error: <type>: <message>", on stderr).
 """
 
 

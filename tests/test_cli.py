@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from absorb import codec
+from absorb import codec, is_absorption_term, structure, subset
+from absorb import cli
 from absorb.cli import main
 from fixtures import aff2, ord2
 
@@ -78,6 +79,32 @@ class TestDecideCommand:
         assert capsys.readouterr().out == first
 
 
+    def test_unwritable_certificate_is_usage_error(self, capsys, files):
+        tmp, ord2_path, _ = files
+        cert = str(tmp / "missing-dir" / "cert.json")
+        code, _ = run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
+        assert code == 2
+
+    def test_no_certificate_unless_asked(self, capsys, files):
+        _, ord2_path, _ = files
+        code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
+        assert code == 0 and "certificate" not in payload
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(cli, "cmd_bounds", boom)
+        code = main(["bounds", "--theta", "2", "--size", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert captured.err.endswith("\ninternal error: RuntimeError: kaboom\n")
+
+
 class TestVerifyCommand:
     def test_roundtrip(self, capsys, files):
         tmp, ord2_path, _ = files
@@ -141,6 +168,18 @@ class TestSearchCommand:
         code, payload = run(capsys, "search", "-s", ord2_path, "-b", B0, "--what", "chain")
         assert code == 0 and payload["chain"]["tables"]
 
+    def test_deep_search_needs_no_recursion_limit(self, capsys, tmp_path):
+        # 11^3 = 1331 power vertices: one search level per vertex
+        swap11 = structure(11, {"r": [(0, 1), (1, 0)]})
+        path = tmp_path / "swap11.json"
+        path.write_text(codec.dump_structure(swap11))
+        code, payload = run(
+            capsys, "search", "-s", str(path), "-b", B0, "--what", "term", "--arity", "3"
+        )
+        assert code == 0 and payload["holds"] is True
+        table = codec.table_from_obj(payload["table"])
+        assert is_absorption_term(swap11, subset([0]), table)
+
     def test_missing_arity(self, capsys, files):
         _, ord2_path, _ = files
         code, _ = run(capsys, "search", "-s", ord2_path, "-b", B0, "--what", "term")
@@ -178,3 +217,11 @@ class TestCorpusCommand:
         assert manifest["structure_count"] == payload["structure_count"]
         written = list(out.glob("a1_*.json"))
         assert len(written) == payload["structure_count"]
+
+    def test_unusable_output_directory_is_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _ = run(
+            capsys, "corpus", "--size", "2", "--max-arity", "1", "--out", str(blocker / "sub")
+        )
+        assert code == 2

@@ -1,6 +1,9 @@
 """The local path test, certificates, chains, the oracle, and the bounds."""
 
+from itertools import product
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from absorb import (
     CapExceeded,
@@ -30,7 +33,8 @@ from absorb import (
 )
 from absorb.decide import _quintuples
 from bruteforce import generated_subpower_oracle
-from fixtures import B0, LEQ, aff2, expand, neq2, ord2, triv1
+from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
+from reference import reference_decide
 
 BA = subset([0, 1])
 
@@ -125,6 +129,77 @@ class TestDecide:
             assert len(entry.steps) <= 2
             if entry.q.a == entry.q.c:
                 assert entry.steps == ()
+
+
+class TestCertificateFlag:
+    @pytest.mark.parametrize("a, b", [(ord2(), B0), (aff2(), B0), (neq2(), B0), (aff2(), BA)])
+    def test_same_verdict_without_certificate(self, a, b):
+        with_cert = decide_jonsson(a, b)
+        without = decide_jonsson(a, b, certificate=False)
+        assert (without.holds, without.failing) == (with_cert.holds, with_cert.failing)
+        assert without.certificate is None
+        assert decide_absorption(a, b, certificate=False).certificate is None
+
+
+def leq3():
+    return structure(3, {"leq": [(x, y) for x in range(3) for y in range(3) if x <= y]})
+
+
+def r3():
+    return structure(3, {"r": [p for p in product(range(3), repeat=2) if p != (1, 2)]})
+
+
+def min3():
+    return structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
+
+
+def aff3():
+    """x + y + z = 0 (mod 3): B={0} fails at quintuple (0,1,1,0,0)."""
+    return structure(3, {"aff": [t for t in product(range(3), repeat=3) if sum(t) % 3 == 0]})
+
+
+class TestAgainstReferenceRoute:
+    """The coverage-table route returns the per-quintuple route's Decision."""
+
+    def test_two_element_corpus(self):
+        for e in corpus2().entries:
+            assert decide_jonsson(e.structure, e.b) == reference_decide(e.structure, e.b), e.label
+
+    @pytest.mark.parametrize(
+        "make, elements",
+        [(leq3, [0]), (r3, [0]), (min3, [0, 1]), (aff3, [0])],
+        ids=["leq3", "r3", "min3", "aff3"],
+    )
+    def test_three_element_instances(self, make, elements):
+        a, b = make(), subset(elements)
+        assert decide_jonsson(a, b) == reference_decide(a, b)
+
+    def test_refuting_instance_fails_at_its_first_quintuple(self):
+        d = decide_jonsson(aff3(), B0)
+        assert not d.holds and d.failing == Quintuple(0, 1, 1, 0, 0)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        ternary=st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4),
+        elements=st.sets(st.integers(0, 2), min_size=1, max_size=2),
+    )
+    def test_random_three_element_structures(self, binary, ternary, elements):
+        rels = {"r": sorted(binary)}
+        if ternary:
+            rels["t"] = sorted(ternary)
+        a, b = structure(3, rels), subset(sorted(elements))
+        try:
+            expected = reference_decide(a, b)
+        except NotSubuniverseError:
+            with pytest.raises(NotSubuniverseError):
+                decide_jonsson(a, b)
+            return
+        got = decide_jonsson(a, b)
+        assert got == expected
+        if got.holds:
+            ok, defect = verify_np_certificate(a, b, got.certificate)
+            assert ok, defect
 
 
 class TestCertificateVerification:

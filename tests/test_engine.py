@@ -10,6 +10,7 @@ from absorb import (
     absorption_term_search,
     ac_fixpoint,
     closure_unary,
+    cover,
     essential_witness_search,
     find_hom,
     generate_subpower,
@@ -96,6 +97,46 @@ class TestHoms:
     def test_signature_mismatch_rejected(self):
         with pytest.raises(InputError):
             HomInstance(ord2(), aff2())
+
+
+class TestCover:
+    """cover() against an enumeration of all ternary polymorphisms."""
+
+    def setup_method(self):
+        self.a = structure(2, {"leq": LEQ})
+        self.power = power_structure(self.a, 3)
+        self.inst = HomInstance(self.power, self.a, pins=((tuple_rank((0, 1, 0), 2), 0),))
+        self.homs = [
+            f.values
+            for f in polymorphisms(self.a, 3)
+            if f.values[tuple_rank((0, 1, 0), 2)] == 0
+        ]
+
+    def test_covered_are_the_vertices_some_hom_sends_into_the_mask(self):
+        cov = cover(self.inst, range(8), 0b10)
+        assert cov.covered == {v for v in range(8) if any(h[v] == 1 for h in self.homs)}
+        assert cov.masks is not None
+
+    def test_only_pending_vertices_are_covered(self):
+        cov = cover(self.inst, [0, 1, 7], 0b11)
+        assert cov.covered == {0, 1, 7}
+
+    def test_extend_is_find_hom_with_one_more_pin(self):
+        cov = cover(self.inst, (), 0)
+        for v in range(8):
+            for value in range(2):
+                pinned = HomInstance(self.power, self.a, pins=self.inst.pins + ((v, value),))
+                assert cov.extend(v, value) == find_hom(pinned)
+
+    def test_start_from_a_relaxation_gives_the_same_coverage(self):
+        base = cover(HomInstance(self.power, self.a), (), 0).masks
+        assert cover(self.inst, range(8), 0b10, base) == cover(self.inst, range(8), 0b10)
+
+    def test_wipeout(self):
+        inst = HomInstance(ord2(), ord2(), pins=((0, 1),))
+        cov = cover(inst, [0, 1], 0b11)
+        assert cov.masks is None and cov.covered == frozenset()
+        assert cov.extend(1, 1) is None
 
 
 class TestSubpowers:
