@@ -40,7 +40,6 @@ from .engine import (
     Coverage,
     EssentialWitness,
     HomInstance,
-    Subpower,
     absorption_term_search,
     ac_fixpoint,
     closure_unary,
@@ -50,6 +49,7 @@ from .engine import (
     generate_subpower,
     is_b_essential,
     power_structure,
+    project,
     subpower_membership,
 )
 from .errors import (

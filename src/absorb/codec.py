@@ -155,10 +155,6 @@ def relation_to_obj(r: Relation):
     return {"arity": r.arity, "tuples": [list(t) for t in r.sorted_tuples()]}
 
 
-def canonical_json(obj) -> str:
-    return _dumps(obj)
-
-
 # --- decisions and certificates ----------------------------------------------
 
 def _quintuple_from_list(val, where):
@@ -265,10 +261,6 @@ def witness_from_obj(obj, a=None) -> "tuple":
             raise ParseError("witness: generator %r does not match arity %d" % (g, arity))
         gens.append(g)
     return arity, tuple(gens)
-
-
-def dump_witness(w: EssentialWitness) -> str:
-    return _dumps(witness_to_obj(w))
 
 
 # --- formulas ------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _quintuples(size: int, b: Subset):
 def jonsson_digraph(a: RelationalStructure, b: Subset, q: Quintuple, cap: int = DEFAULT_VERTEX_CAP):
     """The B-colored edge digraph of R = <(b1,a,a),(b2,c,c),(d,a,c)> <= A^3."""
     r = generate_subpower(a, q.generators(), 3, cap)
-    edges = frozenset((u, v) for (col, u, v) in r.tuples.tuples if col in b)
+    edges = frozenset((u, v) for (col, u, v) in r.tuples if col in b)
     return Digraph(a.size, edges), r
 
 

@@ -6,6 +6,10 @@ of the structure to the structure maps the generator columns to t.  The
 solver is generalized arc consistency plus backtracking with
 minimum-remaining-values variable order and lexicographic value order, so
 every "first witness" output is reproducible.
+
+`project` is the one primitive for solution sets: the distinct value tuples
+that homomorphisms take at chosen vertices.  Generated subpowers and the
+relations defined by pp-formulas are both computed by it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .model import (
     Relation,
     RelationalStructure,
     Subset,
-    relation,
     subset,
     tuple_rank,
     unrank_tuple,
@@ -30,17 +33,9 @@ from .model import (
 
 DEFAULT_VERTEX_CAP = 10 ** 6
 
-
-@dataclass(frozen=True)
-class Subpower:
-    """An n-ary subpower together with the generators it came from."""
-
-    arity: int
-    tuples: Relation
-    generators: tuple
-
-    def __contains__(self, t):
-        return tuple(t) in self.tuples.tuples
+# A query uses at most two (source, target) pairs; the bound keeps the
+# structures of evaluated pp-formulas from piling up for the whole process.
+_CONSTRAINT_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ def _initial_masks(inst: HomInstance):
     return masks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
 def _constraints(source: RelationalStructure, target: RelationalStructure):
     """Constraint list [(scope, allowed_tuples)] plus vertex->constraints index."""
     cons = []
@@ -108,9 +103,8 @@ def _constraints(source: RelationalStructure, target: RelationalStructure):
             cons.append((scope, allowed))
     var_cons = [[] for _ in range(source.size)]
     for ci, (scope, _) in enumerate(cons):
-        for v in scope:
-            if ci not in var_cons[v]:
-                var_cons[v].append(ci)
+        for v in dict.fromkeys(scope):
+            var_cons[v].append(ci)
     return cons, var_cons
 
 
@@ -220,6 +214,41 @@ def find_hom(inst: HomInstance) -> Optional[tuple]:
     if solution is None:
         return None
     return tuple(_bits(m)[0] for m in solution)
+
+
+def project(inst: HomInstance, vertices) -> frozenset:
+    """The distinct tuples of values that homomorphisms of inst take at vertices.
+
+    Shared-prefix search: branch on the listed vertices in order, with
+    incremental GAC after each choice; each surviving leaf is kept when one
+    search extends it to the remaining vertices.  A repeated vertex takes
+    the same value at each of its positions.
+    """
+    vertices = list(vertices)
+    cons, var_cons = _constraints(inst.source, inst.target)
+    masks = _initial_masks(inst)
+    if 0 in masks or not _gac(masks, cons, var_cons):
+        return frozenset()
+    out = set()
+    stack = [(masks, 0)]
+    while stack:
+        masks, depth = stack.pop()
+        if depth == len(vertices):
+            if _search(masks, cons, var_cons) is not None:
+                out.add(tuple(_bits(masks[v])[0] for v in vertices))
+            continue
+        v = vertices[depth]
+        if masks[v] & (masks[v] - 1) == 0:
+            # already fixed (pinned, repeated or forced): propagating again
+            # would cost a GAC pass and prune nothing
+            stack.append((masks, depth + 1))
+            continue
+        for val in _bits(masks[v]):
+            child = list(masks)
+            child[v] = 1 << val
+            if _gac(child, cons, var_cons, queue=var_cons[v]):
+                stack.append((child, depth + 1))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -342,20 +371,16 @@ def subpower_membership(a: RelationalStructure, s, t, cap: int = DEFAULT_VERTEX_
     return find_hom(inst) is not None
 
 
-@lru_cache(maxsize=None)
-def _generate_cached(a: RelationalStructure, s: tuple, n: int, cap: int) -> Subpower:
-    tuples = frozenset(
-        t for t in product(range(a.size), repeat=n) if subpower_membership(a, s, t, cap)
-    )
-    return Subpower(n, Relation(n, tuples), s)
-
-
-def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Subpower:
-    """The subpower of A^n generated by s: exactly the membership-positive tuples."""
-    s = tuple(tuple(g) for g in s)
+def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Relation:
+    """The subpower of A^n generated by s: the values that the polymorphisms
+    of arity |s| take at the generator columns."""
+    s = [tuple(g) for g in s]
+    if not s:
+        raise InputError("generator list must be nonempty")
     if any(len(g) != n for g in s):
         raise InputError("generator arity mismatch")
-    return _generate_cached(a, s, n, cap)
+    power = power_structure(a, len(s), cap)
+    return Relation(n, project(HomInstance(power, a), _columns(s, a.size)))
 
 
 def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
@@ -364,8 +389,7 @@ def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_C
         raise InputError("cannot close the empty subset")
     b.check_bounds(a.size)
     gens = [(e,) for e in b.sorted_elements()]
-    sub = generate_subpower(a, gens, 1, cap)
-    closed = subset(t[0] for t in sub.tuples.tuples)
+    closed = subset(t[0] for t in generate_subpower(a, gens, 1, cap).tuples)
     return closed, closed.elements == b.elements
 
 
@@ -420,8 +444,7 @@ def essential_witness_search(
         domains = tuple((c, bset) for c in sorted(set(cols)))
         inst = HomInstance(power, a, domains=domains)
         if find_hom(inst) is None:
-            generated = generate_subpower(a, gens, n, cap)
-            return EssentialWitness(n, tuple(gens), generated.tuples)
+            return EssentialWitness(n, tuple(gens), generate_subpower(a, gens, n, cap))
     return None
 
 

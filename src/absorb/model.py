@@ -231,12 +231,6 @@ class Digraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InputError("edge (%d,%d) out of bounds for %d vertices" % (u, v, self.n))
 
-    def successors(self, v: int):
-        return sorted(w for u, w in self.edges if u == v)
-
-    def predecessors(self, v: int):
-        return sorted(u for u, w in self.edges if w == v)
-
 
 def with_singletons(a: RelationalStructure):
     """Add the missing singleton unary relations _s<a> = {(a,)}.

@@ -3,16 +3,17 @@
 A formula is a conjunction of atoms over named variables with a designated
 ordered list of free variables; evaluation against a companion structure
 produces the relation of free-variable tuples extendable to a satisfying
-assignment.  Tree formulas are evaluated by exact dynamic programming along
-the incidence tree; everything else falls back to backtracking enumeration.
+assignment.  A formula is evaluated as a homomorphism instance whose source
+vertices are its variables: `engine.project` onto the free variables gives
+its relation, and `engine.find_hom` decides its satisfiability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
+from .engine import HomInstance, find_hom, project
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
     Relation,
@@ -226,127 +227,24 @@ def analyze_formula(phi: PPFormula) -> FormulaReport:
 # --- evaluation ---------------------------------------------------------------
 
 
-def _evaluate_backtrack(phi: PPFormula, a: RelationalStructure, var_cap: int) -> Relation:
-    """Enumerate free tuples, checking each for an extension by backtracking."""
-    variables = list(phi.variables)
+def _instance(phi: PPFormula, a: RelationalStructure, var_cap: int):
+    """phi as a homomorphism instance into a, plus its variable -> vertex map.
+
+    The variables are the source vertices, and each relation name of a holds
+    the scopes of that name's atoms (empty when no atom uses it).
+    """
+    variables = phi.variables
     if len(variables) > var_cap:
         raise CapExceeded("formula has %d variables, cap is %d" % (len(variables), var_cap))
-    free = list(phi.free)
-    bound = [v for v in variables if v not in set(free)]
-    order = free + bound
-    pos = {v: i for i, v in enumerate(order)}
-    atoms = []
+    index = {v: i for i, v in enumerate(variables)}
+    scopes = {name: set() for name in a.names}
     for atom in phi.atoms:
-        rel = a.rel(atom.rel)
-        atoms.append(([pos[v] for v in atom.scope], rel.tuples, rel.sorted_tuples()))
-    nfree = len(free)
-
-    def consistent(assign, upto):
-        for scope, tupset, tuples in atoms:
-            fixed = [(i, assign[p]) for i, p in enumerate(scope) if p < upto]
-            if len(fixed) == len(scope):
-                if tuple(assign[p] for p in scope) not in tupset:
-                    return False
-            elif fixed:
-                if not any(all(t[i] == val for i, val in fixed) for t in tuples):
-                    return False
-        return True
-
-    def extend(assign, idx):
-        if idx == len(order):
-            return True
-        for val in range(a.size):
-            assign.append(val)
-            if consistent(assign, idx + 1) and extend(assign, idx + 1):
-                return True
-            assign.pop()
-        return False
-
-    out = set()
-    for fvals in product(range(a.size), repeat=nfree):
-        assign = list(fvals)
-        if consistent(assign, nfree) and extend(assign, nfree):
-            out.add(fvals)
-    if nfree == 0:
-        raise InputError("evaluation requires at least one free variable")
-    return Relation(nfree, frozenset(out))
-
-
-def _join(cols1, rows1, cols2, rows2):
-    shared = [v for v in cols2 if v in cols1]
-    idx1 = {v: cols1.index(v) for v in shared}
-    idx2 = {v: cols2.index(v) for v in shared}
-    extra = [v for v in cols2 if v not in cols1]
-    eidx = [cols2.index(v) for v in extra]
-    buckets = {}
-    for r in rows2:
-        key = tuple(r[idx2[v]] for v in shared)
-        buckets.setdefault(key, []).append(tuple(r[i] for i in eidx))
-    out = set()
-    for r in rows1:
-        key = tuple(r[idx1[v]] for v in shared)
-        for ext in buckets.get(key, ()):
-            out.add(r + ext)
-    return cols1 + extra, out
-
-
-def _project(cols, rows, keep):
-    idx = [cols.index(v) for v in keep]
-    return list(keep), {tuple(r[i] for i in idx) for r in rows}
-
-
-def _evaluate_tree(phi: PPFormula, a: RelationalStructure) -> Relation:
-    """Exact DP along the (acyclic, simple) incidence multigraph."""
-    report = analyze_formula(phi)
-    free_set = set(phi.free)
-    adj_var = {v: [] for v in phi.variables}
-    for i, atom in enumerate(phi.atoms):
-        for v in atom.scope:
-            adj_var[v].append(i)
-
-    def rec_var(v, parent_atom):
-        cols = [v]
-        rows = {(x,) for x in range(a.size)}
-        for i in adj_var[v]:
-            if i == parent_atom:
-                continue
-            scols, srows = rec_atom(i, v)
-            cols, rows = _join(cols, rows, scols, srows)
-        keep = [v] + [c for c in cols if c != v and c in free_set]
-        return _project(cols, rows, keep)
-
-    def rec_atom(i, parent_var):
-        atom = phi.atoms[i]
-        cols = list(atom.scope)
-        rows = set(a.rel(atom.rel).tuples)
-        for v in atom.scope:
-            if v == parent_var:
-                continue
-            scols, srows = rec_var(v, i)
-            cols, rows = _join(cols, rows, scols, srows)
-        keep = [parent_var] + [c for c in cols if c != parent_var and c in free_set]
-        return _project(cols, rows, keep)
-
-    pieces = []  # (cols, rows) per component, restricted to free variables
-    for comp in report.components:
-        comp_free = [v for v in phi.free if v in comp]
-        root = comp_free[0] if comp_free else min(comp)
-        cols, rows = rec_var(root, None)
-        keep = [c for c in cols if c in free_set]
-        cols, rows = _project(cols, rows, keep)
-        if not rows:
-            return Relation(max(1, len(phi.free)), frozenset())
-        if comp_free:
-            pieces.append((cols, rows))
-    cols, rows = [], {()}
-    for pcols, prows in pieces:
-        new = set()
-        for r in rows:
-            for p in prows:
-                new.add(r + p)
-        cols, rows = cols + pcols, new
-    order = [cols.index(v) for v in phi.free]
-    return Relation(len(phi.free), frozenset(tuple(r[i] for i in order) for r in rows))
+        scopes[atom.rel].add(tuple(index[v] for v in atom.scope))
+    source = RelationalStructure(
+        len(variables),
+        tuple((name, Relation(rel.arity, frozenset(scopes[name]))) for name, rel in a.relations),
+    )
+    return HomInstance(source, a), index
 
 
 def evaluate_pp(
@@ -356,10 +254,8 @@ def evaluate_pp(
     validate_formula(phi, a)
     if not phi.free:
         raise InputError("evaluation requires at least one free variable")
-    report = analyze_formula(phi)
-    if report.is_tree:
-        return _evaluate_tree(phi, a)
-    return _evaluate_backtrack(phi, a, var_cap)
+    inst, index = _instance(phi, a, var_cap)
+    return Relation(len(phi.free), project(inst, [index[v] for v in phi.free]))
 
 
 def is_satisfiable(phi: PPFormula, a: RelationalStructure, var_cap: int = DEFAULT_VARIABLE_CAP) -> bool:
@@ -367,9 +263,7 @@ def is_satisfiable(phi: PPFormula, a: RelationalStructure, var_cap: int = DEFAUL
     validate_formula(phi, a)
     if not phi.variables:
         return True
-    probe = PPFormula((phi.variables[0],), phi.atoms, phi.extra_vars)
-    rel = evaluate_pp(probe, a, var_cap)
-    return len(rel.tuples) > 0
+    return find_hom(_instance(phi, a, var_cap)[0]) is not None
 
 
 # --- derived-relation registry -------------------------------------------------

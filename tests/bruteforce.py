@@ -1,14 +1,15 @@
 """Brute-force oracles, deliberately independent of the CSP engine.
 
 Everything here enumerates whole operation tables and checks preservation by
-direct iteration over tuple combinations.  That only scales to two-element
+direct iteration over tuple combinations (pp-formulas: whole variable
+assignments, checked atom by atom).  That only scales to two-element
 domains and low arities — which is the point: the constraint-propagation
 route in the package is cross-checked against these closures.
 """
 
 from itertools import product
 
-from absorb.model import OperationTable
+from absorb.model import OperationTable, Relation
 
 
 def all_tables(size, arity):
@@ -69,6 +70,18 @@ def absorption_term_oracle(a, b, n):
         if ok and preserves(a, f):
             return f
     return None
+
+
+def evaluate_pp_oracle(phi, a):
+    """The relation phi defines over a: try every assignment of its variables
+    and keep the free-variable tuples of those that satisfy every atom."""
+    variables = phi.variables
+    out = set()
+    for values in product(range(a.size), repeat=len(variables)):
+        value = dict(zip(variables, values))
+        if all(tuple(value[v] for v in atom.scope) in a.rel(atom.rel).tuples for atom in phi.atoms):
+            out.add(tuple(value[v] for v in phi.free))
+    return Relation(len(phi.free), frozenset(out))
 
 
 def closure_unary_oracle(a, b):

@@ -59,7 +59,7 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
             return Decision(False, "jonsson", failing=q)
         steps = []
         for u, v in zip(walk, walk[1:]):
-            color = min(col for (col, x, y) in r.tuples.tuples if x == u and y == v and col in b)
+            color = min(col for (col, x, y) in r.tuples if x == u and y == v and col in b)
             steps.append(CertStep(color, u, v, _recover_table(expanded, q, (color, u, v), cap)))
         entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, "jonsson", certificate=Certificate(tuple(entries)))

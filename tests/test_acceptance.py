@@ -87,7 +87,7 @@ def test_fixture_verdicts():
         )
     # the failing quintuple's subpower, re-derived by exhaustive enumeration
     q = Quintuple(0, 1, 1, 0, 0)
-    sub = generate_subpower(aff2(), q.generators(), 3).tuples.tuples
+    sub = generate_subpower(aff2(), q.generators(), 3).tuples
     ok = ok and sub == generated_subpower_oracle(aff2(), q.generators())
     elapsed = time.time() - t0
     report("fixture verdicts vs brute-force oracle", ok and elapsed < 1.0,
@@ -232,7 +232,7 @@ def _section_pool(a, b):
         ((bs[0], 0, 1), (bs[0], 1, 0), (o[0], 1, 1)),
         ((bs[0], 0, 0), (o[0], 0, 1), (o[0], 1, 0)),
     )
-    pool = {generate_subpower(a, gens, 3).tuples for gens in gen_sets}
+    pool = {generate_subpower(a, gens, 3) for gens in gen_sets}
     return sorted(pool, key=lambda r: sorted(r.tuples))
 
 
@@ -296,7 +296,7 @@ def _essential_fixtures(limit=25):
         reg = Registry(e.structure)
         ename = reg.ensure(witness.generated, "essential witness")
         dname = reg.ensure(
-            generate_subpower(e.structure, ((0, 0), (1, 1)), 2).tuples, "diagonal"
+            generate_subpower(e.structure, ((0, 0), (1, 1)), 2), "diagonal"
         )
         phi = PPFormula(("x1", "x2"), (Atom(ename, ("x1", "y")), Atom(dname, ("y", "x2"))))
         struct = reg.structure()

@@ -174,7 +174,7 @@ class TestCombAnalyze:
         assert not report.contradiction_detected
 
     def test_equal_sections_repeat(self):
-        section = generate_subpower(expand(aff2()), ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3).tuples
+        section = generate_subpower(expand(aff2()), ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3)
         comb = CombFormula(3, (section,) * 3)
         report = comb_analyze(comb, expand(aff2()), B0)
         assert report.repeated is not None
@@ -185,8 +185,8 @@ class TestCombAnalyze:
 
     def test_images_match_path_enumeration(self):
         a = expand(aff2())
-        s1 = generate_subpower(a, ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3).tuples
-        s2 = generate_subpower(a, ((0, 0, 1), (0, 1, 0), (1, 1, 1)), 3).tuples
+        s1 = generate_subpower(a, ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3)
+        s2 = generate_subpower(a, ((0, 0, 1), (0, 1, 0), (1, 1, 1)), 3)
         comb = CombFormula(4, (s1, s2, s1, s2))
         report = comb_analyze(comb, a, B0)
         g, h = path_image_oracle(comb, 2, frozenset(B0.elements))
@@ -194,7 +194,7 @@ class TestCombAnalyze:
 
     def test_p_contained_in_q(self):
         a = expand(aff2())
-        s1 = generate_subpower(a, ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3).tuples
+        s1 = generate_subpower(a, ((0, 0, 0), (0, 1, 1), (1, 0, 1)), 3)
         comb = CombFormula(3, (s1,) * 3)
         report = comb_analyze(comb, a, B0)
         if report.p is not None:
@@ -204,7 +204,7 @@ class TestCombAnalyze:
         # decide holds on neq2/{0}: the lemma conclusions must not fail
         a = neq2()
         sections = [
-            generate_subpower(a, gens, 3).tuples
+            generate_subpower(a, gens, 3)
             for gens in (
                 ((0, 0, 0), (0, 1, 1), (1, 0, 1)),
                 ((0, 0, 1), (0, 1, 0), (1, 1, 1)),

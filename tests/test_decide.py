@@ -15,8 +15,10 @@ from absorb import (
     NotSubuniverseError,
     OperationTable,
     Quintuple,
+    absorption_term_search,
     bounds,
     chain_from_absorption_term,
+    closure_unary,
     decide_absorption,
     decide_jonsson,
     generate_subpower,
@@ -58,7 +60,7 @@ class TestJonssonDigraph:
         for q in (Quintuple(0, 1, 0, 0, 0), Quintuple(0, 1, 1, 0, 0)):
             graph, r = jonsson_digraph(a, B0, q)
             oracle = generated_subpower_oracle(a, q.generators())
-            assert r.tuples.tuples == oracle
+            assert r.tuples == oracle
             assert graph.edges == frozenset(
                 (u, v) for (col, u, v) in oracle if col == 0
             )
@@ -291,6 +293,27 @@ class TestTermsAndChains:
     def test_empty_chain(self):
         ok, violation = is_jonsson_chain(ord2(), B0, ChainWitness(()))
         assert not ok
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        ternary=st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4),
+        elements=st.sets(st.integers(0, 2), min_size=1, max_size=2),
+    )
+    def test_found_terms_mean_holds_on_random_three_element_structures(
+        self, binary, ternary, elements
+    ):
+        rels = {"r": sorted(binary)}
+        if ternary:
+            rels["t"] = sorted(ternary)
+        a = structure(3, rels)
+        # absorption presupposes a subuniverse, so B is replaced by its closure
+        b, _ = closure_unary(expand(a), subset(sorted(elements)))
+        for n in (2, 3):
+            term = absorption_term_search(a, b, n)
+            if term is not None:
+                assert is_absorption_term(a, b, term)
+                assert decide_jonsson(a, b, certificate=False).holds
 
 
 class TestOracleChainSearch:

@@ -1,6 +1,9 @@
 """CSP engine and the subpower layer, cross-checked against brute force."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absorb import (
     CapExceeded,
@@ -28,7 +31,13 @@ from bruteforce import (
     generated_subpower_oracle,
     polymorphisms,
 )
-from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, neq2, ord2, triv1
+from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2, triv1
+
+
+def membership_route(a, s):
+    """The subpower generated by s, one membership CSP per candidate tuple."""
+    n = len(s[0])
+    return {t for t in product(range(a.size), repeat=n) if subpower_membership(a, s, t)}
 
 
 class TestPowerStructure:
@@ -155,36 +164,84 @@ class TestSubpowers:
             (ord2(), ((0, 1), (1, 0))),
             (neq2(), ((0, 1), (1, 0))),
         ):
-            got = generate_subpower(a, s, 2).tuples.tuples
+            got = generate_subpower(a, s, 2).tuples
             assert got == generated_subpower_oracle(a, s)
 
     def test_generate_ternary_matches_bruteforce(self):
         a = aff2()
         gens = ((0, 0, 0), (0, 1, 1), (1, 1, 0))
-        got = generate_subpower(a, gens, 3).tuples.tuples
+        got = generate_subpower(a, gens, 3).tuples
         assert got == generated_subpower_oracle(a, gens)
 
     def test_singleton_generator(self):
-        got = generate_subpower(ord2(), [(0, 0)], 2).tuples.tuples
+        got = generate_subpower(ord2(), [(0, 0)], 2).tuples
         assert got == {(0, 0)}
 
     def test_generators_belong_and_closure_idempotent(self):
         a = ord2()
         s = ((0, 1), (1, 0))
-        first = generate_subpower(a, s, 2).tuples.tuples
+        first = generate_subpower(a, s, 2).tuples
         assert set(s) <= first
-        again = generate_subpower(a, tuple(sorted(first)), 2).tuples.tuples
+        again = generate_subpower(a, tuple(sorted(first)), 2).tuples
         assert again == first
 
     def test_subpower_closed_under_all_polymorphisms(self):
         a = aff2()
-        sub = generate_subpower(a, ((1, 0), (0, 1)), 2).tuples.tuples
+        sub = generate_subpower(a, ((1, 0), (0, 1)), 2).tuples
         rows = sorted(sub)
         for f in polymorphisms(a, 2):
             for r1 in rows:
                 for r2 in rows:
                     image = (f.apply((r1[0], r2[0])), f.apply((r1[1], r2[1])))
                     assert image in sub
+
+
+class TestGenerateAgainstMembership:
+    """generate_subpower (one projection) against the per-candidate route."""
+
+    GENERATORS = (
+        ((0, 1), (1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        ((0, 0, 1), (1, 1, 0)),  # columns 0 and 1 repeat
+    )
+
+    def test_two_element_corpus(self):
+        for a in {e.structure for e in corpus2().entries}:
+            for s in self.GENERATORS:
+                assert generate_subpower(a, s, len(s[0])).tuples == membership_route(a, s)
+
+    def test_repeated_columns(self):
+        min3 = structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
+        # arc consistency leaves f(1) = 2 for the endomorphisms, but no
+        # endomorphism takes it
+        endo = structure(
+            3, {"r": [(0, 0), (2, 2)], "t": [(0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0), (2, 2, 1)]}
+        )
+        for a, s, (i, j) in (
+            (min3, ((0, 0, 2), (1, 1, 0)), (0, 1)),
+            (min3, ((2, 1, 2), (0, 1, 0), (1, 2, 1)), (0, 2)),
+            (endo, ((1, 1),), (0, 1)),
+        ):
+            got = generate_subpower(a, s, len(s[0])).tuples
+            assert got == membership_route(a, s)
+            assert all(t[i] == t[j] for t in got)
+        assert generate_subpower(endo, ((1, 1),), 2).tuples == {(0, 0), (1, 1)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        ternary=st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4),
+        n=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_random_three_element_structures(self, binary, ternary, n, data):
+        rels = {"r": sorted(binary)}
+        if ternary:
+            rels["t"] = sorted(ternary)
+        a = structure(3, rels)
+        row = st.tuples(*[st.integers(0, 2)] * n)
+        s = tuple(data.draw(st.lists(row, min_size=1, max_size=3)))
+        assert generate_subpower(a, s, n).tuples == membership_route(a, s)
 
 
 class TestClosureUnary:

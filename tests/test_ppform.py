@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from absorb import (
+    CapExceeded,
     InputError,
     PPFormula,
     Relation,
@@ -17,8 +18,21 @@ from absorb import (
     simplify,
     structure,
 )
-from absorb.ppform import Atom, Registry, _evaluate_backtrack
+from absorb.ppform import Atom, Registry
+from bruteforce import evaluate_pp_oracle
 from fixtures import B0, LEQ, NEQ, aff2, neq2, ord2
+
+
+def three_element():
+    """A binary and a ternary relation with one singleton on {0,1,2}."""
+    return structure(
+        3,
+        {
+            "r": [(0, 1), (1, 2), (2, 0), (1, 1)],
+            "t": [(0, 1, 2), (1, 1, 0), (2, 0, 0)],
+            "s0": [(0,)],
+        },
+    )
 
 
 def comp_formula():
@@ -45,7 +59,7 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate_pp(PPFormula(("x",), (Atom("nope", ("x",)),)), ord2())
 
-    def test_cyclic_formula_uses_backtracking(self):
+    def test_cyclic_formula(self):
         # x != y, y != z, z != x over a 2-element domain: unsatisfiable
         phi = PPFormula(
             ("x",),
@@ -60,28 +74,36 @@ class TestEvaluate:
         assert is_satisfiable(sat, neq2())
         assert not is_satisfiable(unsat, ord2())
 
+    def test_tree_formula_over_the_variable_cap(self):
+        names = ["v%d" % i for i in range(23)]
+        phi = PPFormula(
+            (names[0], names[-1]),
+            tuple(Atom("leq", pair) for pair in zip(names, names[1:])),
+        )
+        assert analyze_formula(phi).is_tree
+        with pytest.raises(CapExceeded):
+            evaluate_pp(phi, ord2())
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_tree_dp_agrees_with_backtracking(self, data):
-        # random path-with-teeth formulas stay trees by construction
-        a = neq2()
+    def test_agrees_with_brute_force(self, data):
+        # random scopes give cycles, repeated variables and bound-only
+        # components; extra_vars adds variables that occur in no atom
+        a = data.draw(st.sampled_from([neq2(), ord2(), aff2(), three_element()]))
         names = ["v%d" % i for i in range(5)]
         atoms = []
-        rels = ["neq", "s0", "s1"]
-        for i in range(len(names) - 1):
-            if data.draw(st.booleans()):
-                atoms.append(Atom("neq", (names[i], names[i + 1])))
-        for v in names:
-            if data.draw(st.integers(0, 3)) == 0:
-                atoms.append(Atom(data.draw(st.sampled_from(rels[1:])), (v,)))
-        free = tuple(
-            v for v in names if data.draw(st.booleans())
-        ) or (names[0],)
-        phi = PPFormula(free, tuple(atoms))
-        report = analyze_formula(phi)
-        if not report.is_tree:
-            return
-        assert evaluate_pp(phi, a) == _evaluate_backtrack(phi, a, 22)
+        for _ in range(data.draw(st.integers(0, 5))):
+            name = data.draw(st.sampled_from(a.names))
+            arity = a.rel(name).arity
+            scope = data.draw(st.lists(st.sampled_from(names), min_size=arity, max_size=arity))
+            atoms.append(Atom(name, tuple(scope)))
+        extra = data.draw(st.lists(st.sampled_from(names + ["e"]), max_size=2, unique=True))
+        known = PPFormula((), tuple(atoms), tuple(extra)).variables or ("v0",)
+        free = data.draw(st.lists(st.sampled_from(known), min_size=1, unique=True))
+        phi = PPFormula(tuple(free), tuple(atoms), tuple(v for v in extra if v not in free))
+        expected = evaluate_pp_oracle(phi, a)
+        assert evaluate_pp(phi, a) == expected
+        assert is_satisfiable(phi, a) == bool(expected.tuples)
 
 
 class TestAnalyze:
