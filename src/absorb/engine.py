@@ -10,6 +10,16 @@ every "first witness" output is reproducible.
 `project` is the one primitive for solution sets: the distinct value tuples
 that homomorphisms take at chosen vertices.  Generated subpowers and the
 relations defined by pp-formulas are both computed by it.
+
+A revision of one constraint is a pure function of its target relation's
+allowed tuples and the domain masks of its scope.  In a power structure
+thousands of constraints share one target relation and meet the same few
+mask patterns again and again, so every target relation carries one memo,
+shared by all constraints on it, from the tuple of scope masks to the
+revision's result (the supported mask of each position, or a wipeout).
+Only a miss scans the allowed tuples.  A memo holds at most
+`_REVISION_MEMO_SIZE` entries (it is cleared when full) and lives as long
+as its entry in the bounded constraint cache.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Optional
 
 from .errors import CapExceeded, InputError
@@ -36,6 +47,16 @@ DEFAULT_VERTEX_CAP = 10 ** 6
 # A query uses at most two (source, target) pairs; the bound keeps the
 # structures of evaluated pp-formulas from piling up for the whole process.
 _CONSTRAINT_CACHE_SIZE = 4
+
+# A query uses at most two powers (k=1 for the closure check, then k=3 or
+# the search arity); each cached constraint list keeps its power alive
+# anyway, so a bound below _CONSTRAINT_CACHE_SIZE would save nothing.
+_POWER_CACHE_SIZE = 4
+
+# Entries per revision memo; a full memo is cleared before the next insert.
+# The heaviest benchmark queries miss on at most 590 of up to 2.8M
+# revisions, so only far larger instances reach the bound.
+_REVISION_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,21 +116,48 @@ def _initial_masks(inst: HomInstance):
 
 @lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
 def _constraints(source: RelationalStructure, target: RelationalStructure):
-    """Constraint list [(scope, allowed_tuples)] plus vertex->constraints index."""
+    """Constraint list [(scope, allowed_tuples, memo)] plus vertex->constraints index.
+
+    memo is the revision memo of the target relation, shared by every
+    constraint on it.
+    """
     cons = []
     for name, rel in source.relations:
         allowed = target.rel(name).sorted_tuples()
+        memo = {}
         for scope in rel.sorted_tuples():
-            cons.append((scope, allowed))
+            cons.append((scope, allowed, memo))
     var_cons = [[] for _ in range(source.size)]
-    for ci, (scope, _) in enumerate(cons):
+    for ci, (scope, _, _) in enumerate(cons):
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
     return cons, var_cons
 
 
+def _revise(allowed, key):
+    """The supported mask of each scope position, or None on a wipeout.
+
+    key holds the scope's domain masks; a tuple is supported when each of
+    its entries lies in the mask of its position.
+    """
+    k = len(key)
+    supported = [0] * k
+    for t in allowed:
+        for i in range(k):
+            if not (key[i] >> t[i]) & 1:
+                break
+        else:
+            for i in range(k):
+                supported[i] |= 1 << t[i]
+    return tuple(supported) if supported[0] else None
+
+
 def _gac(masks, cons, var_cons, queue=None):
-    """Generalized arc consistency to fixpoint; False on a domain wipeout."""
+    """Generalized arc consistency to fixpoint; False on a domain wipeout.
+
+    Revisions come from the target relation's memo; a miss runs _revise
+    and stores its result.
+    """
     if queue is None:
         queue = deque(range(len(cons)))
         in_queue = [True] * len(cons)
@@ -121,20 +169,25 @@ def _gac(masks, cons, var_cons, queue=None):
     while queue:
         ci = queue.popleft()
         in_queue[ci] = False
-        scope, allowed = cons[ci]
-        k = len(scope)
-        supported = [0] * k
-        for t in allowed:
-            for i in range(k):
-                if not (masks[scope[i]] >> t[i]) & 1:
-                    break
-            else:
-                for i in range(k):
-                    supported[i] |= 1 << t[i]
-        for i in range(k):
-            v = scope[i]
-            m = masks[v] & supported[i]
-            if m != masks[v]:
+        scope, allowed, memo = cons[ci]
+        # one stored itemgetter per constraint would be a little faster, but
+        # would add about 80 bytes per constraint (4 MB on power(leq5, 4))
+        key = itemgetter(*scope)(masks) if len(scope) > 1 else (masks[scope[0]],)
+        try:
+            supported = memo[key]
+        except KeyError:
+            supported = _revise(allowed, key)
+            if len(memo) >= _REVISION_MEMO_SIZE:
+                memo.clear()
+            memo[key] = supported
+        if supported is None:
+            return False
+        if supported == key:
+            continue
+        for v, s in zip(scope, supported):
+            m = masks[v]
+            if m & s != m:
+                m &= s
                 if m == 0:
                     return False
                 masks[v] = m
@@ -159,11 +212,15 @@ def _bits(mask):
 def _mrv_vertex(masks):
     """The unassigned vertex with fewest candidates (lowest index on ties), or -1."""
     best = -1
-    best_count = None
+    best_count = 0
     for v, m in enumerate(masks):
-        c = bin(m).count("1")
-        if c > 1 and (best_count is None or c < best_count):
-            best, best_count = v, c
+        if m & (m - 1):
+            c = m.bit_count()
+            if best < 0 or c < best_count:
+                if c == 2:
+                    # no unassigned vertex has fewer candidates
+                    return v
+                best, best_count = v, c
     return best
 
 
@@ -317,7 +374,7 @@ def cover(inst: HomInstance, pending, mask: int, start: Optional[tuple] = None) 
 # --- power structures and subpowers ------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POWER_CACHE_SIZE)
 def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructure:
     n = a.size ** k
     rels = []
@@ -333,12 +390,22 @@ def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructu
 
 
 def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:
-    """The k-th power of a; vertices are k-tuples in lexicographic rank order."""
+    """The k-th power of a; vertices are k-tuples in lexicographic rank order.
+
+    cap bounds both the vertices and the constraint scopes (the tuples of
+    all its relations, sum of |R|^k); either count over it is refused
+    before anything is built.
+    """
     if k < 1:
         raise InputError("power exponent must be positive")
     if a.size ** k > cap:
         raise CapExceeded(
             "power structure would have %d vertices, cap is %d" % (a.size ** k, cap)
+        )
+    scopes = sum(len(rel) ** k for _, rel in a.relations)
+    if scopes > cap:
+        raise CapExceeded(
+            "power structure would have %d constraint scopes, cap is %d" % (scopes, cap)
         )
     return _power_structure_cached(a, k)
 

@@ -1,12 +1,19 @@
-"""The per-quintuple decision route, kept as a slow reference oracle.
+"""Slow reference routes, kept as oracles for the package's fast ones.
 
-For every quintuple it generates the subpower <(b1,a,a),(b2,c,c),(d,a,c)>
-of A^3 with one membership CSP per tuple (`jonsson_digraph`), walks the
-B-colored digraph, takes the least color of each walk edge, and recovers
-that step's table with one pinned `find_hom` over power(A,3).  The package's
-`decide_jonsson` answers from per-(a,c,u,v) coverage tables instead and must
-return the same `Decision`, every table included.
+`reference_gac` is arc consistency without the revision memo: every
+revision scans all allowed tuples of its constraint.  `engine._gac` must
+return the same flag and leave the same masks.
+
+`reference_decide` is the per-quintuple decision route.  For every
+quintuple it generates the subpower <(b1,a,a),(b2,c,c),(d,a,c)> of A^3 with
+one membership CSP per tuple (`jonsson_digraph`), walks the B-colored
+digraph, takes the least color of each walk edge, and recovers that step's
+table with one pinned `find_hom` over power(A,3).  The package's
+`decide_jonsson` answers from per-(a,c,u,v) coverage tables instead and
+must return the same `Decision`, every table included.
 """
+
+from collections import deque
 
 from absorb import (
     DEFAULT_VERTEX_CAP,
@@ -24,6 +31,47 @@ from absorb import (
     tuple_rank,
 )
 from absorb.decide import _quintuples, _validate_inputs
+
+
+def reference_gac(masks, cons, var_cons, queue=None):
+    """engine._gac with a full scan of the allowed tuples on every revision.
+
+    cons and var_cons come from engine._constraints; only the scope and the
+    allowed tuples of each constraint are read.
+    """
+    if queue is None:
+        queue = deque(range(len(cons)))
+        in_queue = [True] * len(cons)
+    else:
+        in_queue = [False] * len(cons)
+        queue = deque(queue)
+        for ci in queue:
+            in_queue[ci] = True
+    while queue:
+        ci = queue.popleft()
+        in_queue[ci] = False
+        scope, allowed = cons[ci][0], cons[ci][1]
+        k = len(scope)
+        supported = [0] * k
+        for t in allowed:
+            for i in range(k):
+                if not (masks[scope[i]] >> t[i]) & 1:
+                    break
+            else:
+                for i in range(k):
+                    supported[i] |= 1 << t[i]
+        for i in range(k):
+            v = scope[i]
+            m = masks[v] & supported[i]
+            if m != masks[v]:
+                if m == 0:
+                    return False
+                masks[v] = m
+                for cj in var_cons[v]:
+                    if not in_queue[cj]:
+                        queue.append(cj)
+                        in_queue[cj] = True
+    return True
 
 
 def _recover_table(a, q, target, cap):

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, payloads, caps, and file handling."""
 
 import json
+import time
+from itertools import product
 
 import pytest
 
@@ -179,6 +181,22 @@ class TestSearchCommand:
         assert code == 0 and payload["holds"] is True
         table = codec.table_from_obj(payload["table"])
         assert is_absorption_term(swap11, subset([0]), table)
+
+    def test_scope_cap_refuses_before_building(self, capsys, tmp_path):
+        # 11^3 = 1331 vertices, but (11^2)^3 + 11 = 1,771,572 constraint
+        # scopes: without the scope cap this search ran for minutes
+        full11 = structure(11, {"r": list(product(range(11), repeat=2))})
+        path = tmp_path / "full11.json"
+        path.write_text(codec.dump_structure(full11))
+        start = time.perf_counter()
+        code = main(
+            ["search", "-s", str(path), "-b", B0, "--what", "term", "--arity", "3"]
+        )
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "1771572 constraint scopes, cap is 1000000" in err
+        assert elapsed < 30
 
     def test_missing_arity(self, capsys, files):
         _, ord2_path, _ = files

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from absorb import engine
 from absorb import (
     CapExceeded,
     HomInstance,
@@ -16,6 +17,7 @@ from absorb import (
     cover,
     essential_witness_search,
     find_hom,
+    full_relation,
     generate_subpower,
     is_b_essential,
     power_structure,
@@ -24,6 +26,7 @@ from absorb import (
     subpower_membership,
     subset,
     tuple_rank,
+    with_singletons,
 )
 from bruteforce import (
     absorption_term_oracle,
@@ -32,6 +35,7 @@ from bruteforce import (
     polymorphisms,
 )
 from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2, triv1
+from reference import reference_gac
 
 
 def membership_route(a, s):
@@ -57,6 +61,26 @@ class TestPowerStructure:
     def test_nonpositive_exponent(self):
         with pytest.raises(InputError):
             power_structure(ord2(), 0)
+
+    def test_scope_cap(self):
+        # 9 vertices, 9^2 = 81 constraint scopes
+        full3 = structure(3, {"r": full_relation(3, 2)})
+        with pytest.raises(CapExceeded, match="81 constraint scopes, cap is 50"):
+            power_structure(full3, 2, cap=50)
+        assert power_structure(full3, 2, cap=81).size == 9
+
+    def test_vertex_cap_is_checked_first(self):
+        full3 = structure(3, {"r": full_relation(3, 2)})
+        with pytest.raises(CapExceeded, match="9 vertices, cap is 8"):
+            power_structure(full3, 2, cap=8)
+
+    def test_cache_is_bounded(self):
+        engine._power_structure_cached.cache_clear()
+        for size in range(1, engine._POWER_CACHE_SIZE + 3):
+            power_structure(structure(size, {"r": [(0, 0)]}), 2)
+        info = engine._power_structure_cached.cache_info()
+        assert info.maxsize == engine._POWER_CACHE_SIZE
+        assert info.currsize == engine._POWER_CACHE_SIZE
 
 
 class TestHoms:
@@ -106,6 +130,84 @@ class TestHoms:
     def test_signature_mismatch_rejected(self):
         with pytest.raises(InputError):
             HomInstance(ord2(), aff2())
+
+
+ARITIES = {"u": 1, "r": 2, "t": 3}
+
+
+class TestRevisionMemo:
+    """engine._gac (memoised revisions) against reference_gac (full scans)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_gac_matches_full_scan(self, data):
+        value = st.integers(0, 2)
+        target = structure(3, {
+            name: relation(k, data.draw(st.sets(st.tuples(*[value] * k), max_size=12)))
+            for name, k in ARITIES.items()
+        })
+        # few vertices, so scopes often repeat a vertex
+        n = data.draw(st.integers(1, 4))
+        vertex = st.integers(0, n - 1)
+        source = structure(n, {
+            name: relation(k, data.draw(st.sets(st.tuples(*[vertex] * k), max_size=6)))
+            for name, k in ARITIES.items()
+        })
+        cons, var_cons = engine._constraints(source, target)
+        # later rounds meet the memo entries of earlier ones
+        for _ in range(3):
+            masks = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+            mode = data.draw(st.sampled_from(("full", "queue", "incremental")))
+            queue = None
+            if mode == "queue" and cons:
+                queue = data.draw(st.lists(st.integers(0, len(cons) - 1), unique=True))
+            elif mode == "incremental":
+                # a fixpoint, then one vertex narrowed and its constraints queued
+                if not reference_gac(masks, cons, var_cons):
+                    continue
+                v = data.draw(vertex)
+                masks[v] &= data.draw(st.integers(1, 7))
+                if masks[v] == 0:
+                    continue
+                queue = var_cons[v]
+            fast, slow = list(masks), list(masks)
+            assert engine._gac(fast, cons, var_cons, queue) == reference_gac(
+                slow, cons, var_cons, queue
+            )
+            assert fast == slow
+        for con in cons:
+            # shared entries are immutable
+            assert all(r is None or type(r) is tuple for r in con[2].values())
+
+    MIN3, _ = with_singletons(
+        structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
+    )
+
+    def _results(self):
+        a = self.MIN3
+        power = power_structure(a, 3)
+        pins = ((tuple_rank((0, 1, 0), 3), 1), (tuple_rank((0, 1, 1), 3), 2))
+        inst = HomInstance(power, a, pins=pins)
+        cov = cover(inst, range(power.size), 0b011)
+        return (
+            find_hom(inst),
+            generate_subpower(a, ((0, 1, 2), (2, 1, 0), (1, 1, 1)), 3),
+            cov,
+            [cov.extend(v, 0) for v in range(0, power.size, 5)],
+            absorption_term_search(a, subset([0]), 2),
+        )
+
+    def test_clearing_a_full_memo_changes_nothing(self, monkeypatch):
+        engine._constraints.cache_clear()
+        expected = self._results()
+        monkeypatch.setattr(engine, "_REVISION_MEMO_SIZE", 1)
+        engine._constraints.cache_clear()
+        try:
+            assert self._results() == expected
+            cons, _ = engine._constraints(power_structure(self.MIN3, 3), self.MIN3)
+            assert all(len(con[2]) <= 1 for con in cons)
+        finally:
+            engine._constraints.cache_clear()
 
 
 class TestCover:
