@@ -27,7 +27,6 @@ from .decide import (
     Quintuple,
     bounds,
     chain_from_absorption_term,
-    decide_absorption,
     decide_jonsson,
     is_absorption_term,
     is_jonsson_chain,
@@ -37,19 +36,17 @@ from .decide import (
 )
 from .engine import (
     DEFAULT_VERTEX_CAP,
-    Coverage,
     EssentialWitness,
+    Fixpoint,
     HomInstance,
     absorption_term_search,
-    ac_fixpoint,
     closure_unary,
-    cover,
     essential_witness_search,
     find_hom,
+    fixpoint,
     generate_subpower,
     is_b_essential,
     power_structure,
-    project,
     subpower_membership,
 )
 from .errors import (

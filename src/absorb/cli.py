@@ -18,7 +18,6 @@ from . import codec
 from .corpus import build_corpus, manifest_obj
 from .decide import (
     bounds,
-    decide_absorption,
     decide_jonsson,
     oracle_chain_search,
     verify_np_certificate,
@@ -67,25 +66,30 @@ def _load_inputs(args):
 
 def _cap(args):
     if args.max_power_vertices is not None:
-        return args.max_power_vertices
-    env = os.environ.get("ABSORB_MAX_VERTICES")
-    if env is not None:
+        cap, source = args.max_power_vertices, "--max-power-vertices"
+    else:
+        env = os.environ.get("ABSORB_MAX_VERTICES")
+        if env is None:
+            return DEFAULT_VERTEX_CAP
         try:
-            return int(env)
+            cap, source = int(env), "ABSORB_MAX_VERTICES"
         except ValueError:
             raise InputError("ABSORB_MAX_VERTICES is not an integer: %r" % env) from None
-    return DEFAULT_VERTEX_CAP
+    if cap < 1:
+        raise InputError("%s must be at least 1, got %d" % (source, cap))
+    return cap
 
 
 def cmd_decide(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
-    decide = decide_jonsson if args.mode == "jonsson" else decide_absorption
-    decision = decide(a, b, cap, certificate=bool(args.certificate))
+    decision = decide_jonsson(a, b, cap, certificate=bool(args.certificate))
     if decision.holds and args.certificate:
         _write_file(args.certificate, codec.dump_certificate(decision.certificate) + "\n")
     payload = codec.decision_to_obj(decision)
-    payload["mode"] = decision.mode
+    # the two modes are one computation (decide adds the singletons either
+    # way); the flag only labels the output
+    payload["mode"] = args.mode
     return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS)
 
 

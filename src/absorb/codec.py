@@ -38,13 +38,14 @@ def _expect(obj, key, types, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError("%s: missing key %r" % (where, key))
     val = obj[key]
-    if not isinstance(val, types):
+    # JSON true/false load as bool, a subclass of int, but are not numbers
+    if not isinstance(val, types) or (isinstance(val, bool) and types is not bool):
         raise ParseError("%s: key %r has wrong type" % (where, key))
     return val
 
 
 def _int_list(val, where):
-    if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+    if not isinstance(val, list) or not all(type(x) is int for x in val):
         raise ParseError("%s: expected a list of integers" % where)
     return val
 
@@ -217,7 +218,7 @@ def decision_to_obj(d: Decision):
     return obj
 
 
-def decision_from_obj(obj, mode: str = "jonsson") -> Decision:
+def decision_from_obj(obj) -> Decision:
     holds = _expect(obj, "holds", bool, "decision")
     failing = None
     if "failing" in obj:
@@ -225,15 +226,15 @@ def decision_from_obj(obj, mode: str = "jonsson") -> Decision:
     cert = None
     if "certificate" in obj:
         cert = certificate_from_obj(_expect(obj, "certificate", dict, "decision"))
-    return Decision(holds, mode, failing=failing, certificate=cert)
+    return Decision(holds, failing=failing, certificate=cert)
 
 
 def dump_decision(d: Decision) -> str:
     return _dumps(decision_to_obj(d))
 
 
-def parse_decision(text: str, mode: str = "jonsson") -> Decision:
-    return decision_from_obj(_loads(text), mode)
+def parse_decision(text: str) -> Decision:
+    return decision_from_obj(_loads(text))
 
 
 def chain_to_obj(chain: ChainWitness):
@@ -249,18 +250,6 @@ def chain_from_obj(obj) -> ChainWitness:
 
 def witness_to_obj(w: EssentialWitness):
     return {"arity": w.arity, "generators": [list(g) for g in w.generators]}
-
-
-def witness_from_obj(obj, a=None) -> "tuple":
-    """Parse {"arity", "generators"}; returns (arity, generators)."""
-    arity = _expect(obj, "arity", int, "witness")
-    gens = []
-    for g in _expect(obj, "generators", list, "witness"):
-        g = tuple(_int_list(g, "witness"))
-        if len(g) != arity:
-            raise ParseError("witness: generator %r does not match arity %d" % (g, arity))
-        gens.append(g)
-    return arity, tuple(gens)
 
 
 # --- formulas ------------------------------------------------------------------

@@ -8,23 +8,26 @@ read off the subpower generated by (b1,a,a), (b2,c,c), (d,a,c).  A verdict of
 "absorbing" is the same verdict: for finitely related algebras the two
 notions coincide, and no absorption term is ever synthesized (the arity bound
 is astronomically large); the certificate of the path test is the proof
-object.
+object.  So decide_jonsson is the one decision entry point for both.
 
 The digraphs are not generated one quintuple at a time.  A ternary
 polymorphism phi puts (b,u,v) in a quintuple's subpower when phi(b1,b2,d)=b,
 phi(a,c,a)=u and phi(a,c,c)=v, and only the first column depends on
 (d,b1,b2).  So when the quintuples of a pair a != c come up, the decider
-pins (a,c,a)->u and (a,c,c)->v in power(A,3) for each (u,v) and covers the
-columns (b1,b2,d) in B x B x A with B (engine.cover).  The edges of a
-quintuple are then the (u,v) whose table covers its column.  A walk step
-takes the least color in B that extends the cached (u,v) fixpoint to a
-solution with (b1,b2,d) pinned to it; since a pinned instance has a unique
-GAC fixpoint and the search is deterministic, that table is the one a
-from-scratch find_hom returns.  jonsson_digraph keeps the definition.
+pins (a,c,a)->u and (a,c,c)->v in the GAC fixpoint of power(A,3) for each
+(u,v) and covers the columns (b1,b2,d) in B x B x A with B
+(engine.Fixpoint.pin and .cover).  The edges of a quintuple are then the
+(u,v) whose table covers its column.  A walk step takes the least color in
+B for which the (u,v) fixpoint with (b1,b2,d) also pinned has a solution;
+since a pinned instance has a unique GAC fixpoint and the search is
+deterministic, that table is the one a from-scratch find_hom returns.
+jonsson_digraph keeps the definition.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -33,10 +36,10 @@ from typing import Optional
 from .errors import CapExceeded, InputError, NotSubuniverseError
 from .engine import (
     DEFAULT_VERTEX_CAP,
-    Coverage,
+    Fixpoint,
     HomInstance,
     closure_unary,
-    cover,
+    fixpoint,
     generate_subpower,
     power_structure,
 )
@@ -96,7 +99,6 @@ class Certificate:
 @dataclass(frozen=True)
 class Decision:
     holds: bool
-    mode: str  # "jonsson" or "absorb"
     failing: Optional[Quintuple] = None
     certificate: Optional[Certificate] = None
 
@@ -141,16 +143,15 @@ def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     return expanded
 
 
-def _coverage_tables(a: RelationalStructure, b: Subset, x: int, y: int, base: Coverage):
-    """{(u, v): Coverage} for the pair a=x, c=y.
+def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
+    """{(u, v): (Fixpoint, covered columns)} for the pair a=x, c=y.
 
-    Each entry pins the columns (x,y,x) -> u and (x,y,y) -> v of power(A,3)
-    and covers the generator columns (b1,b2,d) in B x B x A with mask B: a
-    covered column means (b,u,v) lies in the subpower of that quintuple for
-    some color b in B.  base is the coverage of the unpinned instance, whose
-    fixpoint every entry starts from.
+    Each entry pins the columns (x,y,x) -> u and (x,y,y) -> v of base, the
+    fixpoint of power(A,3), and covers the generator columns (b1,b2,d) in
+    B x B x A with mask B: a covered column means (b,u,v) lies in the
+    subpower of that quintuple for some color b in B.
     """
-    size = a.size
+    size = base.target.size
     col_u = tuple_rank((x, y, x), size)
     col_v = tuple_rank((x, y, y), size)
     pending = [
@@ -161,17 +162,17 @@ def _coverage_tables(a: RelationalStructure, b: Subset, x: int, y: int, base: Co
     bmask = sum(1 << e for e in b.elements)
     tables = {}
     for u, v in product(range(size), repeat=2):
-        inst = HomInstance(base.instance.source, a, pins=((col_u, u), (col_v, v)))
-        tables[u, v] = cover(inst, pending, bmask, base.masks)
+        table = base.pin(((col_u, u), (col_v, v)))
+        tables[u, v] = table, table.cover(pending, bmask)
     return tables
 
 
-def _cert_step(coverage, col: int, u: int, v: int, b: Subset) -> CertStep:
+def _cert_step(table: Fixpoint, col: int, u: int, v: int, b: Subset) -> CertStep:
     """The least color b in B with (b,u,v) generated, and find_hom's table for it."""
     for color in b.sorted_elements():
-        values = coverage.extend(col, color)
+        values = table.pin(((col, color),)).solve()
         if values is not None:
-            return CertStep(color, u, v, OperationTable(3, coverage.instance.target.size, values))
+            return CertStep(color, u, v, OperationTable(3, table.target.size, values))
     raise AssertionError("covered edge has no generating polymorphism")
 
 
@@ -190,10 +191,8 @@ def decide_jonsson(
         for q in _quintuples(size, b):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
-        return Decision(
-            True, "jonsson", certificate=Certificate(tuple(entries)) if certificate else None
-        )
-    base = cover(HomInstance(power_structure(expanded, 3, cap), expanded), (), 0)
+        return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
+    base = fixpoint(HomInstance(power_structure(expanded, 3, cap), expanded))
     pair = tables = None
     for q in _quintuples(size, b):
         if q.a == q.c:
@@ -201,26 +200,18 @@ def decide_jonsson(
             continue
         if pair != (q.a, q.c):
             pair = (q.a, q.c)
-            tables = _coverage_tables(expanded, b, q.a, q.c, base)
+            tables = _coverage_tables(b, q.a, q.c, base)
         col = tuple_rank((q.b1, q.b2, q.d), size)
-        edges = frozenset(uv for uv, cov in tables.items() if col in cov.covered)
+        edges = frozenset(uv for uv, (_, covered) in tables.items() if col in covered)
         walk = digraph_reach(Digraph(size, edges), {q.a}, {q.c})
         if walk is None:
-            return Decision(False, "jonsson", failing=q)
+            return Decision(False, failing=q)
         if certificate:
-            steps = tuple(_cert_step(tables[u, v], col, u, v, b) for u, v in zip(walk, walk[1:]))
+            steps = tuple(
+                _cert_step(tables[u, v][0], col, u, v, b) for u, v in zip(walk, walk[1:])
+            )
             entries.append(CertEntry(q, steps))
-    return Decision(
-        True, "jonsson", certificate=Certificate(tuple(entries)) if certificate else None
-    )
-
-
-def decide_absorption(
-    a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP, certificate: bool = True
-) -> Decision:
-    """Identical verdict to decide_jonsson; annotated as an absorption verdict."""
-    d = decide_jonsson(a, b, cap, certificate)
-    return Decision(d.holds, "absorb", failing=d.failing, certificate=d.certificate)
+    return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
 
 
 def is_absorption_term(a: RelationalStructure, b: Subset, t: OperationTable):
@@ -362,10 +353,13 @@ def verify_np_certificate(a: RelationalStructure, b: Subset, cert: Certificate):
     b.check_bounds(a.size)
     expanded, _ = with_singletons(a)
     size = a.size
+    replayed = set(_quintuples(size, b))
     table = {}
     for entry in cert.entries:
         if entry.q in table:
             return False, "duplicate quintuple %r" % (entry.q.as_list(),)
+        if entry.q not in replayed:
+            return False, "unexpected quintuple %r" % (entry.q.as_list(),)
         table[entry.q] = entry
     poly_cache = {}
 
@@ -403,16 +397,44 @@ def verify_np_certificate(a: RelationalStructure, b: Subset, cert: Certificate):
     return True, None
 
 
+# Python prints no int of more decimal digits than sys.get_int_max_str_digits();
+# where that limit is absent or switched off (0), its default bounds the work.
+_DEFAULT_DIGIT_LIMIT = 4300
+
+
+def _unprintable(name: str, log_digits: float, limit: int) -> CapExceeded:
+    about = "%.0f" % 10 ** log_digits if log_digits < 15 else "10^%.1f" % log_digits
+    return CapExceeded(
+        "%s would have about %s digits, more than the %d that can be printed"
+        % (name, about, limit)
+    )
+
+
 def bounds(theta: int, size: int) -> BoundReport:
-    """Exact big-integer arity bounds for the absorption-term arity."""
+    """Exact big-integer arity bounds for the absorption-term arity.
+
+    Raises CapExceeded when a bound has more decimal digits than Python can
+    print; a bound estimated at over twice that many is refused before it is
+    computed.
+    """
     if theta < 2:
         raise InputError("theta must be at least 2")
     if size < 1:
         raise InputError("domain size must be at least 1")
-    kappa = (2 * theta - 2) ** (3 ** size) // 2 + 1
-    lower = None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
+    # each bound is base ** (c ** k); kappa is then halved
+    terms = [("kappa", 2 * theta - 2, 3, size)]
     if theta >= 3 and size >= 3:
-        lower = (theta - 1) ** (2 ** (size - 2))
+        terms.append(("lower bound", theta - 1, 2, size - 2))
     elif theta == 2 and size >= 4:
-        lower = 2 ** (2 ** (size - 3))
-    return BoundReport(theta, size, kappa, lower)
+        terms.append(("lower bound", 2, 2, size - 3))
+    for name, base, c, k in terms:
+        log_digits = k * math.log10(c) + math.log10(math.log10(base))
+        if log_digits > math.log10(2 * limit):
+            raise _unprintable(name, log_digits, limit)
+    values = [base ** (c ** k) for _, base, c, k in terms]
+    values[0] = values[0] // 2 + 1
+    for (name, _, _, _), value in zip(terms, values):
+        if value >= 10 ** limit:
+            raise _unprintable(name, math.log10(math.log10(value)), limit)
+    return BoundReport(theta, size, values[0], values[1] if len(values) > 1 else None)

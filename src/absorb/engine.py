@@ -7,9 +7,13 @@ solver is generalized arc consistency plus backtracking with
 minimum-remaining-values variable order and lexicographic value order, so
 every "first witness" output is reproducible.
 
-`project` is the one primitive for solution sets: the distinct value tuples
-that homomorphisms take at chosen vertices.  Generated subpowers and the
-relations defined by pp-formulas are both computed by it.
+Every query starts from one value, a `Fixpoint`: the greatest
+arc-consistent domains of an instance, or a wipeout.  `fixpoint` computes
+it from scratch; `pin` forces more values and resumes propagation; `solve`
+returns the first solution; `project` returns the distinct value tuples
+that solutions take at chosen vertices (generated subpowers and the
+relations of pp-formulas); `cover` returns the vertices that some solution
+sends into a value set (the decider's coverage tables).
 
 A revision of one constraint is a pure function of its target relation's
 allowed tuples and the domain masks of its scope.  In a power structure
@@ -252,123 +256,124 @@ def _search(masks, cons, var_cons):
                 stack.pop()
 
 
-def ac_fixpoint(inst: HomInstance) -> Optional[dict]:
-    """Greatest arc-consistent domains, or None when some domain empties."""
-    cons, var_cons = _constraints(inst.source, inst.target)
-    masks = _initial_masks(inst)
-    if 0 in masks or not _gac(masks, cons, var_cons):
-        return None
-    return {v: frozenset(_bits(m)) for v, m in enumerate(masks)}
-
-
-def find_hom(inst: HomInstance) -> Optional[tuple]:
-    """A full assignment (tuple indexed by source vertex), or None."""
-    cons, var_cons = _constraints(inst.source, inst.target)
-    masks = _initial_masks(inst)
-    if 0 in masks or not _gac(masks, cons, var_cons):
-        return None
-    solution = _search(masks, cons, var_cons)
-    if solution is None:
-        return None
-    return tuple(_bits(m)[0] for m in solution)
-
-
-def project(inst: HomInstance, vertices) -> frozenset:
-    """The distinct tuples of values that homomorphisms of inst take at vertices.
-
-    Shared-prefix search: branch on the listed vertices in order, with
-    incremental GAC after each choice; each surviving leaf is kept when one
-    search extends it to the remaining vertices.  A repeated vertex takes
-    the same value at each of its positions.
-    """
-    vertices = list(vertices)
-    cons, var_cons = _constraints(inst.source, inst.target)
-    masks = _initial_masks(inst)
-    if 0 in masks or not _gac(masks, cons, var_cons):
-        return frozenset()
-    out = set()
-    stack = [(masks, 0)]
-    while stack:
-        masks, depth = stack.pop()
-        if depth == len(vertices):
-            if _search(masks, cons, var_cons) is not None:
-                out.add(tuple(_bits(masks[v])[0] for v in vertices))
-            continue
-        v = vertices[depth]
-        if masks[v] & (masks[v] - 1) == 0:
-            # already fixed (pinned, repeated or forced): propagating again
-            # would cost a GAC pass and prune nothing
-            stack.append((masks, depth + 1))
-            continue
-        for val in _bits(masks[v]):
-            child = list(masks)
-            child[v] = 1 << val
-            if _gac(child, cons, var_cons, queue=var_cons[v]):
-                stack.append((child, depth + 1))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
-class Coverage:
-    """The GAC fixpoint of a homomorphism instance (None on a wipeout) and
-    the pending vertices that some homomorphism sends into the value mask."""
+class Fixpoint:
+    """The greatest arc-consistent domains of a homomorphism instance, as one
+    bitmask per source vertex; masks is None after a domain wipeout.
 
-    instance: HomInstance
+    GAC has a unique fixpoint and the search is deterministic, so a value
+    reached by pinning another fixpoint equals the one computed from
+    scratch, and so does every answer derived from it.
+    """
+
+    source: RelationalStructure
+    target: RelationalStructure
     masks: Optional[tuple]
-    covered: frozenset
 
-    def extend(self, vertex: int, value: int) -> Optional[tuple]:
-        """find_hom of the instance with vertex also pinned to value.
+    def pin(self, pairs) -> "Fixpoint":
+        """The fixpoint with each (vertex, value) pair also forced.
 
-        Starts from the cached fixpoint: the pinned instance's fixpoint is
-        unique, so the first solution is the one find_hom would return.
+        Propagation resumes from the constraints of the vertices the pins
+        narrow; a value outside its vertex's mask is a wipeout.
         """
-        if self.masks is None or not (self.masks[vertex] >> value) & 1:
-            return None
-        cons, var_cons = _constraints(self.instance.source, self.instance.target)
+        if self.masks is None:
+            return self
+        cons, var_cons = _constraints(self.source, self.target)
         masks = list(self.masks)
-        masks[vertex] = 1 << value
-        if not _gac(masks, cons, var_cons, queue=var_cons[vertex]):
+        changed = []
+        for v, e in pairs:
+            if not (masks[v] >> e) & 1:
+                return Fixpoint(self.source, self.target, None)
+            if masks[v] != 1 << e:
+                masks[v] = 1 << e
+                changed.append(v)
+        queue = list(dict.fromkeys(ci for v in changed for ci in var_cons[v]))
+        if not _gac(masks, cons, var_cons, queue=queue):
+            return Fixpoint(self.source, self.target, None)
+        return Fixpoint(self.source, self.target, tuple(masks))
+
+    def solve(self) -> Optional[tuple]:
+        """The first solution (tuple indexed by source vertex), or None."""
+        if self.masks is None:
             return None
-        solution = _search(masks, cons, var_cons)
+        cons, var_cons = _constraints(self.source, self.target)
+        solution = _search(self.masks, cons, var_cons)
         if solution is None:
             return None
         return tuple(_bits(m)[0] for m in solution)
 
+    def cover(self, pending, mask: int) -> frozenset:
+        """The pending vertices that some solution sends into the value bitmask.
 
-def cover(inst: HomInstance, pending, mask: int, start: Optional[tuple] = None) -> Coverage:
-    """Which pending vertices some homomorphism sends into the value bitmask.
+        Solutions are reused: solve with the lowest uncovered vertex
+        restricted to the mask, mark every pending vertex that solution
+        sends into the mask as covered, and drop the vertex when its
+        restricted solve fails.
+        """
+        if self.masks is None:
+            return frozenset()
+        cons, var_cons = _constraints(self.source, self.target)
+        masks = self.masks
+        todo = sorted(v for v in set(pending) if masks[v] & mask)
+        covered = set()
+        for v in todo:
+            if v in covered:
+                continue
+            trial = list(masks)
+            trial[v] &= mask
+            if not _gac(trial, cons, var_cons, queue=var_cons[v]):
+                continue
+            solution = _search(trial, cons, var_cons)
+            if solution is not None:
+                covered.update(w for w in todo if solution[w] & mask)
+        return frozenset(covered)
 
-    Solutions are reused: solve with the lowest uncovered vertex restricted
-    to the mask, mark every pending vertex that solution sends into the mask
-    as covered, and drop the vertex when its restricted solve fails.
+    def project(self, vertices) -> frozenset:
+        """The distinct tuples of values that solutions take at vertices.
 
-    start, when given, is the GAC fixpoint of an instance that inst only
-    tightens (same structures, fewer pins and domain restrictions);
-    propagation then resumes from the vertices inst restricts further.
-    """
+        Shared-prefix search: branch on the listed vertices in order, with
+        incremental GAC after each choice; each surviving leaf is kept when
+        one search extends it to the remaining vertices.  A repeated vertex
+        takes the same value at each of its positions.
+        """
+        if self.masks is None:
+            return frozenset()
+        vertices = list(vertices)
+        cons, var_cons = _constraints(self.source, self.target)
+        out = set()
+        stack = [(self.masks, 0)]
+        while stack:
+            masks, depth = stack.pop()
+            if depth == len(vertices):
+                if _search(masks, cons, var_cons) is not None:
+                    out.add(tuple(_bits(masks[v])[0] for v in vertices))
+                continue
+            v = vertices[depth]
+            if masks[v] & (masks[v] - 1) == 0:
+                # already fixed (pinned, repeated or forced): propagating
+                # again would cost a GAC pass and prune nothing
+                stack.append((masks, depth + 1))
+                continue
+            for val in _bits(masks[v]):
+                child = list(masks)
+                child[v] = 1 << val
+                if _gac(child, cons, var_cons, queue=var_cons[v]):
+                    stack.append((child, depth + 1))
+        return frozenset(out)
+
+
+def fixpoint(inst: HomInstance) -> Fixpoint:
+    """The GAC fixpoint of inst's pins and domain restrictions."""
     cons, var_cons = _constraints(inst.source, inst.target)
     masks = _initial_masks(inst)
-    queue = None
-    if start is not None:
-        changed = [v for v, m in enumerate(masks) if start[v] & ~m]
-        masks = [m & s for m, s in zip(masks, start)]
-        queue = sorted({ci for v in changed for ci in var_cons[v]})
-    if 0 in masks or not _gac(masks, cons, var_cons, queue=queue):
-        return Coverage(inst, None, frozenset())
-    todo = sorted(v for v in set(pending) if masks[v] & mask)
-    covered = set()
-    for v in todo:
-        if v in covered:
-            continue
-        trial = list(masks)
-        trial[v] &= mask
-        if not _gac(trial, cons, var_cons, queue=var_cons[v]):
-            continue
-        solution = _search(trial, cons, var_cons)
-        if solution is not None:
-            covered.update(w for w in todo if solution[w] & mask)
-    return Coverage(inst, tuple(masks), frozenset(covered))
+    if 0 in masks or not _gac(masks, cons, var_cons):
+        return Fixpoint(inst.source, inst.target, None)
+    return Fixpoint(inst.source, inst.target, tuple(masks))
+
+
+def find_hom(inst: HomInstance) -> Optional[tuple]:
+    """A full assignment (tuple indexed by source vertex), or None."""
+    return fixpoint(inst).solve()
 
 
 # --- power structures and subpowers ------------------------------------------
@@ -447,7 +452,7 @@ def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERT
     if any(len(g) != n for g in s):
         raise InputError("generator arity mismatch")
     power = power_structure(a, len(s), cap)
-    return Relation(n, project(HomInstance(power, a), _columns(s, a.size)))
+    return Relation(n, fixpoint(HomInstance(power, a)).project(_columns(s, a.size)))
 
 
 def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
@@ -528,21 +533,17 @@ def absorption_term_search(
     b.check_bounds(a.size)
     power = power_structure(a, n, cap)
     bset = frozenset(b.elements)
-    pins = []
+    diagonal = []
     domains = []
     for rank in range(a.size ** n):
         t = unrank_tuple(rank, a.size, n)
         if all(e == t[0] for e in t):
-            pins.append((rank, t[0]))
+            diagonal.append((rank, t[0]))
         outside = sum(1 for e in t if e not in bset)
         if outside <= 1:
             domains.append((rank, bset))
-    try:
-        inst = HomInstance(power, a, pins=tuple(pins), domains=tuple(domains))
-    except InputError:
-        # a diagonal pin outside B clashes with a B-restriction (n == 1 case)
-        return None
-    values = find_hom(inst)
+    # a diagonal element outside B (possible only when n == 1) wipes out
+    values = fixpoint(HomInstance(power, a, domains=tuple(domains))).pin(diagonal).solve()
     if values is None:
         return None
     return OperationTable(n, a.size, values)

@@ -4,8 +4,9 @@ A formula is a conjunction of atoms over named variables with a designated
 ordered list of free variables; evaluation against a companion structure
 produces the relation of free-variable tuples extendable to a satisfying
 assignment.  A formula is evaluated as a homomorphism instance whose source
-vertices are its variables: `engine.project` onto the free variables gives
-its relation, and `engine.find_hom` decides its satisfiability.
+vertices are its variables: its `engine.fixpoint` projected onto the free
+variables gives its relation, and `engine.find_hom` decides its
+satisfiability.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import HomInstance, find_hom, project
+from .engine import HomInstance, find_hom, fixpoint
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
     Relation,
@@ -255,7 +256,7 @@ def evaluate_pp(
     if not phi.free:
         raise InputError("evaluation requires at least one free variable")
     inst, index = _instance(phi, a, var_cap)
-    return Relation(len(phi.free), project(inst, [index[v] for v in phi.free]))
+    return Relation(len(phi.free), fixpoint(inst).project([index[v] for v in phi.free]))
 
 
 def is_satisfiable(phi: PPFormula, a: RelationalStructure, var_cap: int = DEFAULT_VARIABLE_CAP) -> bool:

@@ -96,7 +96,7 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
         for q in _quintuples(size, b):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
-        return Decision(True, "jonsson", certificate=Certificate(tuple(entries)))
+        return Decision(True, certificate=Certificate(tuple(entries)))
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))
@@ -104,10 +104,10 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
         graph, r = jonsson_digraph(expanded, b, q, cap)
         walk = digraph_reach(graph, {q.a}, {q.c})
         if walk is None:
-            return Decision(False, "jonsson", failing=q)
+            return Decision(False, failing=q)
         steps = []
         for u, v in zip(walk, walk[1:]):
             color = min(col for (col, x, y) in r.tuples if x == u and y == v and col in b)
             steps.append(CertStep(color, u, v, _recover_table(expanded, q, (color, u, v), cap)))
         entries.append(CertEntry(q, tuple(steps)))
-    return Decision(True, "jonsson", certificate=Certificate(tuple(entries)))
+    return Decision(True, certificate=Certificate(tuple(entries)))

@@ -22,7 +22,6 @@ from absorb import (
     absorption_term_search,
     bounds,
     chain_from_absorption_term,
-    decide_absorption,
     decide_jonsson,
     digraph_closed_walk,
     digraph_meets_diagonal,
@@ -75,9 +74,9 @@ def test_bound_values():
 
 def test_fixture_verdicts():
     t0 = time.time()
-    d_ord = decide_absorption(ord2(), B0)
-    d_aff = decide_absorption(aff2(), B0)
-    d_one = decide_absorption(triv1(), subset([0]))
+    d_ord = decide_jonsson(ord2(), B0)
+    d_aff = decide_jonsson(aff2(), B0)
+    d_one = decide_jonsson(triv1(), subset([0]))
     ok = d_ord.holds and d_one.holds
     ok = ok and not d_aff.holds and d_aff.failing == Quintuple(0, 1, 1, 0, 0)
     # brute-force closure oracle agreement on the fixtures

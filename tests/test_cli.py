@@ -92,6 +92,43 @@ class TestDecideCommand:
         code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
         assert code == 0 and "certificate" not in payload
 
+    def test_modes_differ_only_in_the_label(self, capsys, files):
+        tmp, ord2_path, aff2_path = files
+        for path, holds in ((ord2_path, True), (aff2_path, False)):
+            runs = []
+            for mode in ("absorb", "jonsson"):
+                cert = tmp / ("%s-%s.cert.json" % (holds, mode))
+                code, payload = run(
+                    capsys, "decide", "-s", path, "-b", B0, "--mode", mode,
+                    "--certificate", str(cert),
+                )
+                assert payload.pop("mode") == mode
+                runs.append((code, payload, cert.read_bytes() if cert.exists() else None))
+            assert runs[0] == runs[1]
+            code, payload, cert_bytes = runs[0]
+            assert payload["holds"] is holds and code == (0 if holds else 1)
+            assert (cert_bytes is not None) == holds
+
+    def test_boolean_is_not_a_number(self, capsys, files):
+        tmp, ord2_path, _ = files
+        code, _ = run(capsys, "decide", "-s", ord2_path, "-b", '{"elements":[true]}')
+        assert code == 2
+        path = tmp / "bool-size.json"
+        path.write_text('{"size":true,"relations":{}}')
+        code, _ = run(capsys, "decide", "-s", str(path), "-b", B0)
+        assert code == 2
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_usage_error(self, capsys, files, monkeypatch, cap):
+        _, ord2_path, _ = files
+        code = main(["--max-power-vertices", cap, "decide", "-s", ord2_path, "-b", B0])
+        assert code == 2
+        assert "--max-power-vertices must be at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("ABSORB_MAX_VERTICES", cap)
+        code = main(["decide", "-s", ord2_path, "-b", B0])
+        assert code == 2
+        assert "ABSORB_MAX_VERTICES must be at least 1" in capsys.readouterr().err
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
@@ -134,6 +171,22 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "endpoint" in payload["defect"]
+
+    def test_unexpected_entry_rejected(self, capsys, files):
+        tmp, ord2_path, _ = files
+        cert_path = tmp / "cert.json"
+        run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        doc["quintuples"].append({
+            "q": [7, 7, 7, 7, 7],
+            "steps": [{"b": 5, "u": 7, "v": 7, "phi": {"arity": 3, "values": [0] * 8}}],
+        })
+        cert_path.write_text(json.dumps(doc))
+        code, payload = run(
+            capsys, "verify", "-s", ord2_path, "-b", B0, "--certificate", str(cert_path)
+        )
+        assert code == 1 and payload["holds"] is False
+        assert payload["defect"] == "unexpected quintuple [7, 7, 7, 7, 7]"
 
     def test_non_json_certificate(self, capsys, files):
         tmp, ord2_path, _ = files
@@ -216,6 +269,24 @@ class TestBoundsCommand:
     def test_bad_parameters(self, capsys):
         code, _ = run(capsys, "bounds", "--theta", "1", "--size", "2")
         assert code == 2
+
+    def test_largest_printable_size(self, capsys):
+        code, payload = run(capsys, "bounds", "--theta", "2", "--size", "8")
+        assert code == 0
+        assert payload["kappa"] == 2 ** (3 ** 8) // 2 + 1
+        assert payload["lower_bound"] == 2 ** (2 ** 5)
+
+    @pytest.mark.parametrize(
+        "size, digits", [("9", "5925"), ("100", "10^47.2")], ids=["size9", "size100"]
+    )
+    def test_unprintable_bound_is_refused(self, capsys, size, digits):
+        start = time.perf_counter()
+        code = main(["bounds", "--theta", "2", "--size", size])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "kappa would have about %s digits, more than the 4300" % digits in captured.err
+        assert elapsed < 5
 
 
 class TestCorpusCommand:

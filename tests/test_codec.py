@@ -127,6 +127,34 @@ class TestCertificateCodec:
         with pytest.raises(ParseError, match="5 entries"):
             codec.parse_certificate('{"quintuples":[{"q":[0,1],"steps":[]}]}')
 
+    def test_holds_stays_a_boolean(self):
+        assert codec.parse_decision('{"holds":false,"failing":[0,1,1,0,0]}').holds is False
+        with pytest.raises(ParseError, match="wrong type"):
+            codec.parse_decision('{"holds":1}')
+
+
+class TestBooleansAreNotNumbers:
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (codec.parse_structure, '{"size":true,"relations":{}}'),
+            (codec.parse_structure, '{"size":2,"relations":{"r":{"arity":true,"tuples":[[0]]}}}'),
+            (codec.parse_structure, '{"size":2,"relations":{"r":{"arity":1,"tuples":[[false]]}}}'),
+            (codec.parse_subset, '{"elements":[true]}'),
+            (codec.parse_table, '{"arity":1,"values":[0,true]}'),
+            (codec.parse_certificate, '{"quintuples":[{"q":[0,1,0,0,false],"steps":[]}]}'),
+            (
+                codec.parse_certificate,
+                '{"quintuples":[{"q":[0,1,0,0,0],"steps":[{"b":false,"u":0,"v":1,'
+                '"phi":{"arity":1,"values":[0,1]}}]}]}',
+            ),
+        ],
+        ids=["size", "arity", "tuple", "subset", "table", "quintuple", "color"],
+    )
+    def test_rejected(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
 
 class TestFormulaCodec:
     def test_roundtrip(self):

@@ -19,7 +19,6 @@ from absorb import (
     bounds,
     chain_from_absorption_term,
     closure_unary,
-    decide_absorption,
     decide_jonsson,
     generate_subpower,
     is_absorption_term,
@@ -78,7 +77,7 @@ class TestJonssonDigraph:
 class TestDecide:
     def test_ord2_holds(self):
         d = decide_jonsson(ord2(), B0)
-        assert d.holds and d.failing is None and d.mode == "jonsson"
+        assert d.holds and d.failing is None
 
     def test_aff2_fails_with_least_quintuple(self):
         d = decide_jonsson(aff2(), B0)
@@ -94,11 +93,6 @@ class TestDecide:
         assert d.holds
         ok, defect = verify_np_certificate(aff2(), BA, d.certificate)
         assert ok, defect
-
-    def test_absorb_mode_same_verdict(self):
-        for a in (ord2(), aff2(), neq2()):
-            assert decide_absorption(a, B0).holds == decide_jonsson(a, B0).holds
-        assert decide_absorption(aff2(), B0).mode == "absorb"
 
     def test_empty_b_rejected(self):
         with pytest.raises(InputError):
@@ -140,7 +134,6 @@ class TestCertificateFlag:
         without = decide_jonsson(a, b, certificate=False)
         assert (without.holds, without.failing) == (with_cert.holds, with_cert.failing)
         assert without.certificate is None
-        assert decide_absorption(a, b, certificate=False).certificate is None
 
 
 def leq3():

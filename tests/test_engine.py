@@ -12,11 +12,10 @@ from absorb import (
     InputError,
     OperationTable,
     absorption_term_search,
-    ac_fixpoint,
     closure_unary,
-    cover,
     essential_witness_search,
     find_hom,
+    fixpoint,
     full_relation,
     generate_subpower,
     is_b_essential,
@@ -86,25 +85,24 @@ class TestPowerStructure:
 class TestHoms:
     def test_identity_instance_keeps_full_domains(self):
         inst = HomInstance(ord2(), ord2())
-        domains = ac_fixpoint(inst)
-        assert domains == {0: frozenset({0}), 1: frozenset({1})}
+        assert fixpoint(inst).masks == (0b01, 0b10)
         # the singleton relations already pin everything; drop them instead
         bare = structure(2, {"leq": LEQ})
-        assert ac_fixpoint(HomInstance(bare, bare)) == {
-            0: frozenset({0, 1}),
-            1: frozenset({0, 1}),
-        }
+        assert fixpoint(HomInstance(bare, bare)).masks == (0b11, 0b11)
 
     def test_singleton_pin_conflict_is_inconsistent(self):
         inst = HomInstance(ord2(), ord2(), pins=((0, 1),))
-        assert ac_fixpoint(inst) is None
+        assert fixpoint(inst).masks is None
         assert find_hom(inst) is None
 
     def test_idempotent_fixpoint(self):
         bare = structure(2, {"leq": LEQ})
         inst = HomInstance(bare, bare, domains=((0, frozenset({0})),))
-        once = ac_fixpoint(inst)
-        assert once is not None
+        once = fixpoint(inst)
+        assert once.masks is not None
+        # pinning nothing, or a value already forced, changes nothing
+        assert once.pin(()) == once
+        assert once.pin(((0, 0),)) == once
 
     def test_identity_found(self):
         assert find_hom(HomInstance(ord2(), ord2())) == (0, 1)
@@ -135,24 +133,32 @@ class TestHoms:
 ARITIES = {"u": 1, "r": 2, "t": 3}
 
 
+def draw_instance(data, max_vertices):
+    """A random 3-element target with unary, binary and ternary relations,
+    and a source of few vertices, so that scopes often repeat a vertex."""
+    value = st.integers(0, 2)
+    target = structure(3, {
+        name: relation(k, data.draw(st.sets(st.tuples(*[value] * k), max_size=12)))
+        for name, k in ARITIES.items()
+    })
+    n = data.draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    source = structure(n, {
+        name: relation(k, data.draw(st.sets(st.tuples(*[vertex] * k), max_size=6)))
+        for name, k in ARITIES.items()
+    })
+    return source, target
+
+
 class TestRevisionMemo:
     """engine._gac (memoised revisions) against reference_gac (full scans)."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_gac_matches_full_scan(self, data):
-        value = st.integers(0, 2)
-        target = structure(3, {
-            name: relation(k, data.draw(st.sets(st.tuples(*[value] * k), max_size=12)))
-            for name, k in ARITIES.items()
-        })
-        # few vertices, so scopes often repeat a vertex
-        n = data.draw(st.integers(1, 4))
+        source, target = draw_instance(data, 4)
+        n = source.size
         vertex = st.integers(0, n - 1)
-        source = structure(n, {
-            name: relation(k, data.draw(st.sets(st.tuples(*[vertex] * k), max_size=6)))
-            for name, k in ARITIES.items()
-        })
         cons, var_cons = engine._constraints(source, target)
         # later rounds meet the memo entries of earlier ones
         for _ in range(3):
@@ -188,12 +194,13 @@ class TestRevisionMemo:
         power = power_structure(a, 3)
         pins = ((tuple_rank((0, 1, 0), 3), 1), (tuple_rank((0, 1, 1), 3), 2))
         inst = HomInstance(power, a, pins=pins)
-        cov = cover(inst, range(power.size), 0b011)
+        fp = fixpoint(inst)
         return (
             find_hom(inst),
             generate_subpower(a, ((0, 1, 2), (2, 1, 0), (1, 1, 1)), 3),
-            cov,
-            [cov.extend(v, 0) for v in range(0, power.size, 5)],
+            fp,
+            fp.cover(range(power.size), 0b011),
+            [fp.pin(((v, 0),)).solve() for v in range(0, power.size, 5)],
             absorption_term_search(a, subset([0]), 2),
         )
 
@@ -211,7 +218,7 @@ class TestRevisionMemo:
 
 
 class TestCover:
-    """cover() against an enumeration of all ternary polymorphisms."""
+    """Fixpoint.cover and .pin against an enumeration of all ternary polymorphisms."""
 
     def setup_method(self):
         self.a = structure(2, {"leq": LEQ})
@@ -224,30 +231,63 @@ class TestCover:
         ]
 
     def test_covered_are_the_vertices_some_hom_sends_into_the_mask(self):
-        cov = cover(self.inst, range(8), 0b10)
-        assert cov.covered == {v for v in range(8) if any(h[v] == 1 for h in self.homs)}
-        assert cov.masks is not None
+        fp = fixpoint(self.inst)
+        assert fp.cover(range(8), 0b10) == {
+            v for v in range(8) if any(h[v] == 1 for h in self.homs)
+        }
+        assert fp.masks is not None
 
     def test_only_pending_vertices_are_covered(self):
-        cov = cover(self.inst, [0, 1, 7], 0b11)
-        assert cov.covered == {0, 1, 7}
+        assert fixpoint(self.inst).cover([0, 1, 7], 0b11) == {0, 1, 7}
 
     def test_extend_is_find_hom_with_one_more_pin(self):
-        cov = cover(self.inst, (), 0)
+        fp = fixpoint(self.inst)
         for v in range(8):
             for value in range(2):
                 pinned = HomInstance(self.power, self.a, pins=self.inst.pins + ((v, value),))
-                assert cov.extend(v, value) == find_hom(pinned)
+                assert fp.pin(((v, value),)).solve() == find_hom(pinned)
 
     def test_start_from_a_relaxation_gives_the_same_coverage(self):
-        base = cover(HomInstance(self.power, self.a), (), 0).masks
-        assert cover(self.inst, range(8), 0b10, base) == cover(self.inst, range(8), 0b10)
+        base = fixpoint(HomInstance(self.power, self.a))
+        pinned = base.pin(self.inst.pins)
+        assert pinned == fixpoint(self.inst)
+        assert pinned.cover(range(8), 0b10) == fixpoint(self.inst).cover(range(8), 0b10)
 
     def test_wipeout(self):
         inst = HomInstance(ord2(), ord2(), pins=((0, 1),))
-        cov = cover(inst, [0, 1], 0b11)
-        assert cov.masks is None and cov.covered == frozenset()
-        assert cov.extend(1, 1) is None
+        fp = fixpoint(inst)
+        assert fp.masks is None and fp.cover([0, 1], 0b11) == frozenset()
+        assert fp.project([0, 1]) == frozenset()
+        assert fp.pin(((1, 1),)).solve() is None
+
+    def test_pin_outside_the_mask_is_a_wipeout(self):
+        fp = fixpoint(HomInstance(ord2(), ord2()))
+        # ord2's singleton relations force vertex 0 to 0
+        assert fp.pin(((0, 1),)).masks is None
+        assert fp.pin(((1, 1), (1, 0))).masks is None
+
+
+class TestFixpoint:
+    """Pinning a fixpoint against the pinned instance solved from scratch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pin_matches_a_fresh_fixpoint(self, data):
+        source, target = draw_instance(data, 5)
+        n = source.size
+        vertex, value = st.integers(0, n - 1), st.integers(0, 2)
+        domains = data.draw(st.dictionaries(vertex, st.frozensets(value, min_size=1)))
+        pins = tuple(data.draw(st.lists(st.tuples(vertex, value), max_size=3)))
+        relaxed = fixpoint(HomInstance(source, target, domains=tuple(domains.items())))
+        pinned = relaxed.pin(pins)
+        if any(v in domains and e not in domains[v] for v, e in pins):
+            # HomInstance refuses such a pin; the fixpoint wipes out instead
+            assert pinned.masks is None
+            return
+        fresh = fixpoint(HomInstance(source, target, pins=pins, domains=tuple(domains.items())))
+        assert pinned == fresh
+        assert pinned.solve() == fresh.solve()
+        assert pinned.project(range(n)) == fresh.project(range(n))
 
 
 class TestSubpowers:
