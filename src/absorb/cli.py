@@ -38,7 +38,15 @@ EXIT_INTERNAL = 4
 def _emit(payload, code):
     payload = dict(payload)
     payload["schema"] = SCHEMA
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    try:
+        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading, which is no error of ours: keep the
+        # verdict's exit code, and point stdout at devnull so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 
@@ -56,6 +64,15 @@ def _write_file(path, text):
             fh.write(text)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from None
+
+
+def _remove_file(path):
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise InputError("cannot remove %s: %s" % (path, exc)) from None
 
 
 def _load_inputs(args):
@@ -84,8 +101,12 @@ def cmd_decide(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
     decision = decide_jonsson(a, b, cap, certificate=bool(args.certificate))
-    if decision.holds and args.certificate:
-        _write_file(args.certificate, codec.dump_certificate(decision.certificate) + "\n")
+    if args.certificate:
+        if decision.holds:
+            _write_file(args.certificate, codec.dump_certificate(decision.certificate) + "\n")
+        else:
+            # a file left there would pass for a certificate of this verdict
+            _remove_file(args.certificate)
     payload = codec.decision_to_obj(decision)
     # the two modes are one computation (decide adds the singletons either
     # way); the flag only labels the output
@@ -183,7 +204,11 @@ def build_parser():
     p.add_argument("-s", "--structure", required=True, help="structure JSON file")
     p.add_argument("-b", "--subset", required=True, help="subset JSON (inline)")
     p.add_argument("--mode", choices=("absorb", "jonsson"), default="absorb")
-    p.add_argument("--certificate", help="write the certificate JSON here when the property holds")
+    p.add_argument(
+        "--certificate",
+        help="write the certificate JSON here when the property holds; "
+        "when it fails, remove any file here",
+    )
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="check an NP certificate")

@@ -24,6 +24,15 @@ revision's result (the supported mask of each position, or a wipeout).
 Only a miss scans the allowed tuples.  A memo holds at most
 `_REVISION_MEMO_SIZE` entries (it is cleared when full) and lives as long
 as its entry in the bounded constraint cache.
+
+When every relation of the target is closed under coordinatewise min (or
+max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
+constraints on ordered domains", AI 79, 1995): the domain minima (maxima)
+of any fixpoint are a solution.  The constraint cache records once per
+(source, target) which of the two holds, and `solve`, `cover` and
+`project` then read their answers off the fixpoint instead of searching.
+The minima are the search's first solution, so every output is the same
+as the search's; see `_closed_pick`, `Fixpoint.solve` and `Fixpoint.cover`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional
 
 from .errors import CapExceeded, InputError
@@ -118,9 +127,51 @@ def _initial_masks(inst: HomInstance):
     return masks
 
 
+def _lowest(mask):
+    """The lowest bit of a nonempty mask, as a mask."""
+    return mask & -mask
+
+
+def _highest(mask):
+    """The highest bit of a nonempty mask, as a mask."""
+    return 1 << (mask.bit_length() - 1)
+
+
+def _closed_under(rel: Relation, op) -> bool:
+    """Whether rel holds op applied coordinatewise to any two of its tuples."""
+    tuples = rel.sorted_tuples()
+    for i, s in enumerate(tuples):
+        for t in tuples[i + 1:]:
+            if tuple(map(op, s, t)) not in rel.tuples:
+                return False
+    return True
+
+
+def _closed_pick(target: RelationalStructure):
+    """_lowest if every relation of target is closed under coordinatewise
+    min, else _highest if every one is closed under max, else None.
+
+    Relations that hold every tuple are closed under both and are skipped.
+    For such a target, picking that bit of each mask of a GAC fixpoint
+    gives a solution.  Take min: for each position i of a constraint's
+    scope, some allowed tuple t_i supports the minimum of position i's mask
+    and lies in the masks of all positions.  At position j every t_i is at
+    least the minimum of j's mask, and t_j equals it, so the coordinatewise
+    min of the t_i, an allowed tuple, is the tuple of minima; a vertex that
+    repeats in the scope gets its one minimum at each of its positions.
+    Max is symmetric.
+    """
+    rels = [rel for _, rel in target.relations if len(rel) < target.size ** rel.arity]
+    for op, pick in ((min, _lowest), (max, _highest)):
+        if all(_closed_under(rel, op) for rel in rels):
+            return pick
+    return None
+
+
 @lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
 def _constraints(source: RelationalStructure, target: RelationalStructure):
-    """Constraint list [(scope, allowed_tuples, memo)] plus vertex->constraints index.
+    """Constraint list [(scope, allowed_tuples, memo)], vertex->constraints
+    index, and the target's `_closed_pick`.
 
     memo is the revision memo of the target relation, shared by every
     constraint on it.
@@ -135,7 +186,7 @@ def _constraints(source: RelationalStructure, target: RelationalStructure):
     for ci, (scope, _, _) in enumerate(cons):
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
-    return cons, var_cons
+    return cons, var_cons, _closed_pick(target)
 
 
 def _revise(allowed, key):
@@ -278,7 +329,7 @@ class Fixpoint:
         """
         if self.masks is None:
             return self
-        cons, var_cons = _constraints(self.source, self.target)
+        cons, var_cons, _ = _constraints(self.source, self.target)
         masks = list(self.masks)
         changed = []
         for v, e in pairs:
@@ -293,10 +344,20 @@ class Fixpoint:
         return Fixpoint(self.source, self.target, tuple(masks))
 
     def solve(self) -> Optional[tuple]:
-        """The first solution (tuple indexed by source vertex), or None."""
+        """The first solution (tuple indexed by source vertex), or None.
+
+        On a min-closed target this is the tuple of domain minima, with no
+        search.  The minima are a solution (see `_closed_pick`), and they
+        are exactly what the search returns, whatever vertex it branches on:
+        its lowest value there is the vertex's minimum, and propagation
+        never removes a value of a solution, so that branch survives with
+        every other minimum in place and the search never backtracks.
+        """
         if self.masks is None:
             return None
-        cons, var_cons = _constraints(self.source, self.target)
+        cons, var_cons, pick = _constraints(self.source, self.target)
+        if pick is _lowest:
+            return tuple(_lowest(m).bit_length() - 1 for m in self.masks)
         solution = _search(self.masks, cons, var_cons)
         if solution is None:
             return None
@@ -309,10 +370,15 @@ class Fixpoint:
         restricted to the mask, mark every pending vertex that solution
         sends into the mask as covered, and drop the vertex when its
         restricted solve fails.
+
+        On a min- or max-closed target the solution is the trial fixpoint's
+        minima or maxima (see `_closed_pick`), with no search.  Any solution
+        gives the same set: a vertex is either covered by some solution or
+        tried on its own.
         """
         if self.masks is None:
             return frozenset()
-        cons, var_cons = _constraints(self.source, self.target)
+        cons, var_cons, pick = _constraints(self.source, self.target)
         masks = self.masks
         todo = sorted(v for v in set(pending) if masks[v] & mask)
         covered = set()
@@ -322,6 +388,9 @@ class Fixpoint:
             trial = list(masks)
             trial[v] &= mask
             if not _gac(trial, cons, var_cons, queue=var_cons[v]):
+                continue
+            if pick is not None:
+                covered.update(w for w in todo if pick(trial[w]) & mask)
                 continue
             solution = _search(trial, cons, var_cons)
             if solution is not None:
@@ -333,19 +402,20 @@ class Fixpoint:
 
         Shared-prefix search: branch on the listed vertices in order, with
         incremental GAC after each choice; each surviving leaf is kept when
-        one search extends it to the remaining vertices.  A repeated vertex
+        one search extends it to the remaining vertices, or at once on a
+        min- or max-closed target (see `_closed_pick`).  A repeated vertex
         takes the same value at each of its positions.
         """
         if self.masks is None:
             return frozenset()
         vertices = list(vertices)
-        cons, var_cons = _constraints(self.source, self.target)
+        cons, var_cons, pick = _constraints(self.source, self.target)
         out = set()
         stack = [(self.masks, 0)]
         while stack:
             masks, depth = stack.pop()
             if depth == len(vertices):
-                if _search(masks, cons, var_cons) is not None:
+                if pick is not None or _search(masks, cons, var_cons) is not None:
                     out.add(tuple(_bits(masks[v])[0] for v in vertices))
                 continue
             v = vertices[depth]
@@ -364,7 +434,7 @@ class Fixpoint:
 
 def fixpoint(inst: HomInstance) -> Fixpoint:
     """The GAC fixpoint of inst's pins and domain restrictions."""
-    cons, var_cons = _constraints(inst.source, inst.target)
+    cons, var_cons, _ = _constraints(inst.source, inst.target)
     masks = _initial_masks(inst)
     if 0 in masks or not _gac(masks, cons, var_cons):
         return Fixpoint(inst.source, inst.target, None)
@@ -381,15 +451,20 @@ def find_hom(inst: HomInstance) -> Optional[tuple]:
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)
 def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructure:
+    # a tuple of power k is one of power k-1 with a row of a appended: at each
+    # position the vertex rank grows by rank * |A| + value
     n = a.size ** k
     rels = []
     for name, rel in a.relations:
-        tuples = set()
-        for rows in product(rel.sorted_tuples(), repeat=k):
-            tuples.add(
-                tuple(tuple_rank([row[j] for row in rows], a.size) for j in range(rel.arity))
-            )
-        rels.append((name, Relation(rel.arity, frozenset(tuples))))
+        rows = rel.sorted_tuples()
+        ranks = rows
+        for _ in range(k - 1):
+            ranks = [
+                tuple(map(add, shifted, row))
+                for shifted in ([r * a.size for r in prefix] for prefix in ranks)
+                for row in rows
+            ]
+        rels.append((name, Relation(rel.arity, frozenset(ranks))))
     # RelationalStructure validates bounds against n via a size override
     return RelationalStructure(n, tuple(rels))
 

@@ -4,6 +4,15 @@
 revision scans all allowed tuples of its constraint.  `engine._gac` must
 return the same flag and leave the same masks.
 
+`reference_power_structure` is the power builder that ranks every tuple of
+every position with `tuple_rank`; `engine.power_structure` must build the
+same structure.
+
+`reference_solve`, `reference_cover` and `reference_project` answer
+`Fixpoint.solve`, `.cover` and `.project` by running `engine._search` on
+every question, whatever the target; on min- and max-closed targets the
+package reads the answers off the fixpoint instead.
+
 `reference_decide` is the per-quintuple decision route.  For every
 quintuple it generates the subpower <(b1,a,a),(b2,c,c),(d,a,c)> of A^3 with
 one membership CSP per tuple (`jonsson_digraph`), walks the B-colored
@@ -14,7 +23,9 @@ must return the same `Decision`, every table included.
 """
 
 from collections import deque
+from itertools import product
 
+from absorb import engine
 from absorb import (
     DEFAULT_VERTEX_CAP,
     Certificate,
@@ -23,6 +34,8 @@ from absorb import (
     Decision,
     HomInstance,
     OperationTable,
+    Relation,
+    RelationalStructure,
     digraph_reach,
     find_hom,
     jonsson_digraph,
@@ -72,6 +85,59 @@ def reference_gac(masks, cons, var_cons, queue=None):
                         queue.append(cj)
                         in_queue[cj] = True
     return True
+
+
+def reference_power_structure(a, k):
+    """The k-th power of a, every vertex of every tuple ranked on its own."""
+    rels = []
+    for name, rel in a.relations:
+        tuples = set()
+        for rows in product(rel.sorted_tuples(), repeat=k):
+            tuples.add(
+                tuple(tuple_rank([row[j] for row in rows], a.size) for j in range(rel.arity))
+            )
+        rels.append((name, Relation(rel.arity, frozenset(tuples))))
+    return RelationalStructure(a.size ** k, tuple(rels))
+
+
+def _searched(fp, narrow=()):
+    """engine._search's first solution on fp's masks, each (vertex, mask)
+    pair of narrow and-ed in and propagated first, as a list of one-bit
+    masks; None when there is none."""
+    cons, var_cons, _ = engine._constraints(fp.source, fp.target)
+    masks = list(fp.masks)
+    for v, m in narrow:
+        masks[v] &= m
+    if 0 in masks or not engine._gac(masks, cons, var_cons):
+        return None
+    return engine._search(masks, cons, var_cons)
+
+
+def reference_solve(fp):
+    """Fixpoint.solve by the search."""
+    if fp.masks is None:
+        return None
+    solution = _searched(fp)
+    return None if solution is None else tuple(m.bit_length() - 1 for m in solution)
+
+
+def reference_cover(fp, pending, mask):
+    """Fixpoint.cover by one search per pending vertex."""
+    if fp.masks is None:
+        return frozenset()
+    return frozenset(v for v in set(pending) if _searched(fp, ((v, mask),)) is not None)
+
+
+def reference_project(fp, vertices):
+    """Fixpoint.project by one search per tuple of values at vertices."""
+    if fp.masks is None:
+        return frozenset()
+    vertices = list(vertices)
+    return frozenset(
+        values
+        for values in product(range(fp.target.size), repeat=len(vertices))
+        if _searched(fp, [(v, 1 << e) for v, e in zip(vertices, values)]) is not None
+    )
 
 
 def _recover_table(a, q, target, cap):

@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, payloads, caps, and file handling."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
 
 import pytest
 
+import absorb
 from absorb import codec, is_absorption_term, structure, subset
 from absorb import cli
 from absorb.cli import main
@@ -87,6 +91,24 @@ class TestDecideCommand:
         code, _ = run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
         assert code == 2
 
+    def test_failing_verdict_removes_an_old_certificate(self, capsys, files):
+        tmp, ord2_path, _ = files
+        # x + y + z = 0 (mod 3): {0} does not absorb
+        xyz = tmp / "xyz.json"
+        xyz.write_text(codec.dump_structure(
+            structure(3, {"r": [t for t in product(range(3), repeat=3) if sum(t) % 3 == 0]})
+        ))
+        cert = tmp / "x.cert"
+        code, _ = run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", str(cert))
+        assert code == 0 and cert.exists()
+        for _ in range(2):
+            # the second run finds no file to remove, which is no error
+            code, payload = run(
+                capsys, "decide", "-s", str(xyz), "-b", B0, "--certificate", str(cert)
+            )
+            assert code == 1 and payload["holds"] is False
+            assert not cert.exists()
+
     def test_no_certificate_unless_asked(self, capsys, files):
         _, ord2_path, _ = files
         code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
@@ -142,6 +164,28 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err.startswith("Traceback")
         assert captured.err.endswith("\ninternal error: RuntimeError: kaboom\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("name, expected", [("ord2", 0), ("aff2", 1)])
+    def test_reader_that_stops_reading_gets_the_verdict_code(self, files, name, expected):
+        _, ord2_path, aff2_path = files
+        path = ord2_path if name == "ord2" else aff2_path
+        src = os.path.dirname(os.path.dirname(os.path.abspath(absorb.__file__)))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        read_end, write_end = os.pipe()
+        # no reader at all: every write to stdout fails with EPIPE
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "absorb.cli", "decide", "-s", path, "-b", B0],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert proc.stderr == b""
 
 
 class TestVerifyCommand:

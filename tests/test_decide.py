@@ -1,10 +1,13 @@
 """The local path test, certificates, chains, the oracle, and the bounds."""
 
-from itertools import product
+import json
+import os
+from itertools import permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from absorb import codec
 from absorb import (
     CapExceeded,
     Certificate,
@@ -348,3 +351,57 @@ class TestBounds:
             bounds(1, 2)
         with pytest.raises(InputError):
             bounds(2, 0)
+
+
+CERTS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "data", "certs"
+)
+
+
+def _leq(n):
+    return structure(n, {"leq": [(x, y) for x, y in product(range(n), repeat=2) if x <= y]})
+
+
+def _min_graph(n):
+    return structure(n, {"min": [(x, y, min(x, y)) for x, y in product(range(n), repeat=2)]})
+
+
+# The benchmark's pinned instances, in the labelling of their pinned certificates.
+PINNED = {
+    "leq3": (_leq(3), [0]),
+    "r3": (structure(3, {"r": [p for p in product(range(3), repeat=2) if p != (1, 2)]}), [0]),
+    "min3": (_min_graph(3), [0, 1]),
+    "leq4": (_leq(4), [0]),
+    "min4": (_min_graph(4), [0, 1]),
+}
+
+
+class TestPinnedCertificates:
+    """decide's certificates against the ones pinned in perfbench/data/certs."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_certificate_equals_the_pinned_one(self, name):
+        a, b = PINNED[name]
+        decision = decide_jonsson(a, subset(b))
+        with open(os.path.join(CERTS, name + ".json"), encoding="utf-8") as fh:
+            pinned = json.load(fh)
+        assert json.loads(codec.dump_certificate(decision.certificate)) == pinned
+
+    @pytest.mark.parametrize("name", ["leq3", "r3", "leq4"])
+    def test_verified_under_every_b_fixing_relabelling(self, name):
+        a, b = PINNED[name]
+        rest = [e for e in range(a.size) if e not in b]
+        for images in permutations(rest):
+            perm = list(range(a.size))
+            for e, image in zip(rest, images):
+                perm[e] = image
+            relabelled = structure(a.size, {
+                rel_name: [tuple(perm[e] for e in t) for t in rel.tuples]
+                for rel_name, rel in a.relations
+            })
+            b_relabelled = subset(perm[e] for e in b)
+            decision = decide_jonsson(relabelled, b_relabelled)
+            assert decision.holds
+            assert verify_np_certificate(relabelled, b_relabelled, decision.certificate) == (
+                True, None
+            )

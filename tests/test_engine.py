@@ -34,7 +34,13 @@ from bruteforce import (
     polymorphisms,
 )
 from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2, triv1
-from reference import reference_gac
+from reference import (
+    reference_cover,
+    reference_gac,
+    reference_power_structure,
+    reference_project,
+    reference_solve,
+)
 
 
 def membership_route(a, s):
@@ -72,6 +78,18 @@ class TestPowerStructure:
         full3 = structure(3, {"r": full_relation(3, 2)})
         with pytest.raises(CapExceeded, match="9 vertices, cap is 8"):
             power_structure(full3, 2, cap=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_builder(self, data):
+        size = data.draw(st.integers(2, 4))
+        value = st.integers(0, size - 1)
+        a = structure(size, {
+            name: relation(k, data.draw(st.sets(st.tuples(*[value] * k), max_size=6)))
+            for name, k in ARITIES.items()
+        })
+        k = data.draw(st.integers(1, 3))
+        assert power_structure(a, k) == reference_power_structure(a, k)
 
     def test_cache_is_bounded(self):
         engine._power_structure_cached.cache_clear()
@@ -150,6 +168,59 @@ def draw_instance(data, max_vertices):
     return source, target
 
 
+def close_under(tuples, op):
+    """The least superset of tuples that holds op, applied coordinatewise,
+    of any two of its members."""
+    closed = set(tuples)
+    while True:
+        new = {tuple(map(op, s, t)) for s in closed for t in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+class TestClosedTargets:
+    """Answers read off the fixpoint of a min- or max-closed target against
+    the search."""
+
+    def test_closure_of_the_target(self):
+        pairs = list(product(range(3), repeat=2))
+        leq = structure(3, {"r": [(x, y) for x, y in pairs if x <= y]})
+        at_least_one = structure(3, {"r": [(x, y) for x, y in pairs if max(x, y) >= 1]})
+        swap = structure(3, {"r": [(0, 1), (1, 0)]})
+        assert engine._closed_pick(leq) is engine._lowest
+        assert engine._closed_pick(at_least_one) is engine._highest
+        assert engine._closed_pick(swap) is None
+        # a relation that holds every tuple is closed under both
+        full = structure(3, {"f": full_relation(3, 2), "r": at_least_one.rel("r")})
+        assert engine._closed_pick(full) is engine._highest
+        # the minima of a max-closed target need not be a solution
+        fp = fixpoint(HomInstance(structure(2, {"r": [(0, 1)]}), at_least_one))
+        assert fp.masks == (0b111, 0b111)
+        assert fp.solve() == reference_solve(fp) == (0, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), op=st.sampled_from((min, max)))
+    def test_answers_match_the_search(self, data, op):
+        source, drawn = draw_instance(data, 5)
+        target = structure(3, {
+            name: relation(rel.arity, close_under(rel.tuples, op)) for name, rel in drawn.relations
+        })
+        pick = engine._constraints(source, target)[2]
+        assert pick is engine._lowest if op is min else pick is not None
+        n = source.size
+        vertex, value = st.integers(0, n - 1), st.integers(0, 2)
+        domains = data.draw(st.dictionaries(vertex, st.frozensets(value, min_size=1)))
+        pins = data.draw(st.lists(st.tuples(vertex, value), max_size=2))
+        fp = fixpoint(HomInstance(source, target, domains=tuple(domains.items()))).pin(pins)
+        assert fp.solve() == reference_solve(fp)
+        pending = data.draw(st.lists(vertex, max_size=n))
+        mask = data.draw(st.integers(1, 7))
+        assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
+        vertices = data.draw(st.lists(vertex, max_size=3))
+        assert fp.project(vertices) == reference_project(fp, vertices)
+
+
 class TestRevisionMemo:
     """engine._gac (memoised revisions) against reference_gac (full scans)."""
 
@@ -159,7 +230,7 @@ class TestRevisionMemo:
         source, target = draw_instance(data, 4)
         n = source.size
         vertex = st.integers(0, n - 1)
-        cons, var_cons = engine._constraints(source, target)
+        cons, var_cons, _ = engine._constraints(source, target)
         # later rounds meet the memo entries of earlier ones
         for _ in range(3):
             masks = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
@@ -211,7 +282,7 @@ class TestRevisionMemo:
         engine._constraints.cache_clear()
         try:
             assert self._results() == expected
-            cons, _ = engine._constraints(power_structure(self.MIN3, 3), self.MIN3)
+            cons, _, _ = engine._constraints(power_structure(self.MIN3, 3), self.MIN3)
             assert all(len(con[2]) <= 1 for con in cons)
         finally:
             engine._constraints.cache_clear()
