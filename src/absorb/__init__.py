@@ -30,7 +30,6 @@ from .decide import (
     decide_jonsson,
     is_absorption_term,
     is_jonsson_chain,
-    jonsson_digraph,
     oracle_chain_search,
     verify_np_certificate,
 )
@@ -38,16 +37,13 @@ from .engine import (
     DEFAULT_VERTEX_CAP,
     EssentialWitness,
     Fixpoint,
-    HomInstance,
     absorption_term_search,
     closure_unary,
     essential_witness_search,
-    find_hom,
     fixpoint,
     generate_subpower,
     is_b_essential,
     power_structure,
-    subpower_membership,
 )
 from .errors import (
     AbsorbError,

@@ -14,14 +14,14 @@ The digraphs are not generated one quintuple at a time.  A ternary
 polymorphism phi puts (b,u,v) in a quintuple's subpower when phi(b1,b2,d)=b,
 phi(a,c,a)=u and phi(a,c,c)=v, and only the first column depends on
 (d,b1,b2).  So when the quintuples of a pair a != c come up, the decider
-pins (a,c,a)->u and (a,c,c)->v in the GAC fixpoint of power(A,3) for each
-(u,v) and covers the columns (b1,b2,d) in B x B x A with B
-(engine.Fixpoint.pin and .cover).  The edges of a quintuple are then the
-(u,v) whose table covers its column.  A walk step takes the least color in
-B for which the (u,v) fixpoint with (b1,b2,d) also pinned has a solution;
-since a pinned instance has a unique GAC fixpoint and the search is
-deterministic, that table is the one a from-scratch find_hom returns.
-jonsson_digraph keeps the definition.
+restricts (a,c,a) to u and (a,c,c) to v in the GAC fixpoint of power(A,3)
+for each (u,v) and covers the columns (b1,b2,d) in B x B x A with B
+(engine.Fixpoint.restrict and .cover).  The edges of a quintuple are then
+the (u,v) whose table covers its column.  A walk step takes the least color
+in B for which the (u,v) fixpoint with (b1,b2,d) also restricted has a
+solution; a restricted fixpoint equals the one computed from scratch (see
+engine.Fixpoint), so that table does not depend on the order of the
+restrictions.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ from .errors import CapExceeded, InputError, NotSubuniverseError
 from .engine import (
     DEFAULT_VERTEX_CAP,
     Fixpoint,
-    HomInstance,
     closure_unary,
     fixpoint,
-    generate_subpower,
     power_structure,
 )
 from .model import (
@@ -123,13 +121,6 @@ def _quintuples(size: int, b: Subset):
             yield Quintuple(a, c, d, b1, b2)
 
 
-def jonsson_digraph(a: RelationalStructure, b: Subset, q: Quintuple, cap: int = DEFAULT_VERTEX_CAP):
-    """The B-colored edge digraph of R = <(b1,a,a),(b2,c,c),(d,a,c)> <= A^3."""
-    r = generate_subpower(a, q.generators(), 3, cap)
-    edges = frozenset((u, v) for (col, u, v) in r.tuples if col in b)
-    return Digraph(a.size, edges), r
-
-
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     if len(b) == 0:
         raise InputError("B must be nonempty")
@@ -146,7 +137,7 @@ def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
 def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
     """{(u, v): (Fixpoint, covered columns)} for the pair a=x, c=y.
 
-    Each entry pins the columns (x,y,x) -> u and (x,y,y) -> v of base, the
+    Each entry restricts the columns (x,y,x) to u and (x,y,y) to v in base, the
     fixpoint of power(A,3), and covers the generator columns (b1,b2,d) in
     B x B x A with mask B: a covered column means (b,u,v) lies in the
     subpower of that quintuple for some color b in B.
@@ -162,15 +153,16 @@ def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
     bmask = sum(1 << e for e in b.elements)
     tables = {}
     for u, v in product(range(size), repeat=2):
-        table = base.pin(((col_u, u), (col_v, v)))
+        table = base.restrict(((col_u, 1 << u), (col_v, 1 << v)))
         tables[u, v] = table, table.cover(pending, bmask)
     return tables
 
 
 def _cert_step(table: Fixpoint, col: int, u: int, v: int, b: Subset) -> CertStep:
-    """The least color b in B with (b,u,v) generated, and find_hom's table for it."""
+    """The least color b in B with (b,u,v) generated, and the first solution
+    of table with col also restricted to b, as an operation table."""
     for color in b.sorted_elements():
-        values = table.pin(((col, color),)).solve()
+        values = table.restrict(((col, 1 << color),)).solve()
         if values is not None:
             return CertStep(color, u, v, OperationTable(3, table.target.size, values))
     raise AssertionError("covered edge has no generating polymorphism")
@@ -192,7 +184,7 @@ def decide_jonsson(
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
         return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
-    base = fixpoint(HomInstance(power_structure(expanded, 3, cap), expanded))
+    base = fixpoint(power_structure(expanded, 3, cap), expanded)
     pair = tables = None
     for q in _quintuples(size, b):
         if q.a == q.c:

@@ -8,12 +8,13 @@ minimum-remaining-values variable order and lexicographic value order, so
 every "first witness" output is reproducible.
 
 Every query starts from one value, a `Fixpoint`: the greatest
-arc-consistent domains of an instance, or a wipeout.  `fixpoint` computes
-it from scratch; `pin` forces more values and resumes propagation; `solve`
-returns the first solution; `project` returns the distinct value tuples
-that solutions take at chosen vertices (generated subpowers and the
-relations of pp-formulas); `cover` returns the vertices that some solution
-sends into a value set (the decider's coverage tables).
+arc-consistent domains of a homomorphism instance, or a wipeout.
+`fixpoint` computes it from full domains; `restrict` narrows chosen
+vertices to value masks and resumes propagation; `solve` returns the first
+solution; `project` returns the distinct value tuples that solutions take
+at chosen vertices (generated subpowers and the relations of pp-formulas);
+`cover` returns the vertices that some solution sends into a value set
+(the decider's coverage tables).
 
 A revision of one constraint is a pure function of its target relation's
 allowed tuples and the domain masks of its scope.  In a power structure
@@ -82,49 +83,7 @@ class EssentialWitness:
     generated: Relation
 
 
-@dataclass(frozen=True)
-class HomInstance:
-    """A homomorphism-extension instance between same-signature structures.
-
-    pins maps a source vertex to a forced target element; domains optionally
-    restricts per-vertex candidate sets (vertices not listed keep the full
-    target domain).
-    """
-
-    source: RelationalStructure
-    target: RelationalStructure
-    pins: tuple = ()       # ((vertex, element), ...)
-    domains: tuple = ()    # ((vertex, frozenset), ...)
-
-    def __post_init__(self):
-        if self.source.signature() != self.target.signature():
-            raise InputError("source and target structures have different signatures")
-        object.__setattr__(self, "pins", tuple(self.pins))
-        object.__setattr__(self, "domains", tuple((v, frozenset(d)) for v, d in self.domains))
-        restr = dict(self.domains)
-        for v, e in self.pins:
-            if not 0 <= v < self.source.size:
-                raise InputError("pinned vertex %d out of range" % v)
-            if not 0 <= e < self.target.size:
-                raise InputError("pinned value %d out of range" % e)
-            if v in restr and e not in restr[v]:
-                raise InputError("pin %d->%d lies outside the vertex domain" % (v, e))
-
-
 # --- low-level bitmask CSP core ----------------------------------------------
-
-
-def _initial_masks(inst: HomInstance):
-    full = (1 << inst.target.size) - 1
-    masks = [full] * inst.source.size
-    for v, dom in inst.domains:
-        m = 0
-        for e in dom:
-            m |= 1 << e
-        masks[v] &= m
-    for v, e in inst.pins:
-        masks[v] &= 1 << e
-    return masks
 
 
 def _lowest(mask):
@@ -312,32 +271,46 @@ class Fixpoint:
     """The greatest arc-consistent domains of a homomorphism instance, as one
     bitmask per source vertex; masks is None after a domain wipeout.
 
-    GAC has a unique fixpoint and the search is deterministic, so a value
-    reached by pinning another fixpoint equals the one computed from
-    scratch, and so does every answer derived from it.
+    `restrict` is the one way to narrow it: it ands value masks into chosen
+    vertices and resumes propagation from there.  Arc consistency has a
+    unique greatest fixpoint below any domains, and propagation removes only
+    values that no arc-consistent subdomain holds.  So a fixpoint of looser
+    domains lies above the greatest fixpoint of the narrowed ones, and
+    resuming from it reaches that same fixpoint: a restricted fixpoint
+    equals the one computed from full domains with every mask applied so
+    far and-ed in.  The search is deterministic, so every answer derived
+    from the two is the same too.
     """
 
     source: RelationalStructure
     target: RelationalStructure
     masks: Optional[tuple]
 
-    def pin(self, pairs) -> "Fixpoint":
-        """The fixpoint with each (vertex, value) pair also forced.
+    def restrict(self, pairs) -> "Fixpoint":
+        """The fixpoint with each (vertex, value bitmask) pair and-ed in.
 
-        Propagation resumes from the constraints of the vertices the pins
-        narrow; a value outside its vertex's mask is a wipeout.
+        Propagation resumes from the constraints of the vertices that
+        narrowed, and nothing runs when none did; a vertex left with no
+        value is a wipeout.  Bits beyond the target domain are and-ed away.
         """
+        pairs = tuple(pairs)
+        for v, _ in pairs:
+            if not 0 <= v < self.source.size:
+                raise InputError("vertex %d out of range" % v)
         if self.masks is None:
             return self
-        cons, var_cons, _ = _constraints(self.source, self.target)
         masks = list(self.masks)
         changed = []
-        for v, e in pairs:
-            if not (masks[v] >> e) & 1:
+        for v, mask in pairs:
+            m = masks[v] & mask
+            if m == 0:
                 return Fixpoint(self.source, self.target, None)
-            if masks[v] != 1 << e:
-                masks[v] = 1 << e
+            if m != masks[v]:
+                masks[v] = m
                 changed.append(v)
+        if not changed:
+            return self
+        cons, var_cons, _ = _constraints(self.source, self.target)
         queue = list(dict.fromkeys(ci for v in changed for ci in var_cons[v]))
         if not _gac(masks, cons, var_cons, queue=queue):
             return Fixpoint(self.source, self.target, None)
@@ -379,15 +352,13 @@ class Fixpoint:
         if self.masks is None:
             return frozenset()
         cons, var_cons, pick = _constraints(self.source, self.target)
-        masks = self.masks
-        todo = sorted(v for v in set(pending) if masks[v] & mask)
+        todo = sorted(v for v in set(pending) if self.masks[v] & mask)
         covered = set()
         for v in todo:
             if v in covered:
                 continue
-            trial = list(masks)
-            trial[v] &= mask
-            if not _gac(trial, cons, var_cons, queue=var_cons[v]):
+            trial = self.restrict(((v, mask),)).masks
+            if trial is None:
                 continue
             if pick is not None:
                 covered.update(w for w in todo if pick(trial[w]) & mask)
@@ -432,18 +403,16 @@ class Fixpoint:
         return frozenset(out)
 
 
-def fixpoint(inst: HomInstance) -> Fixpoint:
-    """The GAC fixpoint of inst's pins and domain restrictions."""
-    cons, var_cons, _ = _constraints(inst.source, inst.target)
-    masks = _initial_masks(inst)
-    if 0 in masks or not _gac(masks, cons, var_cons):
-        return Fixpoint(inst.source, inst.target, None)
-    return Fixpoint(inst.source, inst.target, tuple(masks))
-
-
-def find_hom(inst: HomInstance) -> Optional[tuple]:
-    """A full assignment (tuple indexed by source vertex), or None."""
-    return fixpoint(inst).solve()
+def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoint:
+    """The GAC fixpoint of the homomorphism instance from source to target,
+    from full domains."""
+    if source.signature() != target.signature():
+        raise InputError("source and target structures have different signatures")
+    cons, var_cons, _ = _constraints(source, target)
+    masks = [(1 << target.size) - 1] * source.size
+    if not _gac(masks, cons, var_cons):
+        return Fixpoint(source, target, None)
+    return Fixpoint(source, target, tuple(masks))
 
 
 # --- power structures and subpowers ------------------------------------------
@@ -499,25 +468,6 @@ def _columns(generators, size):
     ]
 
 
-def subpower_membership(a: RelationalStructure, s, t, cap: int = DEFAULT_VERTEX_CAP) -> bool:
-    """True iff t lies in the subpower of A^n generated by the tuples in s."""
-    s = [tuple(g) for g in s]
-    t = tuple(t)
-    if not s:
-        raise InputError("generator list must be nonempty")
-    n = len(t)
-    if any(len(g) != n for g in s):
-        raise InputError("generator arity mismatch")
-    power = power_structure(a, len(s), cap)
-    pins = {}
-    for j, col in enumerate(_columns(s, a.size)):
-        if col in pins and pins[col] != t[j]:
-            return False
-        pins[col] = t[j]
-    inst = HomInstance(power, a, pins=tuple(sorted(pins.items())))
-    return find_hom(inst) is not None
-
-
 def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Relation:
     """The subpower of A^n generated by s: the values that the polymorphisms
     of arity |s| take at the generator columns."""
@@ -527,7 +477,7 @@ def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERT
     if any(len(g) != n for g in s):
         raise InputError("generator arity mismatch")
     power = power_structure(a, len(s), cap)
-    return Relation(n, fixpoint(HomInstance(power, a)).project(_columns(s, a.size)))
+    return Relation(n, fixpoint(power, a).project(_columns(s, a.size)))
 
 
 def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
@@ -574,7 +524,9 @@ def essential_witness_search(
     """First (lexicographic) generator list whose subpower avoids B^n, or None.
 
     Avoidance is certified by a single CSP: the power(A,n) -> A instance with
-    every generator column restricted to B has no homomorphism.
+    every generator column restricted to B has no homomorphism.  Each
+    candidate restricts one fixpoint of power(A,n), and the witness's
+    relation is that fixpoint projected onto its generator columns.
     """
     if len(b) == 0:
         raise InputError("B must be nonempty")
@@ -584,14 +536,12 @@ def essential_witness_search(
     if len(b) == a.size:
         return None
     choices = list(_essential_generator_choices(a, b, n))
-    power = power_structure(a, n, cap)
-    bset = frozenset(b.elements)
+    base = fixpoint(power_structure(a, n, cap), a)
+    bmask = sum(1 << e for e in b.elements)
     for gens in product(*choices):
-        cols = _columns(list(gens), a.size)
-        domains = tuple((c, bset) for c in sorted(set(cols)))
-        inst = HomInstance(power, a, domains=domains)
-        if find_hom(inst) is None:
-            return EssentialWitness(n, tuple(gens), generate_subpower(a, gens, n, cap))
+        cols = _columns(gens, a.size)
+        if base.restrict((c, bmask) for c in cols).solve() is None:
+            return EssentialWitness(n, gens, Relation(n, base.project(cols)))
     return None
 
 
@@ -607,18 +557,16 @@ def absorption_term_search(
         raise InputError("B must be nonempty")
     b.check_bounds(a.size)
     power = power_structure(a, n, cap)
-    bset = frozenset(b.elements)
-    diagonal = []
-    domains = []
-    for rank in range(a.size ** n):
+    bmask = sum(1 << e for e in b.elements)
+    pairs = []
+    for rank in range(power.size):
         t = unrank_tuple(rank, a.size, n)
         if all(e == t[0] for e in t):
-            diagonal.append((rank, t[0]))
-        outside = sum(1 for e in t if e not in bset)
-        if outside <= 1:
-            domains.append((rank, bset))
+            pairs.append((rank, 1 << t[0]))
+        if sum(1 for e in t if e not in b) <= 1:
+            pairs.append((rank, bmask))
     # a diagonal element outside B (possible only when n == 1) wipes out
-    values = fixpoint(HomInstance(power, a, domains=tuple(domains))).pin(diagonal).solve()
+    values = fixpoint(power, a).restrict(pairs).solve()
     if values is None:
         return None
     return OperationTable(n, a.size, values)

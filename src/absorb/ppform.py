@@ -5,8 +5,8 @@ ordered list of free variables; evaluation against a companion structure
 produces the relation of free-variable tuples extendable to a satisfying
 assignment.  A formula is evaluated as a homomorphism instance whose source
 vertices are its variables: its `engine.fixpoint` projected onto the free
-variables gives its relation, and `engine.find_hom` decides its
-satisfiability.
+variables gives its relation, and whether that fixpoint has a solution
+decides its satisfiability.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import HomInstance, find_hom, fixpoint
+from .engine import fixpoint
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
     Relation,
@@ -229,7 +229,8 @@ def analyze_formula(phi: PPFormula) -> FormulaReport:
 
 
 def _instance(phi: PPFormula, a: RelationalStructure, var_cap: int):
-    """phi as a homomorphism instance into a, plus its variable -> vertex map.
+    """phi as the source of a homomorphism instance into a, plus its
+    variable -> vertex map.
 
     The variables are the source vertices, and each relation name of a holds
     the scopes of that name's atoms (empty when no atom uses it).
@@ -245,7 +246,7 @@ def _instance(phi: PPFormula, a: RelationalStructure, var_cap: int):
         len(variables),
         tuple((name, Relation(rel.arity, frozenset(scopes[name]))) for name, rel in a.relations),
     )
-    return HomInstance(source, a), index
+    return source, index
 
 
 def evaluate_pp(
@@ -255,8 +256,8 @@ def evaluate_pp(
     validate_formula(phi, a)
     if not phi.free:
         raise InputError("evaluation requires at least one free variable")
-    inst, index = _instance(phi, a, var_cap)
-    return Relation(len(phi.free), fixpoint(inst).project([index[v] for v in phi.free]))
+    source, index = _instance(phi, a, var_cap)
+    return Relation(len(phi.free), fixpoint(source, a).project([index[v] for v in phi.free]))
 
 
 def is_satisfiable(phi: PPFormula, a: RelationalStructure, var_cap: int = DEFAULT_VARIABLE_CAP) -> bool:
@@ -264,7 +265,7 @@ def is_satisfiable(phi: PPFormula, a: RelationalStructure, var_cap: int = DEFAUL
     validate_formula(phi, a)
     if not phi.variables:
         return True
-    return find_hom(_instance(phi, a, var_cap)[0]) is not None
+    return fixpoint(_instance(phi, a, var_cap)[0], a).solve() is not None
 
 
 # --- derived-relation registry -------------------------------------------------

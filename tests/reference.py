@@ -13,13 +13,25 @@ same structure.
 every question, whatever the target; on min- and max-closed targets the
 package reads the answers off the fixpoint instead.
 
+`subpower_membership` decides one tuple of a generated subpower with one
+CSP over a power of A; `generate_subpower` must give the tuples it accepts.
+
+`jonsson_digraph` is the definition of a quintuple's B-colored digraph: the
+edges (u,v) with some (b,u,v), b in B, in the subpower
+<(b1,a,a),(b2,c,c),(d,a,c)> of A^3.
+
 `reference_decide` is the per-quintuple decision route.  For every
-quintuple it generates the subpower <(b1,a,a),(b2,c,c),(d,a,c)> of A^3 with
-one membership CSP per tuple (`jonsson_digraph`), walks the B-colored
-digraph, takes the least color of each walk edge, and recovers that step's
-table with one pinned `find_hom` over power(A,3).  The package's
-`decide_jonsson` answers from per-(a,c,u,v) coverage tables instead and
-must return the same `Decision`, every table included.
+quintuple it generates that subpower (`jonsson_digraph`), walks the
+B-colored digraph, takes the least color of each walk edge, and recovers
+that step's table by solving power(A,3) -> A with the three generator
+columns restricted to the step's values.  The package's `decide_jonsson`
+answers from per-(a,c,u,v) coverage tables instead and must return the same
+`Decision`, every table included.
+
+`reference_essential_witness` walks the candidate generator lists of
+`essential_witness_search` in the same lexicographic order and keeps the
+first whose generated subpower has no tuple in B^n; the package decides
+each candidate with one restricted fixpoint instead.
 """
 
 from collections import deque
@@ -32,13 +44,14 @@ from absorb import (
     CertEntry,
     CertStep,
     Decision,
-    HomInstance,
+    Digraph,
+    EssentialWitness,
     OperationTable,
     Relation,
     RelationalStructure,
     digraph_reach,
-    find_hom,
-    jonsson_digraph,
+    fixpoint,
+    generate_subpower,
     power_structure,
     projection_table,
     tuple_rank,
@@ -140,14 +153,32 @@ def reference_project(fp, vertices):
     )
 
 
+def subpower_membership(a, s, t, cap=DEFAULT_VERTEX_CAP):
+    """True iff t lies in the subpower of A^n generated by the tuples in s:
+    some homomorphism from power(A, |s|) to A maps the generator columns to t.
+    Two equal columns with different values in t meet in an empty mask."""
+    power = power_structure(a, len(s), cap)
+    cols = (tuple_rank([g[j] for g in s], a.size) for j in range(len(t)))
+    pairs = zip(cols, (1 << e for e in t))
+    return fixpoint(power, a).restrict(pairs).solve() is not None
+
+
+def jonsson_digraph(a, b, q, cap=DEFAULT_VERTEX_CAP):
+    """The B-colored edge digraph of R = <(b1,a,a),(b2,c,c),(d,a,c)> <= A^3,
+    and R."""
+    r = generate_subpower(a, q.generators(), 3, cap)
+    edges = frozenset((u, v) for (col, u, v) in r.tuples if col in b)
+    return Digraph(a.size, edges), r
+
+
 def _recover_table(a, q, target, cap):
     """A ternary polymorphism mapping the quintuple's generators to `target`."""
     power = power_structure(a, 3, cap)
     gens = q.generators()
-    pins = {}
-    for j in range(3):
-        pins[tuple_rank([g[j] for g in gens], a.size)] = target[j]
-    values = find_hom(HomInstance(power, a, pins=tuple(sorted(pins.items()))))
+    pairs = [
+        (tuple_rank([g[j] for g in gens], a.size), 1 << target[j]) for j in range(3)
+    ]
+    values = fixpoint(power, a).restrict(pairs).solve()
     assert values is not None, "generated tuple has no generating polymorphism"
     return OperationTable(3, a.size, values)
 
@@ -177,3 +208,20 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
             steps.append(CertStep(color, u, v, _recover_table(expanded, q, (color, u, v), cap)))
         entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, certificate=Certificate(tuple(entries)))
+
+
+def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
+    """essential_witness_search by generating the subpower of every
+    candidate: the i-th generator ranges over B^(i-1) x (A\\B) x B^(n-i),
+    and the lists are walked in lexicographic order."""
+    inside = b.sorted_elements()
+    outside = [e for e in range(a.size) if e not in b]
+    choices = [
+        list(product(*([inside] * i + [outside] + [inside] * (n - 1 - i))))
+        for i in range(n)
+    ]
+    for gens in product(*choices):
+        r = generate_subpower(a, gens, n, cap)
+        if not any(all(e in b for e in t) for t in r.tuples):
+            return EssentialWitness(n, gens, r)
+    return None

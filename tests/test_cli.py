@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, payloads, caps, and file handling."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -33,6 +35,14 @@ def run(capsys, *argv):
 
 
 B0 = '{"elements":[0]}'
+
+
+def package_env():
+    """The environment with this `absorb` package first on PYTHONPATH, for
+    subprocesses."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(absorb.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 class TestDecideCommand:
@@ -171,21 +181,46 @@ class TestClosedStdout:
     def test_reader_that_stops_reading_gets_the_verdict_code(self, files, name, expected):
         _, ord2_path, aff2_path = files
         path = ord2_path if name == "ord2" else aff2_path
-        src = os.path.dirname(os.path.dirname(os.path.abspath(absorb.__file__)))
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         read_end, write_end = os.pipe()
         # no reader at all: every write to stdout fails with EPIPE
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "absorb.cli", "decide", "-s", path, "-b", B0],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=package_env(), timeout=120,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == expected
         assert proc.stderr == b""
+
+
+class TestTracedRun:
+    """The benchmark's trace mode (perfbench/tracer.py) on the real package."""
+
+    def test_traced_decide_matches_a_plain_run(self, capsys, files, tmp_path):
+        _, ord2_path, _ = files
+        argv = ["decide", "-s", ord2_path, "-b", B0]
+        code = main(argv)
+        plain = capsys.readouterr().out
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(repo, "perfbench", "tracer.py"), str(spans_path), "--"]
+            + argv,
+            capture_output=True, env=package_env(), timeout=120,
+        )
+        assert proc.returncode == code
+        assert proc.stdout.decode("utf-8") == plain
+        doc = json.loads(spans_path.read_text())
+        assert doc["spans"]
+        modules = [absorb] + [
+            importlib.import_module("absorb." + info.name)
+            for info in pkgutil.iter_modules(absorb.__path__)
+        ]
+        for layer in doc["absent"]:
+            name = layer.rsplit(".", 1)[1]
+            assert not any(hasattr(mod, name) for mod in modules), layer
 
 
 class TestVerifyCommand:

@@ -26,7 +26,6 @@ from absorb import (
     generate_subpower,
     is_absorption_term,
     is_jonsson_chain,
-    jonsson_digraph,
     oracle_chain_search,
     projection_table,
     relation,
@@ -38,7 +37,7 @@ from absorb import (
 from absorb.decide import _quintuples
 from bruteforce import generated_subpower_oracle
 from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
-from reference import reference_decide
+from reference import jonsson_digraph, reference_decide
 
 BA = subset([0, 1])
 

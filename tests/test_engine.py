@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from absorb import engine
 from absorb import (
     CapExceeded,
-    HomInstance,
     InputError,
     OperationTable,
     absorption_term_search,
     closure_unary,
     essential_witness_search,
-    find_hom,
     fixpoint,
     full_relation,
     generate_subpower,
@@ -22,7 +20,6 @@ from absorb import (
     power_structure,
     relation,
     structure,
-    subpower_membership,
     subset,
     tuple_rank,
     with_singletons,
@@ -36,10 +33,12 @@ from bruteforce import (
 from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2, triv1
 from reference import (
     reference_cover,
+    reference_essential_witness,
     reference_gac,
     reference_power_structure,
     reference_project,
     reference_solve,
+    subpower_membership,
 )
 
 
@@ -102,33 +101,31 @@ class TestPowerStructure:
 
 class TestHoms:
     def test_identity_instance_keeps_full_domains(self):
-        inst = HomInstance(ord2(), ord2())
-        assert fixpoint(inst).masks == (0b01, 0b10)
+        assert fixpoint(ord2(), ord2()).masks == (0b01, 0b10)
         # the singleton relations already pin everything; drop them instead
         bare = structure(2, {"leq": LEQ})
-        assert fixpoint(HomInstance(bare, bare)).masks == (0b11, 0b11)
+        assert fixpoint(bare, bare).masks == (0b11, 0b11)
 
     def test_singleton_pin_conflict_is_inconsistent(self):
-        inst = HomInstance(ord2(), ord2(), pins=((0, 1),))
-        assert fixpoint(inst).masks is None
-        assert find_hom(inst) is None
+        fp = fixpoint(ord2(), ord2()).restrict(((0, 0b10),))
+        assert fp.masks is None
+        assert fp.solve() is None
 
     def test_idempotent_fixpoint(self):
         bare = structure(2, {"leq": LEQ})
-        inst = HomInstance(bare, bare, domains=((0, frozenset({0})),))
-        once = fixpoint(inst)
-        assert once.masks is not None
-        # pinning nothing, or a value already forced, changes nothing
-        assert once.pin(()) == once
-        assert once.pin(((0, 0),)) == once
+        once = fixpoint(bare, bare).restrict(((0, 0b01),))
+        assert once.masks == (0b01, 0b11)
+        # restricting nothing, or to a superset of the mask, narrows nothing
+        assert once.restrict(()) is once
+        assert once.restrict(((0, 0b01), (1, 0b11))) is once
 
     def test_identity_found(self):
-        assert find_hom(HomInstance(ord2(), ord2())) == (0, 1)
+        assert fixpoint(ord2(), ord2()).solve() == (0, 1)
 
     def test_pinned_hom_is_min_table(self):
         p = power_structure(ord2(), 2)
-        pins = ((tuple_rank((0, 1), 2), 0), (tuple_rank((1, 0), 2), 0))
-        values = find_hom(HomInstance(p, ord2(), pins=pins))
+        pairs = ((tuple_rank((0, 1), 2), 0b01), (tuple_rank((1, 0), 2), 0b01))
+        values = fixpoint(p, ord2()).restrict(pairs).solve()
         # oracle: the only binary polymorphisms with f(0,1)=f(1,0)=0
         matches = [
             f.values
@@ -141,11 +138,19 @@ class TestHoms:
     def test_empty_constraint_kills_instance(self):
         src = structure(2, {"r": relation(2, [(0, 1)])})
         tgt = structure(2, {"r": relation(2, [])})
-        assert find_hom(HomInstance(src, tgt)) is None
+        assert fixpoint(src, tgt).solve() is None
 
     def test_signature_mismatch_rejected(self):
         with pytest.raises(InputError):
-            HomInstance(ord2(), aff2())
+            fixpoint(ord2(), aff2())
+
+    def test_vertex_out_of_range_rejected(self):
+        fp = fixpoint(ord2(), ord2())
+        wiped = fp.restrict(((0, 0b10),))
+        for f in (fp, wiped):
+            for v in (-1, 2):
+                with pytest.raises(InputError, match="vertex %d out of range" % v):
+                    f.restrict(((v, 0b01),))
 
 
 ARITIES = {"u": 1, "r": 2, "t": 3}
@@ -195,7 +200,7 @@ class TestClosedTargets:
         full = structure(3, {"f": full_relation(3, 2), "r": at_least_one.rel("r")})
         assert engine._closed_pick(full) is engine._highest
         # the minima of a max-closed target need not be a solution
-        fp = fixpoint(HomInstance(structure(2, {"r": [(0, 1)]}), at_least_one))
+        fp = fixpoint(structure(2, {"r": [(0, 1)]}), at_least_one)
         assert fp.masks == (0b111, 0b111)
         assert fp.solve() == reference_solve(fp) == (0, 1)
 
@@ -209,10 +214,9 @@ class TestClosedTargets:
         pick = engine._constraints(source, target)[2]
         assert pick is engine._lowest if op is min else pick is not None
         n = source.size
-        vertex, value = st.integers(0, n - 1), st.integers(0, 2)
-        domains = data.draw(st.dictionaries(vertex, st.frozensets(value, min_size=1)))
-        pins = data.draw(st.lists(st.tuples(vertex, value), max_size=2))
-        fp = fixpoint(HomInstance(source, target, domains=tuple(domains.items()))).pin(pins)
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=4))
+        fp = fixpoint(source, target).restrict(pairs)
         assert fp.solve() == reference_solve(fp)
         pending = data.draw(st.lists(vertex, max_size=n))
         mask = data.draw(st.integers(1, 7))
@@ -263,15 +267,14 @@ class TestRevisionMemo:
     def _results(self):
         a = self.MIN3
         power = power_structure(a, 3)
-        pins = ((tuple_rank((0, 1, 0), 3), 1), (tuple_rank((0, 1, 1), 3), 2))
-        inst = HomInstance(power, a, pins=pins)
-        fp = fixpoint(inst)
+        pairs = ((tuple_rank((0, 1, 0), 3), 0b010), (tuple_rank((0, 1, 1), 3), 0b100))
+        fp = fixpoint(power, a).restrict(pairs)
         return (
-            find_hom(inst),
+            fp.solve(),
             generate_subpower(a, ((0, 1, 2), (2, 1, 0), (1, 1, 1)), 3),
             fp,
             fp.cover(range(power.size), 0b011),
-            [fp.pin(((v, 0),)).solve() for v in range(0, power.size, 5)],
+            [fp.restrict(((v, 0b001),)).solve() for v in range(0, power.size, 5)],
             absorption_term_search(a, subset([0]), 2),
         )
 
@@ -289,12 +292,14 @@ class TestRevisionMemo:
 
 
 class TestCover:
-    """Fixpoint.cover and .pin against an enumeration of all ternary polymorphisms."""
+    """Fixpoint.cover and .restrict against an enumeration of all ternary
+    polymorphisms."""
 
     def setup_method(self):
         self.a = structure(2, {"leq": LEQ})
         self.power = power_structure(self.a, 3)
-        self.inst = HomInstance(self.power, self.a, pins=((tuple_rank((0, 1, 0), 2), 0),))
+        self.pairs = ((tuple_rank((0, 1, 0), 2), 0b01),)
+        self.fp = fixpoint(self.power, self.a).restrict(self.pairs)
         self.homs = [
             f.values
             for f in polymorphisms(self.a, 3)
@@ -302,63 +307,85 @@ class TestCover:
         ]
 
     def test_covered_are_the_vertices_some_hom_sends_into_the_mask(self):
-        fp = fixpoint(self.inst)
-        assert fp.cover(range(8), 0b10) == {
+        assert self.fp.cover(range(8), 0b10) == {
             v for v in range(8) if any(h[v] == 1 for h in self.homs)
         }
-        assert fp.masks is not None
+        assert self.fp.masks is not None
 
     def test_only_pending_vertices_are_covered(self):
-        assert fixpoint(self.inst).cover([0, 1, 7], 0b11) == {0, 1, 7}
+        assert self.fp.cover([0, 1, 7], 0b11) == {0, 1, 7}
 
-    def test_extend_is_find_hom_with_one_more_pin(self):
-        fp = fixpoint(self.inst)
+    def test_extend_is_a_fresh_solve_with_one_more_restriction(self):
+        fresh = fixpoint(self.power, self.a)
         for v in range(8):
             for value in range(2):
-                pinned = HomInstance(self.power, self.a, pins=self.inst.pins + ((v, value),))
-                assert fp.pin(((v, value),)).solve() == find_hom(pinned)
+                extended = self.fp.restrict(((v, 1 << value),)).solve()
+                assert extended == fresh.restrict(self.pairs + ((v, 1 << value),)).solve()
+                if any(h[v] == value for h in self.homs):
+                    assert extended in self.homs and extended[v] == value
+                else:
+                    assert extended is None
 
     def test_start_from_a_relaxation_gives_the_same_coverage(self):
-        base = fixpoint(HomInstance(self.power, self.a))
-        pinned = base.pin(self.inst.pins)
-        assert pinned == fixpoint(self.inst)
-        assert pinned.cover(range(8), 0b10) == fixpoint(self.inst).cover(range(8), 0b10)
+        cons, var_cons, _ = engine._constraints(self.power, self.a)
+        masks = [0b11] * self.power.size
+        for v, m in self.pairs:
+            masks[v] &= m
+        assert reference_gac(masks, cons, var_cons)
+        fresh = engine.Fixpoint(self.power, self.a, tuple(masks))
+        restricted = fixpoint(self.power, self.a).restrict(self.pairs)
+        assert restricted == fresh
+        assert restricted.cover(range(8), 0b10) == fresh.cover(range(8), 0b10)
 
     def test_wipeout(self):
-        inst = HomInstance(ord2(), ord2(), pins=((0, 1),))
-        fp = fixpoint(inst)
+        fp = fixpoint(ord2(), ord2()).restrict(((0, 0b10),))
         assert fp.masks is None and fp.cover([0, 1], 0b11) == frozenset()
         assert fp.project([0, 1]) == frozenset()
-        assert fp.pin(((1, 1),)).solve() is None
+        assert fp.restrict(((1, 0b10),)).solve() is None
 
-    def test_pin_outside_the_mask_is_a_wipeout(self):
-        fp = fixpoint(HomInstance(ord2(), ord2()))
+    def test_restrict_outside_the_mask_is_a_wipeout(self):
+        fp = fixpoint(ord2(), ord2())
         # ord2's singleton relations force vertex 0 to 0
-        assert fp.pin(((0, 1),)).masks is None
-        assert fp.pin(((1, 1), (1, 0))).masks is None
+        assert fp.restrict(((0, 0b10),)).masks is None
+        assert fp.restrict(((1, 0b10), (1, 0b01))).masks is None
+
+
+def draw_small_instance(data):
+    """A random source and target of 2 or 3 elements each, with unary,
+    binary and ternary relations."""
+    sizes = [data.draw(st.integers(2, 3)) for _ in range(2)]
+    source, target = (
+        structure(size, {
+            name: relation(k, data.draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * k), max_size=6)))
+            for name, k in ARITIES.items()
+        })
+        for size in sizes
+    )
+    return source, target
 
 
 class TestFixpoint:
-    """Pinning a fixpoint against the pinned instance solved from scratch."""
+    """Restricting a fixpoint against arc consistency run from full domains."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_pin_matches_a_fresh_fixpoint(self, data):
-        source, target = draw_instance(data, 5)
+    def test_restrict_matches_the_reference_from_full_masks(self, data):
+        source, target = draw_small_instance(data)
         n = source.size
-        vertex, value = st.integers(0, n - 1), st.integers(0, 2)
-        domains = data.draw(st.dictionaries(vertex, st.frozensets(value, min_size=1)))
-        pins = tuple(data.draw(st.lists(st.tuples(vertex, value), max_size=3)))
-        relaxed = fixpoint(HomInstance(source, target, domains=tuple(domains.items())))
-        pinned = relaxed.pin(pins)
-        if any(v in domains and e not in domains[v] for v, e in pins):
-            # HomInstance refuses such a pin; the fixpoint wipes out instead
-            assert pinned.masks is None
-            return
-        fresh = fixpoint(HomInstance(source, target, pins=pins, domains=tuple(domains.items())))
-        assert pinned == fresh
-        assert pinned.solve() == fresh.solve()
-        assert pinned.project(range(n)) == fresh.project(range(n))
+        # masks up to 15 carry bits beyond a 2- or 3-element target domain
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, 15))
+        p1 = tuple(data.draw(st.lists(pair, max_size=3)))
+        p2 = tuple(data.draw(st.lists(pair, max_size=3)))
+        fp = fixpoint(source, target)
+        cons, var_cons, _ = engine._constraints(source, target)
+        masks = [(1 << target.size) - 1] * n
+        for v, m in p1 + p2:
+            masks[v] &= m
+        expected = None
+        if 0 not in masks and reference_gac(masks, cons, var_cons):
+            expected = tuple(masks)
+        assert fp.restrict(p1 + p2).masks == expected
+        assert fp.restrict(p1).restrict(p2) == fp.restrict(p1 + p2)
 
 
 class TestSubpowers:
@@ -513,6 +540,20 @@ class TestWitnessSearch:
         for i, g in enumerate(w.generators):
             assert g[i] not in B0
             assert all(e in B0 for j, e in enumerate(g) if j != i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        ternary=st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4),
+        elements=st.sampled_from(([0], [2], [0, 1], [1, 2])),
+        n=st.integers(2, 3),
+    )
+    def test_random_three_element_structures(self, binary, ternary, elements, n):
+        rels = {"r": sorted(binary)}
+        if ternary:
+            rels["t"] = sorted(ternary)
+        a, b = structure(3, rels), subset(elements)
+        assert essential_witness_search(a, b, n) == reference_essential_witness(a, b, n)
 
 
 class TestTermSearch:
