@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from . import codec
 from .corpus import build_corpus, manifest_obj
@@ -196,7 +195,8 @@ def build_parser():
         "--max-power-vertices",
         type=int,
         default=None,
-        help="cap on power-structure vertices (env ABSORB_MAX_VERTICES)",
+        help="cap on power-structure vertices and constraint scopes, and on the "
+        "relations corpus enumerates (env ABSORB_MAX_VERTICES)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,6 +249,9 @@ def main(argv=None) -> int:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
+        # imported here: a query that succeeds does not pay for it
+        import traceback
+
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL

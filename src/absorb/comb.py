@@ -12,7 +12,6 @@ each); comb_analyze computes the path-image subsets G_i/H_i, the repeated
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .decide import decide_jonsson
@@ -20,6 +19,7 @@ from .engine import DEFAULT_VERTEX_CAP, is_b_essential
 from .errors import InputError
 from .model import (
     Digraph,
+    Record,
     Relation,
     RelationalStructure,
     Subset,
@@ -37,8 +37,7 @@ from .ppform import (
 )
 
 
-@dataclass(frozen=True)
-class CombFormula:
+class CombFormula(Record):
     """(exists w_1..w_{lam+1})  S_1(z_1,w_1,w_2) & ... & S_lam(z_lam,w_lam,w_{lam+1})."""
 
     lam: int
@@ -63,8 +62,7 @@ class CombFormula:
         return PPFormula(free, tuple(atoms)), registry.structure()
 
 
-@dataclass
-class SurgeryChoice:
+class SurgeryChoice(Record):
     y: str
     atom_index: int
     c: Relation                     # the unary relation C = Phi(y)
@@ -72,8 +70,7 @@ class SurgeryChoice:
     restrictions: dict              # (free variable, copy index) -> "A" or "B"
 
 
-@dataclass
-class SurgeryResult:
+class SurgeryResult(Record):
     formula: PPFormula
     structure: RelationalStructure
     choice: SurgeryChoice
@@ -224,8 +221,7 @@ def surgery_step(
 # --- comb extraction ------------------------------------------------------------
 
 
-@dataclass
-class CombExtraction:
+class CombExtraction(Record):
     comb: CombFormula
     selected: tuple        # z_1 .. z_lam (free leaves of the input)
     spine: tuple           # w_1 .. w_{lam+1}
@@ -356,8 +352,7 @@ def _compose(rel1, rel2):
     return {(u, w) for u, v in rel1 for w in by_first.get(v, ())}
 
 
-@dataclass
-class CombReport:
+class CombReport(Record):
     g: dict                      # i -> frozenset (2 <= i <= lam)
     h: dict
     repeated: Optional[tuple]    # least (k, l) with (G_k, H_k) == (G_l, H_l)

@@ -9,22 +9,20 @@ brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .engine import DEFAULT_VERTEX_CAP, closure_unary
-from .model import Relation, RelationalStructure, Subset, subset, with_singletons
+from .errors import CapExceeded, InputError
+from .model import Record, Relation, RelationalStructure, Subset, subset, with_singletons
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     label: str
     structure: RelationalStructure
     b: Subset
 
 
-@dataclass
-class CorpusManifest:
+class CorpusManifest(Record):
     size: int
     max_arity: int
     relation_choices: int       # raw count before structural dedup
@@ -40,6 +38,21 @@ def relation_choices(size: int, max_arity: int):
         for mask in range(1 << len(universe)):
             tuples = frozenset(t for i, t in enumerate(universe) if mask >> i & 1)
             yield arity, mask, Relation(arity, tuples)
+
+
+def relation_count(size: int, max_arity: int, cap: int):
+    """How many relations `relation_choices` yields: the sum over arities k
+    of 2^(size^k).  None when a single term alone is larger than both cap
+    and 2^64, so that a huge count is never written out."""
+    if size == 1:
+        return 2 * max_arity
+    count, cells = 0, 1
+    for _ in range(max_arity):
+        cells *= size
+        if cells > max(cap.bit_length(), 64):
+            return None
+        count += 1 << cells
+    return count
 
 
 def enumerate_structures(size: int, max_arity: int):
@@ -80,6 +93,21 @@ def subuniverse_subsets(a: RelationalStructure, cap: int = DEFAULT_VERTEX_CAP):
 
 
 def build_corpus(size: int, max_arity: int, cap: int = DEFAULT_VERTEX_CAP) -> CorpusManifest:
+    """The corpus over {0..size-1} for relation arities 1..max_arity.
+
+    cap bounds the number of relations enumerated as well as every power
+    structure of the closure checks; a corpus over it is refused before
+    any enumeration."""
+    if size < 1:
+        raise InputError("corpus size must be at least 1, got %d" % size)
+    if max_arity < 1:
+        raise InputError("corpus max arity must be at least 1, got %d" % max_arity)
+    count = relation_count(size, max_arity, cap)
+    if count is None or count > cap:
+        raise CapExceeded(
+            "corpus would enumerate %s relations, cap is %d"
+            % ("more than 2^64" if count is None else count, cap)
+        )
     raw, structures = enumerate_structures(size, max_arity)
     entries = []
     for label, a in structures:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -44,6 +43,7 @@ from .engine import (
 from .model import (
     Digraph,
     OperationTable,
+    Record,
     RelationalStructure,
     Subset,
     digraph_reach,
@@ -54,8 +54,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(Record):
     a: int
     c: int
     d: int
@@ -69,8 +68,7 @@ class Quintuple:
         return ((self.b1, self.a, self.a), (self.b2, self.c, self.c), (self.d, self.a, self.c))
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(Record):
     """One path edge (u, v) with its B-color b and the generating table phi:
     phi applied coordinatewise to the quintuple's generators yields (b,u,v)."""
 
@@ -80,34 +78,29 @@ class CertStep:
     phi: OperationTable
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(Record):
     q: Quintuple
     steps: tuple
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     entries: tuple
 
     def by_quintuple(self):
         return {e.q: e for e in self.entries}
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     holds: bool
     failing: Optional[Quintuple] = None
     certificate: Optional[Certificate] = None
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(Record):
     tables: tuple  # ternary OperationTables d_0 .. d_n
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     theta: int
     size: int
     kappa: int

@@ -39,7 +39,6 @@ as the search's; see `_closed_pick`, `Fixpoint.solve` and `Fixpoint.cover`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add, itemgetter
@@ -48,6 +47,7 @@ from typing import Optional
 from .errors import CapExceeded, InputError
 from .model import (
     OperationTable,
+    Record,
     Relation,
     RelationalStructure,
     Subset,
@@ -73,8 +73,7 @@ _POWER_CACHE_SIZE = 4
 _REVISION_MEMO_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class EssentialWitness:
+class EssentialWitness(Record):
     """Generators of a B-essential subpower in the canonical one-per-row form:
     the i-th generator lies in B^(i-1) x (A\\B) x B^(n-i)."""
 
@@ -266,8 +265,7 @@ def _search(masks, cons, var_cons):
                 stack.pop()
 
 
-@dataclass(frozen=True)
-class Fixpoint:
+class Fixpoint(Record):
     """The greatest arc-consistent domains of a homomorphism instance, as one
     bitmask per source vertex; masks is None after a domain wipeout.
 

@@ -8,8 +8,8 @@ integers; external labels exist only in the codec layer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -17,8 +17,100 @@ from .errors import InputError
 SINGLETON_PREFIX = "_s"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotated class attributes, optionally
+    with defaults.  An instance is built by position or keyword and runs the
+    subclass's `__post_init__`, which may normalise a field through
+    `object.__setattr__`.  It refuses assignment and deletion, equals only
+    an instance of the same class with equal fields, and hashes as the
+    tuple of its fields.
+
+    It stands in for the standard library's frozen record decorator, whose
+    import (it pulls in `inspect`, `ast` and `tokenize`) costs a one-query
+    CLI process about as much as the rest of the package.  The hash is the
+    one that decorator gives, so set and dict order are the same under
+    either.
+
+    Everything per class is computed once, in `__init_subclass__`: the field
+    tuple, the defaults, an `attrgetter` key, and the `__init__`, `__eq__`
+    and `__hash__` closures over them.  `__init__` stores each field with
+    `object.__setattr__` rather than through `self.__dict__`: touching
+    `__dict__` turns the instance's compact attribute storage into a real
+    dict, which slows every later attribute read (`OperationTable.apply`
+    runs about 150,000 times in one `verify`).
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        n = len(fields)
+        key = attrgetter(*fields)
+        post = getattr(cls, "__post_init__", None)
+        setter = object.__setattr__
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = cls._bind(args, kwargs)
+            for name, value in zip(fields, args):
+                setter(self, name, value)
+            if post is not None:
+                post(self)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        if n == 1:
+            def __hash__(self):
+                return hash((key(self),))
+        else:
+            def __hash__(self):
+                return hash(key(self))
+
+        cls.__init__ = __init__
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """Positional values for every field, from arguments and defaults."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(
+                "%s() takes %d fields but %d were given" % (name, len(cls._fields), len(args))
+            )
+        values = list(args)
+        for field in cls._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError("%s() missing field %r" % (name, field))
+        if kwargs:
+            raise TypeError(
+                "%s() got unexpected or repeated fields %s" % (name, ", ".join(map(repr, kwargs)))
+            )
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot set %r of an immutable %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r of an immutable %s" % (name, type(self).__name__))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+
+class Relation(Record):
     """An n-ary relation: a duplicate-free set of integer tuples."""
 
     arity: int
@@ -58,8 +150,7 @@ def full_relation(size: int, arity: int) -> Relation:
     return relation(arity, product(range(size), repeat=arity))
 
 
-@dataclass(frozen=True)
-class RelationalStructure:
+class RelationalStructure(Record):
     """A finite relational structure: domain {0..size-1} plus named relations."""
 
     size: int
@@ -128,8 +219,7 @@ def structure(size: int, rels=None) -> RelationalStructure:
     return RelationalStructure(size, tuple(items))
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """A sorted duplicate-free set of domain elements."""
 
     elements: frozenset
@@ -179,8 +269,7 @@ def unrank_tuple(rank: int, size: int, arity: int) -> tuple:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class OperationTable:
+class OperationTable(Record):
     """A finitary operation on {0..size-1}, stored as a flat value table.
 
     values has length size^arity and is indexed by the lexicographic rank
@@ -217,8 +306,7 @@ def projection_table(size: int, arity: int, coordinate: int) -> OperationTable:
     return OperationTable(arity, size, tuple(values))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """A digraph on {0..n-1} with a duplicate-free edge set."""
 
     n: int

@@ -11,12 +11,12 @@ decides its satisfiability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import fixpoint
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
+    Record,
     Relation,
     RelationalStructure,
     diagonal,
@@ -29,8 +29,7 @@ EQ_NAME = "_eq"
 DERIVED_PREFIX = "_d"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     rel: str
     scope: tuple
 
@@ -38,8 +37,7 @@ class Atom:
         object.__setattr__(self, "scope", tuple(self.scope))
 
 
-@dataclass(frozen=True)
-class PPFormula:
+class PPFormula(Record):
     """Quantifier-free part of a pp-formula; non-free variables are bound."""
 
     free: tuple
@@ -328,8 +326,7 @@ def pp_substitute(phi: PPFormula, replacements, a: RelationalStructure):
 # --- simplified form ------------------------------------------------------------
 
 
-@dataclass
-class SimplifyResult:
+class SimplifyResult(Record):
     formula: PPFormula
     structure: RelationalStructure
     derived: dict

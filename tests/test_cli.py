@@ -393,3 +393,50 @@ class TestCorpusCommand:
             capsys, "corpus", "--size", "2", "--max-arity", "1", "--out", str(blocker / "sub")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "cap, size, max_arity, count",
+        [
+            ("10", "3", "3", 2 ** 3 + 2 ** 9 + 2 ** 27),
+            ("275", "2", "3", 2 ** 2 + 2 ** 4 + 2 ** 8),
+            (None, "9", "9", "more than 2^64"),
+        ],
+    )
+    def test_too_many_relations_refused_before_enumerating(self, cap, size, max_arity, count):
+        # in a subprocess with a timeout: enumerating these would not end
+        argv = [] if cap is None else ["--max-power-vertices", cap]
+        argv += ["corpus", "--size", size, "--max-arity", max_arity]
+        proc = subprocess.run(
+            [sys.executable, "-m", "absorb.cli"] + argv,
+            capture_output=True, text=True, env=package_env(), timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "resource cap exceeded: corpus would enumerate %s relations, cap is %s\n"
+            % (count, cap or "1000000")
+        )
+
+    @pytest.mark.parametrize("max_arity", ["0", "-1"])
+    def test_max_arity_below_one_is_usage_error(self, capsys, max_arity):
+        code = main(["corpus", "--size", "2", "--max-arity", max_arity])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: corpus max arity must be at least 1, got %s\n" % max_arity
+        )
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("module", ["absorb.cli", "absorb"])
+    def test_import_leaves_heavy_modules_out(self, module):
+        # -S: only what the package itself imports counts, not site hooks
+        heavy = ("dataclasses", "inspect", "traceback")
+        code = "import sys, %s; print(sorted(set(sys.modules) & set(%r)))" % (module, heavy)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -24,6 +24,8 @@ from absorb import (
     unrank_tuple,
     with_singletons,
 )
+from absorb import Atom, Certificate, Decision, PPFormula, Quintuple, Subset
+from absorb.model import Record
 from fixtures import AFF, LEQ, aff2, ord2, ord2_bare, triv1
 
 
@@ -233,3 +235,81 @@ class TestClosedWalks:
 
     def test_no_diagonal(self):
         assert not digraph_meets_diagonal(Digraph(2, frozenset({(0, 1)})))
+
+
+class TestRecord:
+    """The immutable value base behind every record type of the package."""
+
+    def test_keyword_and_default_construction(self):
+        cert = Certificate(())
+        d = Decision(True, certificate=cert)
+        assert (d.holds, d.failing, d.certificate) == (True, None, cert)
+        assert Decision(holds=False) == Decision(False, None, None)
+        phi = PPFormula(("x",), [("r", ("x", "y"))])
+        assert phi.extra_vars == ()
+        assert phi == PPFormula(atoms=(Atom("r", ("x", "y")),), free=("x",), extra_vars=())
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((), {}),                       # missing field
+            ((True,), {"verdict": 1}),      # unknown field
+            ((True,), {"holds": False}),    # field given twice
+            ((True, None, None, None), {}), # too many fields
+        ],
+    )
+    def test_bad_fields_are_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Decision(*args, **kwargs)
+
+    def test_post_init_still_normalises(self):
+        r = Relation(2, {(0, 1)})
+        assert isinstance(r.tuples, frozenset)
+        assert r == relation(2, [(0, 1)])
+        s = Subset([1, 0, 1])
+        assert s.elements == frozenset({0, 1})
+        assert s == subset({0, 1})
+
+    def test_assignment_and_deletion_raise(self):
+        r = relation(1, [(0,)])
+        with pytest.raises(AttributeError):
+            r.arity = 2
+        with pytest.raises(AttributeError):
+            del r.arity
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert r.arity == 1 and r == relation(1, [(0,)])
+
+    def test_equal_fields_of_two_classes_are_unequal(self):
+        class Pair(Record):
+            x: int
+            y: int
+
+        class Other(Record):
+            x: int
+            y: int
+
+        assert Pair(1, 2) == Pair(x=1, y=2)
+        assert Pair(1, 2) != Other(1, 2)
+        assert Pair(1, 2) != (1, 2)
+        assert Subset(frozenset({0})) != Certificate(frozenset({0}))
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        assert hash(Quintuple(0, 1, 2, 0, 1)) == hash((0, 1, 2, 0, 1))
+        a = ord2()
+        assert hash(a) == hash((a.size, a.relations))
+        # one-field classes hash as a 1-tuple, not as the bare field
+        assert hash(subset([0, 2])) == hash((frozenset({0, 2}),))
+        assert hash(Certificate(())) == hash(((),))
+
+    def test_by_name_is_not_a_field(self):
+        a = ord2()
+        b = RelationalStructure(a.size, a.relations)
+        object.__setattr__(b, "_by_name", {})
+        assert RelationalStructure._fields == ("size", "relations")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == "RelationalStructure(size=%r, relations=%r)" % (
+            a.size, a.relations,
+        )
+        assert repr(Decision(True)) == "Decision(holds=True, failing=None, certificate=None)"
