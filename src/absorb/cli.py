@@ -115,8 +115,9 @@ def cmd_decide(args):
 
 def cmd_verify(args):
     a, b = _load_inputs(args)
+    cap = _cap(args)
     cert = codec.parse_certificate(_read_file(args.certificate))
-    ok, defect = verify_np_certificate(a, b, cert)
+    ok, defect = verify_np_certificate(a, b, cert, cap)
     payload = {"holds": ok}
     if defect is not None:
         payload["defect"] = defect
@@ -195,8 +196,9 @@ def build_parser():
         "--max-power-vertices",
         type=int,
         default=None,
-        help="cap on power-structure vertices and constraint scopes, and on the "
-        "relations corpus enumerates (env ABSORB_MAX_VERTICES)",
+        help="cap on power-structure vertices and constraint scopes (verify "
+        "counts those of the cube), and on the relations corpus enumerates "
+        "(env ABSORB_MAX_VERTICES)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

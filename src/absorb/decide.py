@@ -331,12 +331,24 @@ def oracle_chain_search(
     return None
 
 
-def verify_np_certificate(a: RelationalStructure, b: Subset, cert: Certificate):
-    """Polynomial-time certificate check; returns (ok, first_defect_or_None)."""
+def verify_np_certificate(
+    a: RelationalStructure, b: Subset, cert: Certificate, cap: int = DEFAULT_VERTEX_CAP
+):
+    """Polynomial-time certificate check; returns (ok, first_defect_or_None).
+
+    Each polymorphism check of a ternary table visits |R|^3 tuples of every
+    relation R, the constraint scopes of power(A, 3); over cap, the check is
+    refused before any replay, as `power_structure` refuses that power.
+    """
     if len(b) == 0:
         return False, "B is empty"
     b.check_bounds(a.size)
     expanded, _ = with_singletons(a)
+    scopes = sum(len(rel) ** 3 for _, rel in expanded.relations)
+    if scopes > cap:
+        raise CapExceeded(
+            "verify would check %d constraint scopes per table, cap is %d" % (scopes, cap)
+        )
     size = a.size
     replayed = set(_quintuples(size, b))
     table = {}

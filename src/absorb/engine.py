@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import product
-from operator import add, itemgetter
+from itertools import chain, product
+from operator import itemgetter
 from typing import Optional
 
 from .errors import CapExceeded, InputError
@@ -51,6 +51,7 @@ from .model import (
     Relation,
     RelationalStructure,
     Subset,
+    power_blocks,
     subset,
     tuple_rank,
     unrank_tuple,
@@ -222,8 +223,33 @@ def _bits(mask):
     return out
 
 
+# `_mrv_vertex`'s byte map of candidate counts: 0 and 1 read as 255.
+_MRV_COUNTS = bytes([255, 255]) + bytes(range(2, 256))
+
+
 def _mrv_vertex(masks):
-    """The unassigned vertex with fewest candidates (lowest index on ties), or -1."""
+    """The unassigned vertex with fewest candidates (lowest index on ties), or -1.
+
+    The candidate counts are one byte string, scanned in C.  `_MRV_COUNTS`
+    turns an assigned vertex's count into 255, so the first least byte
+    below 255 is the answer; when there is none, the open vertices are the
+    ones with exactly 255 candidates.  A count over 255 does not fit in a
+    byte (only a target of more than 255 elements allows one), and then
+    the loop of `_mrv_scan` runs instead.
+    """
+    try:
+        raw = bytes(map(int.bit_count, masks))
+    except ValueError:
+        return _mrv_scan(masks)
+    counts = raw.translate(_MRV_COUNTS)
+    fewest = min(counts, default=255)
+    if fewest < 255:
+        return counts.index(fewest)
+    return raw.find(255)
+
+
+def _mrv_scan(masks):
+    """`_mrv_vertex` by a loop over the vertices, for any count."""
     best = -1
     best_count = 0
     for v, m in enumerate(masks):
@@ -418,22 +444,12 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)
 def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructure:
-    # a tuple of power k is one of power k-1 with a row of a appended: at each
-    # position the vertex rank grows by rank * |A| + value
-    n = a.size ** k
     rels = []
     for name, rel in a.relations:
-        rows = rel.sorted_tuples()
-        ranks = rows
-        for _ in range(k - 1):
-            ranks = [
-                tuple(map(add, shifted, row))
-                for shifted in ([r * a.size for r in prefix] for prefix in ranks)
-                for row in rows
-            ]
-        rels.append((name, Relation(rel.arity, frozenset(ranks))))
-    # RelationalStructure validates bounds against n via a size override
-    return RelationalStructure(n, tuple(rels))
+        blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
+        tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
+        rels.append((name, Relation(rel.arity, tuples)))
+    return RelationalStructure(a.size ** k, tuple(rels))
 
 
 def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:

@@ -345,20 +345,53 @@ def with_singletons(a: RelationalStructure):
     return RelationalStructure(a.size, a.relations + tuple(new)), tuple(n for n, _ in new)
 
 
+def power_blocks(rows, arity: int, size: int, k: int):
+    """The vertex ranks of the k-tuples of rows, in `product(rows, repeat=k)`
+    order, one block per leading row.
+
+    A block holds one iterator per position j < arity over the ranks, in
+    power(A, k), of the j-th entries of the tuples that row leads.  Ranks
+    come from rank arithmetic: appending a row to a tuple turns each rank r
+    into r * size + value.  The ranks of the (k-1)-tuples are built once,
+    one list per position, and the block of row `lead` adds lead[j] *
+    size^(k-1) to them, so no list is longer than |rows|^(k-1).
+    """
+    base = [[row[j] for row in rows] for j in range(arity)]
+    tail = [[0]] * arity
+    for _ in range(k - 1):
+        tail = [
+            [r + v for r in [p * size for p in col] for v in b]
+            for col, b in zip(tail, base)
+        ]
+    shift = size ** (k - 1)
+    for lead in rows:
+        yield [map((e * shift).__add__, col) for e, col in zip(lead, tail)]
+
+
 def is_polymorphism(a: RelationalStructure, f: OperationTable):
     """Check that f preserves every relation of a.
 
     Returns (True, None) or (False, (relation_name, rows)) where rows is a
-    tuple of arity(f) tuples of the relation witnessing the violation.
+    tuple of arity(f) tuples of the relation witnessing the violation: the
+    first violating one in `product(sorted rows, repeat=arity(f))` order.
+
+    f is a homomorphism from the arity(f)-th power: the images of a
+    relation's tuples of rows are f's values at their ranks in that power
+    (`power_blocks`), tested against the relation in one pass per block.
     """
     if f.size != a.size:
         raise InputError("operation is over size %d, structure has size %d" % (f.size, a.size))
+    m = f.arity
+    value = f.values.__getitem__
     for name, rel in a.relations:
-        rows_sorted = rel.sorted_tuples()
-        for rows in product(rows_sorted, repeat=f.arity):
-            image = tuple(f.apply([row[j] for row in rows]) for j in range(rel.arity))
-            if image not in rel.tuples:
-                return False, (name, rows)
+        rows = rel.sorted_tuples()
+        for lead, block in zip(rows, power_blocks(rows, rel.arity, a.size, m)):
+            images = list(zip(*[map(value, ranks) for ranks in block]))
+            if rel.tuples.issuperset(images):
+                continue
+            i = next(i for i, image in enumerate(images) if image not in rel.tuples)
+            rest = unrank_tuple(i, len(rows), m - 1)
+            return False, (name, (lead,) + tuple(rows[d] for d in rest))
     return True, None
 
 

@@ -8,6 +8,10 @@ return the same flag and leave the same masks.
 every position with `tuple_rank`; `engine.power_structure` must build the
 same structure.
 
+`reference_is_polymorphism` applies the table to every tuple of rows, one
+`OperationTable.apply` at a time; `model.is_polymorphism` must return the
+same verdict and the same first violation.
+
 `reference_solve`, `reference_cover` and `reference_project` answer
 `Fixpoint.solve`, `.cover` and `.project` by running `engine._search` on
 every question, whatever the target; on min- and max-closed targets the
@@ -111,6 +115,17 @@ def reference_power_structure(a, k):
             )
         rels.append((name, Relation(rel.arity, frozenset(tuples))))
     return RelationalStructure(a.size ** k, tuple(rels))
+
+
+def reference_is_polymorphism(a, f):
+    """model.is_polymorphism, one `apply` per tuple of rows and position."""
+    for name, rel in a.relations:
+        rows_sorted = rel.sorted_tuples()
+        for rows in product(rows_sorted, repeat=f.arity):
+            image = tuple(f.apply([row[j] for row in rows]) for j in range(rel.arity))
+            if image not in rel.tuples:
+                return False, (name, rows)
+    return True, None
 
 
 def _searched(fp, narrow=()):

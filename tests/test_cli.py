@@ -267,6 +267,21 @@ class TestVerifyCommand:
         assert code == 1 and payload["holds"] is False
         assert payload["defect"] == "unexpected quintuple [7, 7, 7, 7, 7]"
 
+    def test_cap_refuses_before_replaying(self, capsys, files, monkeypatch):
+        tmp, ord2_path, _ = files
+        cert = str(tmp / "cert.json")
+        run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
+        # leq has 3 tuples and each singleton 1: 27 + 1 + 1 scopes of the cube
+        verify = ("verify", "-s", ord2_path, "-b", B0, "--certificate", cert)
+        code = main(["--max-power-vertices", "28", *verify])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "verify would check 29 constraint scopes per table, cap is 28" in captured.err
+        monkeypatch.setenv("ABSORB_MAX_VERTICES", "28")
+        assert run(capsys, *verify)[0] == 3
+        code, payload = run(capsys, "--max-power-vertices", "29", *verify)
+        assert code == 0 and payload["holds"] is True
+
     def test_non_json_certificate(self, capsys, files):
         tmp, ord2_path, _ = files
         bad = tmp / "bad.json"

@@ -388,6 +388,38 @@ class TestFixpoint:
         assert fp.restrict(p1).restrict(p2) == fp.restrict(p1 + p2)
 
 
+def fewest_candidates(masks):
+    """The MRV rule by its definition: the open vertex of least (count, index)."""
+    open_vertices = [(m.bit_count(), v) for v, m in enumerate(masks) if m & (m - 1)]
+    return min(open_vertices, default=(0, -1))[1]
+
+
+class TestMrvVertex:
+    """The byte-string scan against the loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(masks=st.lists(st.integers(1, (1 << 12) - 1), max_size=40))
+    def test_matches_the_loop(self, masks):
+        assert engine._mrv_vertex(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
+
+    def test_all_assigned(self):
+        assert engine._mrv_vertex([]) == -1
+        assert engine._mrv_vertex([1, 2, 4, 1 << 11]) == -1
+
+    def test_more_than_254_candidates(self):
+        full = (1 << 300) - 1
+        cases = [
+            [1, full, (1 << 255) - 1, 1 << 299],  # 255 beats 300
+            [(1 << 255) - 1, 1, full],  # 255 fits in a byte
+            [full, 1, (1 << 255) - 1],
+            [4, (1 << 255) - 1, 8],  # only 255s open
+            [(1 << 255) - 1, (1 << 254) - 1],  # 254 beats 255
+            [full, 0b110, full],
+        ]
+        for masks in cases:
+            assert engine._mrv_vertex(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
+
+
 class TestSubpowers:
     def test_aff2_membership(self):
         a = aff2()

@@ -1,7 +1,7 @@
 """Core data model: relations, structures, tables, digraphs, walks."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from absorb import (
     Digraph,
@@ -27,6 +27,7 @@ from absorb import (
 from absorb import Atom, Certificate, Decision, PPFormula, Quintuple, Subset
 from absorb.model import Record
 from fixtures import AFF, LEQ, aff2, ord2, ord2_bare, triv1
+from reference import reference_is_polymorphism
 
 
 class TestRelation:
@@ -165,8 +166,38 @@ class TestIsPolymorphism:
         neg = OperationTable(1, 2, (1, 0))
         ok_small, _ = is_polymorphism(ord2_bare(), neg)
         ok_big, _ = is_polymorphism(ord2(), neg)
-        assert not ok_small or not ok_big or True
         assert ok_big <= ok_small
+        # but it can flip true -> false: the constant 0 preserves the order
+        # alone, not the singleton {1}
+        zero = OperationTable(1, 2, (0, 0))
+        assert is_polymorphism(ord2_bare(), zero) == (True, None)
+        assert is_polymorphism(ord2(), zero) == (False, ("s1", ((1,),)))
+
+    def test_first_violation_in_product_order(self):
+        # binary max sends every pair led by (0,0,0) to its second row; the
+        # first pair it breaks is ((0,1,1), (1,0,1)), sent to (1,1,1)
+        ok, witness = is_polymorphism(aff2(), OperationTable(2, 2, (0, 1, 1, 1)))
+        assert not ok
+        assert witness == ("aff", ((0, 1, 1), (1, 0, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_check(self, data):
+        size = data.draw(st.integers(2, 3))
+        value = st.integers(0, size - 1)
+        rels = {}
+        for i in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(1, 3))
+            rels["r%d" % i] = relation(k, data.draw(st.sets(st.tuples(*[value] * k), max_size=9)))
+        a = structure(size, rels)
+        m = data.draw(st.integers(1, 3))
+        table = data.draw(st.one_of(
+            st.lists(value, min_size=size ** m, max_size=size ** m).map(
+                lambda vs: OperationTable(m, size, tuple(vs))
+            ),
+            st.integers(0, m - 1).map(lambda c: projection_table(size, m, c)),
+        ))
+        assert is_polymorphism(a, table) == reference_is_polymorphism(a, table)
 
 
 class TestRelationProject:
