@@ -119,15 +119,24 @@ def parse_table(text: str) -> OperationTable:
 
 
 def table_from_obj(obj) -> OperationTable:
+    return _table(*_table_fields(obj))
+
+
+def _table_fields(obj):
+    """A table object's arity and values, type-checked: (int, tuple of ints)."""
     arity = _expect(obj, "arity", int, "table")
-    values = _int_list(_expect(obj, "values", list, "table"), "table")
+    return arity, tuple(_int_list(_expect(obj, "values", list, "table"), "table"))
+
+
+def _table(arity, values) -> OperationTable:
+    """The table of type-checked fields, its size derived and values range-checked."""
     if arity < 1 or not values:
         raise ParseError("table: arity and values must be nonempty")
     size = _derive_size(arity, len(values))
     for v in values:
         if not 0 <= v < size:
             raise ParseError("table: value %d out of range for size %d" % (v, size))
-    return OperationTable(arity, size, tuple(values))
+    return OperationTable(arity, size, values)
 
 
 def table_to_obj(t: OperationTable):
@@ -181,7 +190,14 @@ def certificate_to_obj(cert: Certificate):
 
 
 def certificate_from_obj(obj) -> Certificate:
+    """The certificate of a JSON object, one table per distinct validated table.
+
+    Steps repeat a few tables many times (min4: 12 distinct in 192 steps).
+    The tables are keyed only after their fields are type-checked, because
+    true equals 1 and would otherwise find the table of a valid twin.
+    """
     items = _expect(obj, "quintuples", list, "certificate")
+    tables = {}
     entries = []
     for i, entry_obj in enumerate(items):
         where = "certificate entry %d" % i
@@ -189,14 +205,12 @@ def certificate_from_obj(obj) -> Certificate:
         steps = []
         for j, step_obj in enumerate(_expect(entry_obj, "steps", list, where)):
             sw = "%s step %d" % (where, j)
-            steps.append(
-                CertStep(
-                    _expect(step_obj, "b", int, sw),
-                    _expect(step_obj, "u", int, sw),
-                    _expect(step_obj, "v", int, sw),
-                    table_from_obj(_expect(step_obj, "phi", dict, sw)),
-                )
-            )
+            b, u, v = (_expect(step_obj, key, int, sw) for key in "buv")
+            fields = _table_fields(_expect(step_obj, "phi", dict, sw))
+            phi = tables.get(fields)
+            if phi is None:
+                phi = tables[fields] = _table(*fields)
+            steps.append(CertStep(b, u, v, phi))
         entries.append(CertEntry(q, tuple(steps)))
     return Certificate(tuple(entries))
 

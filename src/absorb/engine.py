@@ -16,13 +16,22 @@ at chosen vertices (generated subpowers and the relations of pp-formulas);
 `cover` returns the vertices that some solution sends into a value set
 (the decider's coverage tables).
 
-A revision of one constraint is a pure function of its target relation's
-allowed tuples and the domain masks of its scope.  In a power structure
-thousands of constraints share one target relation and meet the same few
-mask patterns again and again, so every target relation carries one memo,
+Binary constraints, nearly all the constraints of a power of a graph or
+order, propagate along vertices.  Each binary target relation gives, per
+direction, one row mask per value: the values the other position allows
+beside it.  Each source vertex lists, per relation and direction, the
+vertices it shares a scope with.  When a vertex narrows, the union of the
+rows of its mask (the support it leaves its neighbours) is looked up once
+in that relation and direction's memo and and-ed into each neighbour, one
+test per neighbour.  In a power structure thousands of scopes share one
+target relation and meet the same few masks, so a lookup rarely misses.
+
+Constraints of arity 3 or more keep a queue of their own.  A revision of
+one is a pure function of its target relation's allowed tuples and the
+domain masks of its scope, so every target relation carries one memo,
 shared by all constraints on it, from the tuple of scope masks to the
 revision's result (the supported mask of each position, or a wipeout).
-Only a miss scans the allowed tuples.  A memo holds at most
+Only a miss scans the allowed tuples.  Every memo holds at most
 `_REVISION_MEMO_SIZE` entries (it is cleared when full) and lives as long
 as its entry in the bounded constraint cache.
 
@@ -68,9 +77,11 @@ _CONSTRAINT_CACHE_SIZE = 4
 # anyway, so a bound below _CONSTRAINT_CACHE_SIZE would save nothing.
 _POWER_CACHE_SIZE = 4
 
-# Entries per revision memo; a full memo is cleared before the next insert.
-# The heaviest benchmark queries miss on at most 590 of up to 2.8M
-# revisions, so only far larger instances reach the bound.
+# Entries per support or revision memo; a full memo is cleared before the
+# next insert.  A support memo has one key per mask of target values, and
+# the benchmark queries miss on at most 72 of 3,592 support lookups (leq8
+# term 3) and 563 of 514,362 n-ary revisions (min4 decide), so only far
+# larger instances reach the bound.
 _REVISION_MEMO_SIZE = 1 << 16
 
 
@@ -127,25 +138,71 @@ def _closed_pick(target: RelationalStructure):
     return None
 
 
-@lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
-def _constraints(source: RelationalStructure, target: RelationalStructure):
-    """Constraint list [(scope, allowed_tuples, memo)], vertex->constraints
-    index, and the target's `_closed_pick`.
+class _Network(Record):
+    """The constraints of a homomorphism instance, laid out for `_gac`.
 
-    memo is the revision memo of the target relation, shared by every
-    constraint on it.
+    adj[v] lists, for each binary relation and each position that v holds
+    in some scope of it, one (memo, rows, neighbours) entry: rows[a] is the
+    mask of the values the target relation allows at the other position
+    beside value a at v's, neighbours are the vertices at the other
+    position of those scopes (v itself for a loop scope), and memo maps a
+    mask of v to the union of its rows, the support it leaves its
+    neighbours.  unary holds one (vertex, allowed
+    mask) pair per vertex with unary constraints.  cons lists the
+    constraints of arity 3 or more as (scope, allowed_tuples, memo), memo
+    being the revision memo of the target relation, and var_cons[v] the
+    indices of those on v.  pick is the target's `_closed_pick`, and full
+    the mask of all target values.
     """
+
+    adj: list
+    unary: tuple
+    cons: list
+    var_cons: list
+    pick: object
+    full: int
+
+
+def _rows(allowed, size, i):
+    """For each value a, the mask of the values at the other position of
+    the binary tuples in allowed that hold a at position i."""
+    rows = [0] * size
+    for t in allowed:
+        rows[t[i]] |= 1 << t[1 - i]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
+def _constraints(source: RelationalStructure, target: RelationalStructure) -> _Network:
+    """The `_Network` of the instance from source to target."""
+    adj = [[] for _ in range(source.size)]
+    unary = {}
     cons = []
     for name, rel in source.relations:
-        allowed = target.rel(name).sorted_tuples()
-        memo = {}
-        for scope in rel.sorted_tuples():
-            cons.append((scope, allowed, memo))
+        allowed = target.rel(name)
+        if rel.arity == 1:
+            mask = sum(1 << t[0] for t in allowed.tuples)
+            for (v,) in rel.tuples:
+                unary[v] = unary.get(v, mask) & mask
+        elif rel.arity == 2:
+            for i in (0, 1):
+                neighbours = [[] for _ in range(source.size)]
+                for scope in rel.tuples:
+                    neighbours[scope[i]].append(scope[1 - i])
+                entry = ({}, _rows(allowed.tuples, target.size, i))
+                for v, out in enumerate(neighbours):
+                    if out:
+                        adj[v].append(entry + (out,))
+        else:
+            tuples = allowed.sorted_tuples()
+            memo = {}
+            cons.extend((scope, tuples, memo) for scope in rel.tuples)
     var_cons = [[] for _ in range(source.size)]
     for ci, (scope, _, _) in enumerate(cons):
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
-    return cons, var_cons, _closed_pick(target)
+    full = (1 << target.size) - 1
+    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full)
 
 
 def _revise(allowed, key):
@@ -166,27 +223,93 @@ def _revise(allowed, key):
     return tuple(supported) if supported[0] else None
 
 
-def _gac(masks, cons, var_cons, queue=None):
+def _support(rows, mask):
+    """The union of the rows of the values in mask."""
+    out = 0
+    for a, row in enumerate(rows):
+        if (mask >> a) & 1:
+            out |= row
+    return out
+
+
+def _gac(masks, net, queue=None):
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
-    Revisions come from the target relation's memo; a miss runs _revise
-    and stores its result.
+    With no queue this runs from scratch: the unary constraints are applied
+    and every vertex and constraint is revised.  Otherwise masks must be a
+    fixpoint but for the vertices listed in queue, which have narrowed since;
+    the unary constraints hold already and stay satisfied.  Masks hold only
+    values of the target.
+
+    Binary constraints propagate along the vertices: a popped vertex looks
+    up the support its mask leaves each (relation, direction) entry of
+    `net.adj` in the entry's memo, then ands it into each neighbour.  Each
+    scope position is so revised on its own, as `_revise` does, and a loop
+    scope revises its vertex against itself.  Constraints of arity 3 or
+    more go through a queue of their own, revised once the vertex queue is
+    empty; their revisions come from the target relation's memo, and a miss
+    runs _revise and stores its result.  The greatest arc-consistent
+    domains do not depend on the order of revisions, so the fixpoint is
+    that of revising every scope position against the allowed tuples.
     """
+    adj, cons, var_cons, full = net.adj, net.cons, net.var_cons, net.full
     if queue is None:
-        queue = deque(range(len(cons)))
-        in_queue = [True] * len(cons)
+        for v, allowed in net.unary:
+            m = masks[v] & allowed
+            if m == 0:
+                return False
+            masks[v] = m
+        queue = deque(range(len(masks)))
+        in_queue = [True] * len(masks)
+        con_queue = deque(range(len(cons)))
+        in_cons = [True] * len(cons)
     else:
-        in_queue = [False] * len(cons)
-        queue = deque(queue)
-        for ci in queue:
-            in_queue[ci] = True
-    while queue:
-        ci = queue.popleft()
-        in_queue[ci] = False
+        queue = deque(dict.fromkeys(queue))
+        in_queue = [False] * len(masks)
+        con_queue = deque()
+        in_cons = [False] * len(cons)
+        for v in queue:
+            in_queue[v] = True
+            for ci in var_cons[v]:
+                if not in_cons[ci]:
+                    con_queue.append(ci)
+                    in_cons[ci] = True
+    while True:
+        while queue:
+            v = queue.popleft()
+            in_queue[v] = False
+            m = masks[v]
+            for memo, rows, neighbours in adj[v]:
+                try:
+                    s = memo[m]
+                except KeyError:
+                    s = _support(rows, m)
+                    if len(memo) >= _REVISION_MEMO_SIZE:
+                        memo.clear()
+                    memo[m] = s
+                if s == full:
+                    # masks hold only target values: no neighbour narrows
+                    continue
+                for w in neighbours:
+                    mw = masks[w]
+                    if mw & s != mw:
+                        mw &= s
+                        if mw == 0:
+                            return False
+                        masks[w] = mw
+                        if not in_queue[w]:
+                            queue.append(w)
+                            in_queue[w] = True
+                        for ci in var_cons[w]:
+                            if not in_cons[ci]:
+                                con_queue.append(ci)
+                                in_cons[ci] = True
+        if not con_queue:
+            return True
+        ci = con_queue.popleft()
+        in_cons[ci] = False
         scope, allowed, memo = cons[ci]
-        # one stored itemgetter per constraint would be a little faster, but
-        # would add about 80 bytes per constraint (4 MB on power(leq5, 4))
-        key = itemgetter(*scope)(masks) if len(scope) > 1 else (masks[scope[0]],)
+        key = itemgetter(*scope)(masks)
         try:
             supported = memo[key]
         except KeyError:
@@ -205,11 +328,13 @@ def _gac(masks, cons, var_cons, queue=None):
                 if m == 0:
                     return False
                 masks[v] = m
+                if adj[v] and not in_queue[v]:
+                    queue.append(v)
+                    in_queue[v] = True
                 for cj in var_cons[v]:
-                    if not in_queue[cj]:
-                        queue.append(cj)
-                        in_queue[cj] = True
-    return True
+                    if not in_cons[cj]:
+                        con_queue.append(cj)
+                        in_cons[cj] = True
 
 
 def _bits(mask):
@@ -263,7 +388,7 @@ def _mrv_scan(masks):
     return best
 
 
-def _search(masks, cons, var_cons):
+def _search(masks, net):
     """First solution under MRV + lexicographic value order, or None.
 
     Depth-first with an explicit stack of (masks, vertex, remaining values)
@@ -284,7 +409,7 @@ def _search(masks, cons, var_cons):
             for val in values:
                 child = list(parent)
                 child[v] = 1 << val
-                if _gac(child, cons, var_cons, queue=var_cons[v]):
+                if _gac(child, net, (v,)):
                     masks = child
                     break
             else:
@@ -310,6 +435,15 @@ class Fixpoint(Record):
     target: RelationalStructure
     masks: Optional[tuple]
 
+    def _check_vertices(self, vertices) -> list:
+        """vertices as a list; InputError names the first that is not a
+        vertex of the source."""
+        vertices = list(vertices)
+        for v in vertices:
+            if not 0 <= v < self.source.size:
+                raise InputError("vertex %d out of range" % v)
+        return vertices
+
     def restrict(self, pairs) -> "Fixpoint":
         """The fixpoint with each (vertex, value bitmask) pair and-ed in.
 
@@ -318,9 +452,7 @@ class Fixpoint(Record):
         value is a wipeout.  Bits beyond the target domain are and-ed away.
         """
         pairs = tuple(pairs)
-        for v, _ in pairs:
-            if not 0 <= v < self.source.size:
-                raise InputError("vertex %d out of range" % v)
+        self._check_vertices(v for v, _ in pairs)
         if self.masks is None:
             return self
         masks = list(self.masks)
@@ -334,9 +466,7 @@ class Fixpoint(Record):
                 changed.append(v)
         if not changed:
             return self
-        cons, var_cons, _ = _constraints(self.source, self.target)
-        queue = list(dict.fromkeys(ci for v in changed for ci in var_cons[v]))
-        if not _gac(masks, cons, var_cons, queue=queue):
+        if not _gac(masks, _constraints(self.source, self.target), changed):
             return Fixpoint(self.source, self.target, None)
         return Fixpoint(self.source, self.target, tuple(masks))
 
@@ -352,10 +482,10 @@ class Fixpoint(Record):
         """
         if self.masks is None:
             return None
-        cons, var_cons, pick = _constraints(self.source, self.target)
-        if pick is _lowest:
+        net = _constraints(self.source, self.target)
+        if net.pick is _lowest:
             return tuple(_lowest(m).bit_length() - 1 for m in self.masks)
-        solution = _search(self.masks, cons, var_cons)
+        solution = _search(self.masks, net)
         if solution is None:
             return None
         return tuple(_bits(m)[0] for m in solution)
@@ -373,9 +503,11 @@ class Fixpoint(Record):
         gives the same set: a vertex is either covered by some solution or
         tried on its own.
         """
+        pending = self._check_vertices(pending)
         if self.masks is None:
             return frozenset()
-        cons, var_cons, pick = _constraints(self.source, self.target)
+        net = _constraints(self.source, self.target)
+        pick = net.pick
         todo = sorted(v for v in set(pending) if self.masks[v] & mask)
         covered = set()
         for v in todo:
@@ -387,7 +519,7 @@ class Fixpoint(Record):
             if pick is not None:
                 covered.update(w for w in todo if pick(trial[w]) & mask)
                 continue
-            solution = _search(trial, cons, var_cons)
+            solution = _search(trial, net)
             if solution is not None:
                 covered.update(w for w in todo if solution[w] & mask)
         return frozenset(covered)
@@ -401,16 +533,16 @@ class Fixpoint(Record):
         min- or max-closed target (see `_closed_pick`).  A repeated vertex
         takes the same value at each of its positions.
         """
+        vertices = self._check_vertices(vertices)
         if self.masks is None:
             return frozenset()
-        vertices = list(vertices)
-        cons, var_cons, pick = _constraints(self.source, self.target)
+        net = _constraints(self.source, self.target)
         out = set()
         stack = [(self.masks, 0)]
         while stack:
             masks, depth = stack.pop()
             if depth == len(vertices):
-                if pick is not None or _search(masks, cons, var_cons) is not None:
+                if net.pick is not None or _search(masks, net) is not None:
                     out.add(tuple(_bits(masks[v])[0] for v in vertices))
                 continue
             v = vertices[depth]
@@ -422,7 +554,7 @@ class Fixpoint(Record):
             for val in _bits(masks[v]):
                 child = list(masks)
                 child[v] = 1 << val
-                if _gac(child, cons, var_cons, queue=var_cons[v]):
+                if _gac(child, net, (v,)):
                     stack.append((child, depth + 1))
         return frozenset(out)
 
@@ -432,9 +564,8 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
     from full domains."""
     if source.signature() != target.signature():
         raise InputError("source and target structures have different signatures")
-    cons, var_cons, _ = _constraints(source, target)
     masks = [(1 << target.size) - 1] * source.size
-    if not _gac(masks, cons, var_cons):
+    if not _gac(masks, _constraints(source, target)):
         return Fixpoint(source, target, None)
     return Fixpoint(source, target, tuple(masks))
 

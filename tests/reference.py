@@ -1,8 +1,9 @@
 """Slow reference routes, kept as oracles for the package's fast ones.
 
-`reference_gac` is arc consistency without the revision memo: every
-revision scans all allowed tuples of its constraint.  `engine._gac` must
-return the same flag and leave the same masks.
+`reference_gac` is arc consistency from the source's scopes alone, with no
+memo and no neighbour lists: every revision of a scope position scans all
+allowed tuples of its target relation.  `engine._gac` must return the same
+flag and, when nothing is wiped out, leave the same masks.
 
 `reference_power_structure` is the power builder that ranks every tuple of
 every position with `tuple_rank`; `engine.power_structure` must build the
@@ -63,36 +64,43 @@ from absorb import (
 from absorb.decide import _quintuples, _validate_inputs
 
 
-def reference_gac(masks, cons, var_cons, queue=None):
-    """engine._gac with a full scan of the allowed tuples on every revision.
+def reference_gac(source, target, masks, vertices=None):
+    """Arc consistency of the instance from source to target, in place on
+    masks; False on a domain wipeout.
 
-    cons and var_cons come from engine._constraints; only the scope and the
-    allowed tuples of each constraint are read.
+    Every scope of every source relation is one constraint, and each
+    revision scans all allowed tuples of its target relation for each
+    position.  The queue starts with every constraint, or with those on
+    the listed vertices.
     """
-    if queue is None:
+    cons = [
+        (scope, target.rel(name).sorted_tuples())
+        for name, rel in source.relations
+        for scope in rel.sorted_tuples()
+    ]
+    var_cons = [[] for _ in range(source.size)]
+    for ci, (scope, _) in enumerate(cons):
+        for v in set(scope):
+            var_cons[v].append(ci)
+    if vertices is None:
         queue = deque(range(len(cons)))
-        in_queue = [True] * len(cons)
     else:
-        in_queue = [False] * len(cons)
-        queue = deque(queue)
-        for ci in queue:
-            in_queue[ci] = True
+        queue = deque(dict.fromkeys(ci for v in vertices for ci in var_cons[v]))
+    in_queue = [False] * len(cons)
+    for ci in queue:
+        in_queue[ci] = True
     while queue:
         ci = queue.popleft()
         in_queue[ci] = False
-        scope, allowed = cons[ci][0], cons[ci][1]
+        scope, allowed = cons[ci]
         k = len(scope)
-        supported = [0] * k
-        for t in allowed:
-            for i in range(k):
-                if not (masks[scope[i]] >> t[i]) & 1:
-                    break
-            else:
-                for i in range(k):
-                    supported[i] |= 1 << t[i]
         for i in range(k):
+            supported = 0
+            for t in allowed:
+                if all((masks[scope[j]] >> t[j]) & 1 for j in range(k)):
+                    supported |= 1 << t[i]
             v = scope[i]
-            m = masks[v] & supported[i]
+            m = masks[v] & supported
             if m != masks[v]:
                 if m == 0:
                     return False
@@ -130,15 +138,14 @@ def reference_is_polymorphism(a, f):
 
 def _searched(fp, narrow=()):
     """engine._search's first solution on fp's masks, each (vertex, mask)
-    pair of narrow and-ed in and propagated first, as a list of one-bit
-    masks; None when there is none."""
-    cons, var_cons, _ = engine._constraints(fp.source, fp.target)
+    pair of narrow and-ed in and propagated first by `reference_gac`, as a
+    list of one-bit masks; None when there is none."""
     masks = list(fp.masks)
     for v, m in narrow:
         masks[v] &= m
-    if 0 in masks or not engine._gac(masks, cons, var_cons):
+    if 0 in masks or not reference_gac(fp.source, fp.target, masks):
         return None
-    return engine._search(masks, cons, var_cons)
+    return engine._search(masks, engine._constraints(fp.source, fp.target))
 
 
 def reference_solve(fp):

@@ -24,6 +24,8 @@ from absorb.comb import CombFormula
 from absorb.ppform import Atom
 from fixtures import B0, LEQ, ord2
 
+LEQ3 = [(x, y) for x in range(3) for y in range(3) if x <= y]
+
 
 @st.composite
 def structures(draw):
@@ -118,6 +120,13 @@ class TestCertificateCodec:
         text = codec.dump_certificate(decision.certificate)
         assert codec.parse_certificate(text) == decision.certificate
 
+    def test_one_table_per_distinct_table(self):
+        decision = decide_jonsson(structure(3, {"leq": LEQ3}), B0)
+        cert = codec.parse_certificate(codec.dump_certificate(decision.certificate))
+        assert cert == decision.certificate
+        phis = [s.phi for e in cert.entries for s in e.steps]
+        assert len({id(phi) for phi in phis}) == len(set(phis)) < len(phis)
+
     def test_decision_roundtrip(self):
         decision = decide_jonsson(ord2(), B0)
         again = codec.parse_decision(codec.dump_decision(decision))
@@ -148,8 +157,15 @@ class TestBooleansAreNotNumbers:
                 '{"quintuples":[{"q":[0,1,0,0,0],"steps":[{"b":false,"u":0,"v":1,'
                 '"phi":{"arity":1,"values":[0,1]}}]}]}',
             ),
+            (
+                # the second table equals the first in Python, true == 1
+                codec.parse_certificate,
+                '{"quintuples":[{"q":[0,1,0,0,0],"steps":['
+                '{"b":0,"u":0,"v":1,"phi":{"arity":1,"values":[0,1]}},'
+                '{"b":0,"u":0,"v":1,"phi":{"arity":1,"values":[0,true]}}]}]}',
+            ),
         ],
-        ids=["size", "arity", "tuple", "subset", "table", "quintuple", "color"],
+        ids=["size", "arity", "tuple", "subset", "table", "quintuple", "color", "repeated table"],
     )
     def test_rejected(self, parse, text):
         with pytest.raises(ParseError):

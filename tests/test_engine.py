@@ -152,6 +152,22 @@ class TestHoms:
                 with pytest.raises(InputError, match="vertex %d out of range" % v):
                     f.restrict(((v, 0b01),))
 
+    def test_project_and_cover_reject_vertices_out_of_range(self):
+        bare = structure(3, {"leq": [(x, y) for x in range(3) for y in range(3) if x <= y]})
+        fp = fixpoint(bare, bare)
+        wiped = fp.restrict(((0, 0b100), (1, 0b001)))
+        assert wiped.masks is None
+        for f in (fp, wiped):
+            # a negative vertex would otherwise read a vertex from the end
+            with pytest.raises(InputError, match="vertex -3 out of range"):
+                f.project([1, -3])
+            with pytest.raises(InputError, match="vertex 3 out of range"):
+                f.project([3])
+            with pytest.raises(InputError, match="vertex 5 out of range"):
+                f.cover([5], 0b001)
+            with pytest.raises(InputError, match="vertex -1 out of range"):
+                f.cover([0, -1], 0b001)
+
 
 ARITIES = {"u": 1, "r": 2, "t": 3}
 
@@ -211,7 +227,7 @@ class TestClosedTargets:
         target = structure(3, {
             name: relation(rel.arity, close_under(rel.tuples, op)) for name, rel in drawn.relations
         })
-        pick = engine._constraints(source, target)[2]
+        pick = engine._constraints(source, target).pick
         assert pick is engine._lowest if op is min else pick is not None
         n = source.size
         vertex = st.integers(0, n - 1)
@@ -226,7 +242,8 @@ class TestClosedTargets:
 
 
 class TestRevisionMemo:
-    """engine._gac (memoised revisions) against reference_gac (full scans)."""
+    """engine._gac (memoised revisions along neighbour lists) against
+    reference_gac (full scans of every scope position)."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -234,34 +251,39 @@ class TestRevisionMemo:
         source, target = draw_instance(data, 4)
         n = source.size
         vertex = st.integers(0, n - 1)
-        cons, var_cons, _ = engine._constraints(source, target)
+        net = engine._constraints(source, target)
         # later rounds meet the memo entries of earlier ones
         for _ in range(3):
             masks = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
             mode = data.draw(st.sampled_from(("full", "queue", "incremental")))
             queue = None
-            if mode == "queue" and cons:
-                queue = data.draw(st.lists(st.integers(0, len(cons) - 1), unique=True))
-            elif mode == "incremental":
-                # a fixpoint, then one vertex narrowed and its constraints queued
-                if not reference_gac(masks, cons, var_cons):
+            if mode != "full":
+                # a fixpoint, then some vertices narrowed and queued: one in
+                # "incremental" mode, any number in "queue" mode
+                if not reference_gac(source, target, masks):
                     continue
-                v = data.draw(vertex)
-                masks[v] &= data.draw(st.integers(1, 7))
-                if masks[v] == 0:
+                if mode == "queue":
+                    queue = data.draw(st.lists(vertex, unique=True))
+                else:
+                    queue = [data.draw(vertex)]
+                for v in queue:
+                    masks[v] &= data.draw(st.integers(1, 7))
+                if 0 in masks:
                     continue
-                queue = var_cons[v]
             fast, slow = list(masks), list(masks)
-            assert engine._gac(fast, cons, var_cons, queue) == reference_gac(
-                slow, cons, var_cons, queue
-            )
-            assert fast == slow
-        for con in cons:
+            consistent = engine._gac(fast, net, queue)
+            assert consistent == reference_gac(source, target, slow, queue)
+            if consistent:
+                assert fast == slow
+        for _, allowed, memo in net.cons:
             # shared entries are immutable
-            assert all(r is None or type(r) is tuple for r in con[2].values())
+            assert all(r is None or type(r) is tuple for r in memo.values())
 
     MIN3, _ = with_singletons(
         structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
+    )
+    LEQ3, _ = with_singletons(
+        structure(3, {"leq": [(x, y) for x in range(3) for y in range(3) if x <= y]})
     )
 
     def _results(self):
@@ -276,6 +298,7 @@ class TestRevisionMemo:
             fp.cover(range(power.size), 0b011),
             [fp.restrict(((v, 0b001),)).solve() for v in range(0, power.size, 5)],
             absorption_term_search(a, subset([0]), 2),
+            fixpoint(power_structure(self.LEQ3, 3), self.LEQ3).cover(range(27), 0b010),
         )
 
     def test_clearing_a_full_memo_changes_nothing(self, monkeypatch):
@@ -285,8 +308,10 @@ class TestRevisionMemo:
         engine._constraints.cache_clear()
         try:
             assert self._results() == expected
-            cons, _, _ = engine._constraints(power_structure(self.MIN3, 3), self.MIN3)
-            assert all(len(con[2]) <= 1 for con in cons)
+            for a in (self.MIN3, self.LEQ3):
+                net = engine._constraints(power_structure(a, 3), a)
+                memos = [con[2] for con in net.cons] + [e[0] for row in net.adj for e in row]
+                assert memos and all(len(memo) <= 1 for memo in memos)
         finally:
             engine._constraints.cache_clear()
 
@@ -327,11 +352,10 @@ class TestCover:
                     assert extended is None
 
     def test_start_from_a_relaxation_gives_the_same_coverage(self):
-        cons, var_cons, _ = engine._constraints(self.power, self.a)
         masks = [0b11] * self.power.size
         for v, m in self.pairs:
             masks[v] &= m
-        assert reference_gac(masks, cons, var_cons)
+        assert reference_gac(self.power, self.a, masks)
         fresh = engine.Fixpoint(self.power, self.a, tuple(masks))
         restricted = fixpoint(self.power, self.a).restrict(self.pairs)
         assert restricted == fresh
@@ -377,15 +401,26 @@ class TestFixpoint:
         p1 = tuple(data.draw(st.lists(pair, max_size=3)))
         p2 = tuple(data.draw(st.lists(pair, max_size=3)))
         fp = fixpoint(source, target)
-        cons, var_cons, _ = engine._constraints(source, target)
         masks = [(1 << target.size) - 1] * n
         for v, m in p1 + p2:
             masks[v] &= m
         expected = None
-        if 0 not in masks and reference_gac(masks, cons, var_cons):
+        if 0 not in masks and reference_gac(source, target, masks):
             expected = tuple(masks)
         assert fp.restrict(p1 + p2).masks == expected
         assert fp.restrict(p1).restrict(p2) == fp.restrict(p1 + p2)
+
+    def test_a_loop_scope_is_revised_against_its_own_vertex(self):
+        # (0,1) supports 0 at the first position by 1 at the second, and
+        # (1,0) supports 1, so arc consistency keeps both values; the unary
+        # constraint {a : (a,a) in R} would be empty
+        source = structure(1, {"r": [(0, 0)]})
+        target = structure(2, {"r": [(0, 1), (1, 0)]})
+        fp = fixpoint(source, target)
+        masks = [0b11]
+        assert reference_gac(source, target, masks) and masks == [0b11]
+        assert fp.masks == (0b11,)
+        assert fp.solve() is None
 
 
 def fewest_candidates(masks):
