@@ -279,15 +279,17 @@ def oracle_chain_search(
     """Complete chain search by exhaustive ternary table enumeration.
 
     Only feasible for tiny domains (all size^(size^3) ternary tables are
-    enumerated), hence the hard size limit.
+    enumerated), hence the hard size limit.  B is checked first, as every
+    other query checks it.
     """
+    if len(b) == 0:
+        raise InputError("B must be nonempty")
+    b.check_bounds(a.size)
     if a.size > max_size:
         raise CapExceeded(
             "oracle chain search enumerates %d^%d tables; domain too large"
             % (a.size, a.size ** 3)
         )
-    if len(b) == 0:
-        raise InputError("B must be nonempty")
     expanded, _ = with_singletons(a)
     size = a.size
     candidates = []

@@ -43,6 +43,18 @@ of any fixpoint are a solution.  The constraint cache records once per
 `project` then read their answers off the fixpoint instead of searching.
 The minima are the search's first solution, so every output is the same
 as the search's; see `_closed_pick`, `Fixpoint.solve` and `Fixpoint.cover`.
+
+Otherwise the search runs one connected component of the source at a
+time: vertices that share a scope of arity 2 or more are in one part, and
+propagation never leaves a part.  The parts are found on the first search
+that must branch (`_components`).  Each part is searched with the same
+rule as the whole instance, and a vertex in no part takes its lowest
+value; the answer is the whole-instance search's first solution (see
+`_search`).  Each part's first solution is memoised on the network by the
+part's masks (`_solve_part`), bounded like the revision memos, so a
+`cover` trial or a solve after a `restrict` searches only the parts that
+the restriction touched.  A source of one part searches the whole
+instance as before, with no memo.
 """
 
 from __future__ import annotations
@@ -153,6 +165,11 @@ class _Network(Record):
     being the revision memo of the target relation, and var_cons[v] the
     indices of those on v.  pick is the target's `_closed_pick`, and full
     the mask of all target values.
+
+    components holds the source's `_Components` once the first search that
+    must branch has asked for them (see `_components`), and solved is the
+    component memo: (part index, the part's masks) -> the part's first
+    solution as a tuple of one-bit masks, or None (see `_solve_part`).
     """
 
     adj: list
@@ -161,6 +178,29 @@ class _Network(Record):
     var_cons: list
     pick: object
     full: int
+    components: list
+    solved: dict
+
+
+class _Components(Record):
+    """The connected components of a source: vertices that share a scope of
+    arity 2 or more are in one part.
+
+    parts lists each part's vertices in ascending order, the parts ordered
+    by their lowest vertex; part_of[v] is the index of v's part, or -1 for
+    a free vertex, one in no scope of arity 2 or more (a loop scope (v,v)
+    or an n-ary scope that repeats v is such a scope).  getters[i] reads
+    the masks of part i, as a tuple, off a list of all masks, and largest
+    is the size of the largest part (0 when every vertex is free).  whole
+    is true when one part holds every vertex.
+    """
+
+    parts: list
+    part_of: list
+    free: list
+    getters: list
+    largest: int
+    whole: bool
 
 
 def _rows(allowed, size, i):
@@ -202,7 +242,9 @@ def _constraints(source: RelationalStructure, target: RelationalStructure) -> _N
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
     full = (1 << target.size) - 1
-    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full)
+    return _Network(
+        adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full, [], {}
+    )
 
 
 def _revise(allowed, key):
@@ -388,18 +430,162 @@ def _mrv_scan(masks):
     return best
 
 
+def _components(net) -> _Components:
+    """The source's `_Components`, computed on first use and kept in
+    net.components.
+
+    Breadth-first from each vertex not yet placed: a frontier reaches the
+    union, one C-level set update per entry, of its neighbour lists in
+    `net.adj` and the scopes of its constraints of arity 3 or more.
+    """
+    if net.components:
+        return net.components[0]
+    adj, cons, var_cons = net.adj, net.cons, net.var_cons
+    part_of = [-1] * len(adj)
+    parts = []
+    free = []
+    for v in range(len(adj)):
+        if part_of[v] >= 0:
+            continue
+        if not adj[v] and not var_cons[v]:
+            free.append(v)
+            continue
+        seen = {v}
+        frontier = [v]
+        while frontier:
+            reached = set()
+            for u in frontier:
+                for entry in adj[u]:
+                    reached.update(entry[2])
+                for ci in var_cons[u]:
+                    reached.update(cons[ci][0])
+            frontier = reached - seen
+            seen |= frontier
+        part = sorted(seen)
+        for u in part:
+            part_of[u] = len(parts)
+        parts.append(part)
+    getters = [
+        itemgetter(*part) if len(part) > 1 else (lambda masks, v=part[0]: (masks[v],))
+        for part in parts
+    ]
+    largest = max(map(len, parts), default=0)
+    whole = not free and len(parts) == 1
+    net.components.append(_Components(parts, part_of, free, getters, largest, whole))
+    return net.components[0]
+
+
+def _search_part(work, net, part, get):
+    """The first solution of one part under MRV + lexicographic value order,
+    as a tuple of its masks, or None.
+
+    work holds the masks of all vertices, a fixpoint; only the part's are
+    read and written (propagation from a vertex stays in its part), and
+    they are left in an unspecified state.  get reads the part's masks off
+    work.  Each frame keeps the part's masks before its branch, and each
+    value is tried from those.
+    """
+    stack = []
+    saved = get(work)
+    while True:
+        best = _mrv_vertex(saved)
+        if best < 0:
+            return saved
+        stack.append((saved, part[best], iter(_bits(saved[best]))))
+        saved = None
+        while saved is None:
+            if not stack:
+                return None
+            frame, v, values = stack[-1]
+            for val in values:
+                for u, m in zip(part, frame):
+                    work[u] = m
+                work[v] = 1 << val
+                if _gac(work, net, (v,)):
+                    saved = get(work)
+                    break
+            else:
+                stack.pop()
+
+
+def _solve_part(work, net, comps, i) -> bool:
+    """Write part i's first solution into work; False when it has none.
+
+    work is a fixpoint.  The answer depends on the part's masks alone (see
+    `_search_part`), so it is memoised in net.solved by (i, those masks).
+    The memo is cleared before an insert once its entries times the largest
+    part reach `_REVISION_MEMO_SIZE`, which bounds the masks it holds.
+    """
+    key = (i, comps.getters[i](work))
+    solved = net.solved
+    try:
+        found = solved[key]
+    except KeyError:
+        found = _search_part(work, net, comps.parts[i], comps.getters[i])
+        if len(solved) * comps.largest >= _REVISION_MEMO_SIZE:
+            solved.clear()
+        solved[key] = found
+    if found is None:
+        return False
+    for v, m in zip(comps.parts[i], found):
+        work[v] = m
+    return True
+
+
 def _search(masks, net):
     """First solution under MRV + lexicographic value order, or None.
 
-    Depth-first with an explicit stack of (masks, vertex, remaining values)
-    frames, so the depth is bounded by the vertex count, not by Python's
-    recursion limit.
+    masks must be a fixpoint.  The rule: branch on the vertex of fewest
+    candidates above one, the lowest index on ties, try its values in
+    ascending order, and propagate after each.  On a source of one
+    component, that is done depth-first with an explicit stack of (masks,
+    vertex, remaining values) frames, so the depth is bounded by the vertex
+    count, not by Python's recursion limit.  Otherwise each part is
+    searched on its own in turn (`_solve_part`), the answer is None as soon
+    as one part has no solution, and each free vertex takes its lowest
+    value.  The two give the same answer:
+
+    - Propagation from a vertex reaches only vertices that share a scope
+      with it, so below any node of the whole search the masks of a part
+      are a function of the branches taken in that part alone, and a
+      solution is one solution per part plus any value of each free
+      vertex's mask (a fixpoint has applied the unary constraints).  So a
+      node has a solution exactly when each part's masks at it do, and a
+      free vertex never makes a branch fail.
+    - Where the whole search branches on a vertex v of part P, v is the
+      least (count, index) over all open vertices, so in particular over
+      P's: it is the vertex P's own search picks at P's masks, with the
+      same lowest-index tie rule.  Ties across parts only interleave the
+      parts' branchings; they do not change which vertex of P comes next.
+    - The search is complete (propagation removes no value of a solution),
+      so below a node with a solution it commits to the first value of v
+      whose child still has one and never returns.  The child differs from
+      the node only in P, so that value is the one P's own search commits
+      to at P's masks.  By induction on the open vertices, the whole
+      first solution is the union of the parts' first solutions, and a
+      free vertex, branched on only when the rest has a solution, keeps
+      its lowest value.
+    - Below a node with no solution, some part has none, and the whole
+      search may branch on vertices of other parts before it finds out;
+      a chronological backtrack into such a frame tries the next value
+      there, which leaves the failing part's masks as they were, so it
+      fails the same way.  The whole search returns None, as does the
+      part-wise one when it reaches that part.
     """
+    best = _mrv_vertex(masks)
+    if best < 0:
+        return list(masks)
+    comps = _components(net)
+    if not comps.whole:
+        work = list(masks)
+        for i in range(len(comps.parts)):
+            if not _solve_part(work, net, comps, i):
+                return None
+        for v in comps.free:
+            work[v] = _lowest(work[v])
+        return work
     stack = []
     while True:
-        best = _mrv_vertex(masks)
-        if best < 0:
-            return list(masks)
         stack.append((masks, best, iter(_bits(masks[best]))))
         masks = None
         while masks is None:
@@ -414,6 +600,9 @@ def _search(masks, net):
                     break
             else:
                 stack.pop()
+        best = _mrv_vertex(masks)
+        if best < 0:
+            return masks
 
 
 class Fixpoint(Record):
@@ -501,7 +690,8 @@ class Fixpoint(Record):
         On a min- or max-closed target the solution is the trial fixpoint's
         minima or maxima (see `_closed_pick`), with no search.  Any solution
         gives the same set: a vertex is either covered by some solution or
-        tried on its own.
+        tried on its own.  A source of more than one component is covered
+        part by part (`_cover_parts`).
         """
         pending = self._check_vertices(pending)
         if self.masks is None:
@@ -509,6 +699,10 @@ class Fixpoint(Record):
         net = _constraints(self.source, self.target)
         pick = net.pick
         todo = sorted(v for v in set(pending) if self.masks[v] & mask)
+        if pick is None and todo:
+            comps = _components(net)
+            if not comps.whole:
+                return self._cover_parts(todo, mask, net, comps)
         covered = set()
         for v in todo:
             if v in covered:
@@ -522,6 +716,37 @@ class Fixpoint(Record):
             solution = _search(trial, net)
             if solution is not None:
                 covered.update(w for w in todo if solution[w] & mask)
+        return frozenset(covered)
+
+    def _cover_parts(self, todo, mask, net, comps) -> frozenset:
+        """`cover` of the sorted vertices todo on a source of several parts.
+
+        Every solution solves each part, so with one part unsolvable
+        nothing is covered.  Otherwise the parts' first solutions and any
+        value of each free vertex's mask make a solution, which covers the
+        vertices it sends into the mask.  A trial on a vertex v restricts
+        only v's part, and the other parts keep their solutions, so the
+        trial needs, and covers from, v's part alone.
+        """
+        base = list(self.masks)
+        for i in range(len(comps.parts)):
+            if not _solve_part(base, net, comps, i):
+                return frozenset()
+        # a free vertex still holds its whole mask, which meets the mask
+        covered = {v for v in todo if base[v] & mask}
+        todo_set = set(todo)
+        for v in todo:
+            if v in covered:
+                continue
+            trial = self.restrict(((v, mask),)).masks
+            if trial is None:
+                continue
+            work = list(trial)
+            part = comps.part_of[v]
+            if _solve_part(work, net, comps, part):
+                covered.update(
+                    w for w in comps.parts[part] if w in todo_set and work[w] & mask
+                )
         return frozenset(covered)
 
     def project(self, vertices) -> frozenset:
@@ -575,12 +800,15 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)
 def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructure:
+    """The k-th power of a, built unchecked: a's relations are checked and
+    sorted by name, and every tuple of ranks has its relation's arity and
+    entries below a.size ** k by construction."""
     rels = []
     for name, rel in a.relations:
         blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
         tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
-        rels.append((name, Relation(rel.arity, tuples)))
-    return RelationalStructure(a.size ** k, tuple(rels))
+        rels.append((name, Relation._trusted(rel.arity, tuples)))
+    return RelationalStructure._trusted(a.size ** k, tuple(rels))
 
 
 def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:

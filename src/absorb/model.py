@@ -97,6 +97,16 @@ class Record:
             )
         return values
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance of values that are in the form `__post_init__` leaves
+        and pass its checks, built without running it: for values that the
+        package made itself, never for input."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("cannot set %r of an immutable %s" % (name, type(self).__name__))
 
@@ -176,6 +186,14 @@ class RelationalStructure(Record):
                             % (name, e, self.size)
                         )
         object.__setattr__(self, "_by_name", seen)
+
+    @classmethod
+    def _trusted(cls, size, relations):
+        """`Record._trusted`: relations sorted by name, names distinct and
+        entries in range."""
+        self = super()._trusted(size, relations)
+        object.__setattr__(self, "_by_name", dict(relations))
+        return self
 
     @property
     def names(self):

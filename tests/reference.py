@@ -13,10 +13,13 @@ same structure.
 `OperationTable.apply` at a time; `model.is_polymorphism` must return the
 same verdict and the same first violation.
 
-`reference_solve`, `reference_cover` and `reference_project` answer
-`Fixpoint.solve`, `.cover` and `.project` by running `engine._search` on
-every question, whatever the target; on min- and max-closed targets the
-package reads the answers off the fixpoint instead.
+`reference_search` is the MRV + lexicographic search over the whole
+instance at once, propagating with `reference_gac` and picking the vertex
+by the MRV rule's definition.  `reference_solve`, `reference_cover` and
+`reference_project` answer `Fixpoint.solve`, `.cover` and `.project` by
+running it on every question, whatever the target; the package reads the
+answers off the fixpoint on min- and max-closed targets, and searches one
+connected component of the source at a time otherwise.
 
 `subpower_membership` decides one tuple of a generated subpower with one
 CSP over a power of A; `generate_subpower` must give the tuples it accepts.
@@ -42,7 +45,6 @@ each candidate with one restricted fixpoint instead.
 from collections import deque
 from itertools import product
 
-from absorb import engine
 from absorb import (
     DEFAULT_VERTEX_CAP,
     Certificate,
@@ -136,8 +138,46 @@ def reference_is_polymorphism(a, f):
     return True, None
 
 
+def _mrv(masks):
+    """The open vertex of least (candidate count, index), or -1."""
+    open_vertices = [(m.bit_count(), v) for v, m in enumerate(masks) if m & (m - 1)]
+    return min(open_vertices, default=(0, -1))[1]
+
+
+def _bits(mask):
+    return [e for e in range(mask.bit_length()) if (mask >> e) & 1]
+
+
+def reference_search(source, target, masks):
+    """First solution under MRV + lexicographic value order, or None, from
+    the arc-consistent masks, over the whole instance at once.
+
+    Depth-first with an explicit stack of (masks, vertex, remaining values)
+    frames; each value is propagated by `reference_gac` from its vertex.
+    """
+    stack = []
+    while True:
+        best = _mrv(masks)
+        if best < 0:
+            return list(masks)
+        stack.append((masks, best, iter(_bits(masks[best]))))
+        masks = None
+        while masks is None:
+            if not stack:
+                return None
+            parent, v, values = stack[-1]
+            for val in values:
+                child = list(parent)
+                child[v] = 1 << val
+                if reference_gac(source, target, child, (v,)):
+                    masks = child
+                    break
+            else:
+                stack.pop()
+
+
 def _searched(fp, narrow=()):
-    """engine._search's first solution on fp's masks, each (vertex, mask)
+    """reference_search's first solution on fp's masks, each (vertex, mask)
     pair of narrow and-ed in and propagated first by `reference_gac`, as a
     list of one-bit masks; None when there is none."""
     masks = list(fp.masks)
@@ -145,7 +185,7 @@ def _searched(fp, narrow=()):
         masks[v] &= m
     if 0 in masks or not reference_gac(fp.source, fp.target, masks):
         return None
-    return engine._search(masks, engine._constraints(fp.source, fp.target))
+    return reference_search(fp.source, fp.target, masks)
 
 
 def reference_solve(fp):

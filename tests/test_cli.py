@@ -317,8 +317,26 @@ class TestSearchCommand:
         code, payload = run(capsys, "search", "-s", ord2_path, "-b", B0, "--what", "chain")
         assert code == 0 and payload["chain"]["tables"]
 
+    @pytest.mark.parametrize("elements", ["[7]", "[0,7]"])
+    def test_chain_rejects_b_out_of_range(self, capsys, files, elements):
+        _, ord2_path, _ = files
+        b = '{"elements":%s}' % elements
+        code = main(["search", "-s", ord2_path, "-b", b, "--what", "chain"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "subset element 7 out of range for size 2" in captured.err
+
+    def test_chain_rejects_empty_b_before_the_domain_cap(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(codec.dump_structure(structure(3, {"r": [(0, 1)]})))
+        b = '{"elements":[]}'
+        code = main(["search", "-s", str(path), "-b", b, "--what", "chain"])
+        assert code == 2
+        assert "B must be nonempty" in capsys.readouterr().err
+
     def test_deep_search_needs_no_recursion_limit(self, capsys, tmp_path):
-        # 11^3 = 1331 power vertices: one search level per vertex
+        # 11^3 = 1331 power vertices in 1,327 components, each searched
+        # with an explicit stack
         swap11 = structure(11, {"r": [(0, 1), (1, 0)]})
         path = tmp_path / "swap11.json"
         path.write_text(codec.dump_structure(swap11))

@@ -1,5 +1,6 @@
 """CSP engine and the subpower layer, cross-checked against brute force."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -241,6 +242,169 @@ class TestClosedTargets:
         assert fp.project(vertices) == reference_project(fp, vertices)
 
 
+def draw_disjoint_instance(data):
+    """A disjoint union of 2 to 4 `draw_instance` draws on one 3-element
+    target: each draw's relations are renamed apart in both structures, and
+    its vertices are shifted past those of the draws before it."""
+    source_rels, target_rels = {}, {}
+    offset = 0
+    for i in range(data.draw(st.integers(2, 4))):
+        source, target = draw_instance(data, 4)
+        for name, rel in target.relations:
+            target_rels["%s%d" % (name, i)] = rel
+        for name, rel in source.relations:
+            shifted = [tuple(v + offset for v in t) for t in rel.tuples]
+            source_rels["%s%d" % (name, i)] = relation(rel.arity, shifted)
+        offset += source.size
+    return structure(offset, source_rels), structure(3, target_rels)
+
+
+def components_by_union_find(source):
+    """(parts, free) of a source by union-find over its scopes of arity >= 2."""
+    parent = list(range(source.size))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    scoped = set()
+    for _, rel in source.relations:
+        if rel.arity >= 2:
+            for scope in rel.tuples:
+                scoped.update(scope)
+                for v in scope[1:]:
+                    parent[root(v)] = root(scope[0])
+    parts = {}
+    for v in sorted(scoped):
+        parts.setdefault(root(v), []).append(v)
+    free = [v for v in range(source.size) if v not in scoped]
+    return sorted(parts.values()), free
+
+
+# one 3-element target for the pinned disconnected instances: r is the swap
+# of 0 and 1, n is "not equal", t a 3-cycle with no constant tuple, and u
+# the unary {1, 2}
+COMPONENT_TARGET = structure(3, {
+    "r": [(0, 1), (1, 0)],
+    "t": [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
+    "u": [(1,), (2,)],
+    "n": [(x, y) for x in range(3) for y in range(3) if x != y],
+})
+
+
+def component_source(size, **rels):
+    arities = {"r": 2, "t": 3, "u": 1, "n": 2}
+    return structure(size, {name: relation(k, rels.get(name, ())) for name, k in arities.items()})
+
+
+class TestComponents:
+    """The search one connected component at a time against
+    `reference_search`, which searches the whole instance at once."""
+
+    def check(self, source, target=COMPONENT_TARGET):
+        """fp's answers against the references, every vertex pending and
+        every pair of vertices projected; returns fp."""
+        fp = fixpoint(source, target)
+        assert fp.solve() == reference_solve(fp)
+        for mask in range(1, 8):
+            assert fp.cover(range(source.size), mask) == reference_cover(fp, range(source.size), mask)
+        for pair in product(range(source.size), repeat=2):
+            assert fp.project(pair) == reference_project(fp, pair)
+        return fp
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_answers_match_the_whole_search(self, data):
+        source, target = draw_disjoint_instance(data)
+        n = source.size
+        net = engine._constraints(source, target)
+        parts, free = components_by_union_find(source)
+        comps = engine._components(net)
+        assert (comps.parts, comps.free) == (parts, free)
+        assert comps.whole == (not free and len(parts) == 1)
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=3))
+        fp = fixpoint(source, target).restrict(pairs)
+        assert fp.solve() == reference_solve(fp)
+        pending = data.draw(st.lists(vertex, max_size=n))
+        mask = data.draw(st.integers(1, 7))
+        assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
+        vertices = data.draw(st.lists(vertex, max_size=3))
+        assert fp.project(vertices) == reference_project(fp, vertices)
+        # the memo now holds the answers for fp's parts; a narrowed part
+        # must be searched again, the others read back
+        for v in range(n):
+            for value in range(3):
+                narrowed = fp.restrict(((v, 1 << value),))
+                assert narrowed.solve() == reference_solve(narrowed)
+
+    def test_a_free_vertex_takes_its_lowest_value(self):
+        # vertex 2 is in no scope of arity 2 or more; u leaves it {1, 2}
+        fp = self.check(component_source(3, r=[(0, 1)], u=[(2,)]))
+        assert engine._components(engine._constraints(fp.source, fp.target)).free == [2]
+        assert fp.solve() == (0, 1, 1)
+
+    def test_a_loop_scope_on_an_isolated_vertex_is_searched(self):
+        # arc consistency keeps {0, 1} at vertex 0, but r has no (a, a)
+        fp = self.check(component_source(2, r=[(0, 0)]))
+        assert fp.masks == (0b011, 0b111)
+        assert fp.solve() is None
+        assert fp.cover([1], 0b001) == frozenset()
+
+    def test_an_nary_scope_that_repeats_a_vertex_is_searched(self):
+        # (0, 0, 0) keeps every value at each position, but t has no
+        # constant tuple; vertex 1 is free
+        fp = self.check(component_source(2, t=[(0, 0, 0)]))
+        assert fp.masks == (0b111, 0b111)
+        assert fp.solve() is None
+
+    def test_an_unsatisfiable_part_beside_satisfiable_ones(self):
+        # parts {0, 1} and {3, 4} have solutions, part {2} has none
+        fp = self.check(component_source(5, r=[(0, 1), (2, 2), (3, 4)]))
+        assert fp.solve() is None
+        assert fp.cover(range(5), 0b111) == frozenset()
+        assert fp.project([0]) == frozenset()
+
+    def test_mrv_ties_across_parts(self):
+        # two odd cycles of n (no 2-colouring within {0, 1}, three values
+        # each) beside paths with fewer candidates; the whole search
+        # branches on both kinds of part in turn and backtracks across them
+        source = component_source(
+            9, n=[(0, 1), (1, 2), (2, 0), (6, 7), (7, 8), (8, 6)], r=[(3, 4), (4, 5)]
+        )
+        fp = self.check(source)
+        assert fp.solve() == (0, 1, 2, 0, 1, 0, 0, 1, 2)
+        fp = self.check(component_source(7, n=[(0, 1), (1, 2), (2, 0)], r=[(3, 4), (5, 6), (6, 6)]))
+        assert fp.solve() is None
+
+    def test_a_narrowed_part_is_searched_again(self):
+        # n leaves both parts open before and after the narrowing, so each
+        # solve reads or fills the memo
+        fp = fixpoint(component_source(4, n=[(0, 1), (2, 3)]), COMPONENT_TARGET)
+        assert fp.solve() == (0, 1, 0, 1)
+        narrowed = fp.restrict(((2, 0b110),))
+        assert narrowed.masks == (0b111, 0b111, 0b110, 0b111)
+        assert narrowed.solve() == reference_solve(narrowed) == (0, 1, 1, 0)
+        assert fp.solve() == (0, 1, 0, 1)
+
+    def test_a_deep_single_component_search_needs_no_recursion_limit(self):
+        # a path colored from 3 colors: each choice leaves the next vertex
+        # two, so the whole search goes one level per vertex
+        size = sys.getrecursionlimit() + 500
+        source = component_source(size, n=[(v, v + 1) for v in range(size - 1)])
+        fp = fixpoint(source, COMPONENT_TARGET)
+        assert engine._components(engine._constraints(source, COMPONENT_TARGET)).whole
+        assert fp.solve() == tuple(v % 2 for v in range(size))
+
+    def test_one_component_leaves_the_memo_empty(self):
+        # a connected source searches the whole instance as before
+        fp = self.check(component_source(3, n=[(0, 1), (1, 2), (2, 0)]))
+        net = engine._constraints(fp.source, fp.target)
+        assert engine._components(net).whole
+        assert net.solved == {}
+
+
 class TestRevisionMemo:
     """engine._gac (memoised revisions along neighbour lists) against
     reference_gac (full scans of every scope position)."""
@@ -285,6 +449,9 @@ class TestRevisionMemo:
     LEQ3, _ = with_singletons(
         structure(3, {"leq": [(x, y) for x in range(3) for y in range(3) if x <= y]})
     )
+    # power(PERM3, 3) falls apart into 9 cycles of 3 vertices, and the
+    # target is closed under neither min nor max, so it searches part by part
+    PERM3, _ = with_singletons(structure(3, {"r": [(x, (x + 1) % 3) for x in range(3)]}))
 
     def _results(self):
         a = self.MIN3
@@ -299,6 +466,17 @@ class TestRevisionMemo:
             [fp.restrict(((v, 0b001),)).solve() for v in range(0, power.size, 5)],
             absorption_term_search(a, subset([0]), 2),
             fixpoint(power_structure(self.LEQ3, 3), self.LEQ3).cover(range(27), 0b010),
+            self._perm_results(),
+        )
+
+    def _perm_results(self):
+        a = self.PERM3
+        fp = fixpoint(power_structure(a, 3), a)
+        return (
+            fp.solve(),
+            [fp.restrict(((v, 0b010),)).solve() for v in range(27)],
+            [fp.cover(range(27), mask) for mask in (0b001, 0b110)],
+            fp.project([1, 5, 13]),
         )
 
     def test_clearing_a_full_memo_changes_nothing(self, monkeypatch):
@@ -308,10 +486,13 @@ class TestRevisionMemo:
         engine._constraints.cache_clear()
         try:
             assert self._results() == expected
-            for a in (self.MIN3, self.LEQ3):
+            for a in (self.MIN3, self.LEQ3, self.PERM3):
                 net = engine._constraints(power_structure(a, 3), a)
                 memos = [con[2] for con in net.cons] + [e[0] for row in net.adj for e in row]
                 assert memos and all(len(memo) <= 1 for memo in memos)
+                assert len(net.solved) <= 1
+            perm = engine._constraints(power_structure(self.PERM3, 3), self.PERM3)
+            assert len(engine._components(perm).parts) == 9 and perm.solved
         finally:
             engine._constraints.cache_clear()
 
