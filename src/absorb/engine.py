@@ -51,10 +51,10 @@ that must branch (`_components`).  Each part is searched with the same
 rule as the whole instance, and a vertex in no part takes its lowest
 value; the answer is the whole-instance search's first solution (see
 `_search`).  Each part's first solution is memoised on the network by the
-part's masks (`_solve_part`), bounded like the revision memos, so a
-`cover` trial or a solve after a `restrict` searches only the parts that
-the restriction touched.  A source of one part searches the whole
-instance as before, with no memo.
+part's masks, bounded like the revision memos, so a `cover` trial or a
+solve after a `restrict` searches only the parts that the restriction
+touched and reads the others back.  A source of one part is searched as
+one part of every vertex, with no memo.
 """
 
 from __future__ import annotations
@@ -166,10 +166,10 @@ class _Network(Record):
     indices of those on v.  pick is the target's `_closed_pick`, and full
     the mask of all target values.
 
-    components holds the source's `_Components` once the first search that
-    must branch has asked for them (see `_components`), and solved is the
+    components is None until the first search that must branch sets it to
+    the source's `_Components` (see `_components`), and solved is the
     component memo: (part index, the part's masks) -> the part's first
-    solution as a tuple of one-bit masks, or None (see `_solve_part`).
+    solution as a tuple of one-bit masks, or None (see `_search`).
     """
 
     adj: list
@@ -178,7 +178,7 @@ class _Network(Record):
     var_cons: list
     pick: object
     full: int
-    components: list
+    components: object
     solved: dict
 
 
@@ -187,20 +187,13 @@ class _Components(Record):
     arity 2 or more are in one part.
 
     parts lists each part's vertices in ascending order, the parts ordered
-    by their lowest vertex; part_of[v] is the index of v's part, or -1 for
-    a free vertex, one in no scope of arity 2 or more (a loop scope (v,v)
-    or an n-ary scope that repeats v is such a scope).  getters[i] reads
-    the masks of part i, as a tuple, off a list of all masks, and largest
-    is the size of the largest part (0 when every vertex is free).  whole
-    is true when one part holds every vertex.
+    by their lowest vertex, and free the vertices in no scope of arity 2 or
+    more (a loop scope (v,v) or an n-ary scope that repeats v is such a
+    scope), in ascending order.
     """
 
     parts: list
-    part_of: list
     free: list
-    getters: list
-    largest: int
-    whole: bool
 
 
 def _rows(allowed, size, i):
@@ -243,7 +236,7 @@ def _constraints(source: RelationalStructure, target: RelationalStructure) -> _N
             var_cons[v].append(ci)
     full = (1 << target.size) - 1
     return _Network(
-        adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full, [], {}
+        adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full, None, {}
     )
 
 
@@ -438,14 +431,14 @@ def _components(net) -> _Components:
     union, one C-level set update per entry, of its neighbour lists in
     `net.adj` and the scopes of its constraints of arity 3 or more.
     """
-    if net.components:
-        return net.components[0]
+    if net.components is not None:
+        return net.components
     adj, cons, var_cons = net.adj, net.cons, net.var_cons
-    part_of = [-1] * len(adj)
+    placed = [False] * len(adj)
     parts = []
     free = []
     for v in range(len(adj)):
-        if part_of[v] >= 0:
+        if placed[v]:
             continue
         if not adj[v] and not var_cons[v]:
             free.append(v)
@@ -463,73 +456,52 @@ def _components(net) -> _Components:
             seen |= frontier
         part = sorted(seen)
         for u in part:
-            part_of[u] = len(parts)
+            placed[u] = True
         parts.append(part)
-    getters = [
-        itemgetter(*part) if len(part) > 1 else (lambda masks, v=part[0]: (masks[v],))
-        for part in parts
-    ]
-    largest = max(map(len, parts), default=0)
-    whole = not free and len(parts) == 1
-    net.components.append(_Components(parts, part_of, free, getters, largest, whole))
-    return net.components[0]
+    # the network's other fields are fixed when it is built; this one is
+    # filled in once, on first use
+    object.__setattr__(net, "components", _Components(parts, free))
+    return net.components
 
 
-def _search_part(work, net, part, get):
+def _search_part(masks, net, part):
     """The first solution of one part under MRV + lexicographic value order,
-    as a tuple of its masks, or None.
+    as the masks of all vertices, or None.
 
-    work holds the masks of all vertices, a fixpoint; only the part's are
-    read and written (propagation from a vertex stays in its part), and
-    they are left in an unspecified state.  get reads the part's masks off
-    work.  Each frame keeps the part's masks before its branch, and each
-    value is tried from those.
+    masks must be a fixpoint; it is not modified.  part lists the part's
+    vertices in ascending order, or is None for every vertex.  MRV reads
+    only the part's masks, so only the part's vertices are branched on,
+    and the vertices outside it keep their masks (propagation from a
+    vertex stays in its part).  The search is depth-first with an explicit
+    stack of (masks, vertex, remaining values) frames, so the depth is
+    bounded by the vertex count, not by Python's recursion limit; each
+    frame keeps the masks before its branch, and each value is tried on a
+    copy of them.
     """
     stack = []
-    saved = get(work)
     while True:
-        best = _mrv_vertex(saved)
+        if part is None:
+            best = _mrv_vertex(masks)
+        else:
+            best = _mrv_vertex(tuple(map(masks.__getitem__, part)))
+            if best >= 0:
+                best = part[best]
         if best < 0:
-            return saved
-        stack.append((saved, part[best], iter(_bits(saved[best]))))
-        saved = None
-        while saved is None:
+            return masks
+        stack.append((masks, best, iter(_bits(masks[best]))))
+        masks = None
+        while masks is None:
             if not stack:
                 return None
-            frame, v, values = stack[-1]
+            parent, v, values = stack[-1]
             for val in values:
-                for u, m in zip(part, frame):
-                    work[u] = m
-                work[v] = 1 << val
-                if _gac(work, net, (v,)):
-                    saved = get(work)
+                child = list(parent)
+                child[v] = 1 << val
+                if _gac(child, net, (v,)):
+                    masks = child
                     break
             else:
                 stack.pop()
-
-
-def _solve_part(work, net, comps, i) -> bool:
-    """Write part i's first solution into work; False when it has none.
-
-    work is a fixpoint.  The answer depends on the part's masks alone (see
-    `_search_part`), so it is memoised in net.solved by (i, those masks).
-    The memo is cleared before an insert once its entries times the largest
-    part reach `_REVISION_MEMO_SIZE`, which bounds the masks it holds.
-    """
-    key = (i, comps.getters[i](work))
-    solved = net.solved
-    try:
-        found = solved[key]
-    except KeyError:
-        found = _search_part(work, net, comps.parts[i], comps.getters[i])
-        if len(solved) * comps.largest >= _REVISION_MEMO_SIZE:
-            solved.clear()
-        solved[key] = found
-    if found is None:
-        return False
-    for v, m in zip(comps.parts[i], found):
-        work[v] = m
-    return True
 
 
 def _search(masks, net):
@@ -538,12 +510,18 @@ def _search(masks, net):
     masks must be a fixpoint.  The rule: branch on the vertex of fewest
     candidates above one, the lowest index on ties, try its values in
     ascending order, and propagate after each.  On a source of one
-    component, that is done depth-first with an explicit stack of (masks,
-    vertex, remaining values) frames, so the depth is bounded by the vertex
-    count, not by Python's recursion limit.  Otherwise each part is
-    searched on its own in turn (`_solve_part`), the answer is None as soon
-    as one part has no solution, and each free vertex takes its lowest
-    value.  The two give the same answer:
+    component, `_search_part` does that over every vertex.  Otherwise each
+    part is searched on its own in turn, the answer is None as soon as one
+    part has no solution, and each free vertex takes its lowest value.
+
+    A part's first solution depends on the part's masks alone, so it is
+    memoised in net.solved by (part index, those masks).  The memo is
+    cleared before an insert once its entries times the largest part reach
+    `_REVISION_MEMO_SIZE`, which bounds the masks it holds.  A `cover`
+    trial or a solve after a `restrict` so searches only the parts that
+    the restriction changed, and reads the others back.
+
+    The part-wise answer is the whole-instance search's:
 
     - Propagation from a vertex reaches only vertices that share a scope
       with it, so below any node of the whole search the masks of a part
@@ -572,37 +550,32 @@ def _search(masks, net):
       fails the same way.  The whole search returns None, as does the
       part-wise one when it reaches that part.
     """
-    best = _mrv_vertex(masks)
-    if best < 0:
-        return list(masks)
+    if _mrv_vertex(masks) < 0:
+        return masks
     comps = _components(net)
-    if not comps.whole:
-        work = list(masks)
-        for i in range(len(comps.parts)):
-            if not _solve_part(work, net, comps, i):
-                return None
-        for v in comps.free:
-            work[v] = _lowest(work[v])
-        return work
-    stack = []
-    while True:
-        stack.append((masks, best, iter(_bits(masks[best]))))
-        masks = None
-        while masks is None:
-            if not stack:
-                return None
-            parent, v, values = stack[-1]
-            for val in values:
-                child = list(parent)
-                child[v] = 1 << val
-                if _gac(child, net, (v,)):
-                    masks = child
-                    break
-            else:
-                stack.pop()
-        best = _mrv_vertex(masks)
-        if best < 0:
-            return masks
+    if len(comps.parts) == 1 and not comps.free:
+        return _search_part(masks, net, None)
+    largest = max(map(len, comps.parts), default=0)
+    solved = net.solved
+    work = list(masks)
+    for i, part in enumerate(comps.parts):
+        key = (i, tuple(map(work.__getitem__, part)))
+        try:
+            found = solved[key]
+        except KeyError:
+            found = _search_part(work, net, part)
+            if found is not None:
+                found = tuple(map(found.__getitem__, part))
+            if len(solved) * largest >= _REVISION_MEMO_SIZE:
+                solved.clear()
+            solved[key] = found
+        if found is None:
+            return None
+        for v, m in zip(part, found):
+            work[v] = m
+    for v in comps.free:
+        work[v] = _lowest(work[v])
+    return work
 
 
 class Fixpoint(Record):
@@ -690,8 +663,7 @@ class Fixpoint(Record):
         On a min- or max-closed target the solution is the trial fixpoint's
         minima or maxima (see `_closed_pick`), with no search.  Any solution
         gives the same set: a vertex is either covered by some solution or
-        tried on its own.  A source of more than one component is covered
-        part by part (`_cover_parts`).
+        tried on its own.
         """
         pending = self._check_vertices(pending)
         if self.masks is None:
@@ -699,10 +671,6 @@ class Fixpoint(Record):
         net = _constraints(self.source, self.target)
         pick = net.pick
         todo = sorted(v for v in set(pending) if self.masks[v] & mask)
-        if pick is None and todo:
-            comps = _components(net)
-            if not comps.whole:
-                return self._cover_parts(todo, mask, net, comps)
         covered = set()
         for v in todo:
             if v in covered:
@@ -716,37 +684,6 @@ class Fixpoint(Record):
             solution = _search(trial, net)
             if solution is not None:
                 covered.update(w for w in todo if solution[w] & mask)
-        return frozenset(covered)
-
-    def _cover_parts(self, todo, mask, net, comps) -> frozenset:
-        """`cover` of the sorted vertices todo on a source of several parts.
-
-        Every solution solves each part, so with one part unsolvable
-        nothing is covered.  Otherwise the parts' first solutions and any
-        value of each free vertex's mask make a solution, which covers the
-        vertices it sends into the mask.  A trial on a vertex v restricts
-        only v's part, and the other parts keep their solutions, so the
-        trial needs, and covers from, v's part alone.
-        """
-        base = list(self.masks)
-        for i in range(len(comps.parts)):
-            if not _solve_part(base, net, comps, i):
-                return frozenset()
-        # a free vertex still holds its whole mask, which meets the mask
-        covered = {v for v in todo if base[v] & mask}
-        todo_set = set(todo)
-        for v in todo:
-            if v in covered:
-                continue
-            trial = self.restrict(((v, mask),)).masks
-            if trial is None:
-                continue
-            work = list(trial)
-            part = comps.part_of[v]
-            if _solve_part(work, net, comps, part):
-                covered.update(
-                    w for w in comps.parts[part] if w in todo_set and work[w] & mask
-                )
         return frozenset(covered)
 
     def project(self, vertices) -> frozenset:
@@ -807,8 +744,8 @@ def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructu
     for name, rel in a.relations:
         blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
         tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
-        rels.append((name, Relation._trusted(rel.arity, tuples)))
-    return RelationalStructure._trusted(a.size ** k, tuple(rels))
+        rels.append((name, rel.arity, tuples))
+    return RelationalStructure._unchecked(a.size ** k, rels)
 
 
 def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:

@@ -97,16 +97,6 @@ class Record:
             )
         return values
 
-    @classmethod
-    def _trusted(cls, *values):
-        """An instance of values that are in the form `__post_init__` leaves
-        and pass its checks, built without running it: for values that the
-        package made itself, never for input."""
-        self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(self, name, value)
-        return self
-
     def __setattr__(self, name, value):
         raise AttributeError("cannot set %r of an immutable %s" % (name, type(self).__name__))
 
@@ -188,11 +178,25 @@ class RelationalStructure(Record):
         object.__setattr__(self, "_by_name", seen)
 
     @classmethod
-    def _trusted(cls, size, relations):
-        """`Record._trusted`: relations sorted by name, names distinct and
-        entries in range."""
-        self = super()._trusted(size, relations)
-        object.__setattr__(self, "_by_name", dict(relations))
+    def _unchecked(cls, size, relations):
+        """The structure built without `__post_init__`'s checks, for the
+        power builder's own values only, never for input.
+
+        relations lists (name, arity, tuples) triples sorted by name, names
+        distinct, tuples a frozenset of tuples of that arity with entries
+        below size: the form the checks leave and accept.
+        """
+        setter = object.__setattr__
+        rels = []
+        for name, arity, tuples in relations:
+            rel = object.__new__(Relation)
+            setter(rel, "arity", arity)
+            setter(rel, "tuples", tuples)
+            rels.append((name, rel))
+        self = object.__new__(cls)
+        setter(self, "size", size)
+        setter(self, "relations", tuple(rels))
+        setter(self, "_by_name", dict(rels))
         return self
 
     @property

@@ -335,17 +335,19 @@ class TestSearchCommand:
         assert "B must be nonempty" in capsys.readouterr().err
 
     def test_deep_search_needs_no_recursion_limit(self, capsys, tmp_path):
-        # 11^3 = 1331 power vertices in 1,327 components, each searched
-        # with an explicit stack
-        swap11 = structure(11, {"r": [(0, 1), (1, 0)]})
-        path = tmp_path / "swap11.json"
-        path.write_text(codec.dump_structure(swap11))
+        # a star centred on 1, closed under neither min nor max: its cube
+        # is one component of 11^3 = 1331 vertices, all beside (1, 1, 1),
+        # and the term search branches 1,260 levels deep, past Python's
+        # default recursion limit of 1,000
+        star11 = structure(11, {"r": [(1, y) for y in range(11)] + [(y, 1) for y in range(11)]})
+        path = tmp_path / "star11.json"
+        path.write_text(codec.dump_structure(star11))
         code, payload = run(
             capsys, "search", "-s", str(path), "-b", B0, "--what", "term", "--arity", "3"
         )
         assert code == 0 and payload["holds"] is True
         table = codec.table_from_obj(payload["table"])
-        assert is_absorption_term(swap11, subset([0]), table)
+        assert is_absorption_term(star11, subset([0]), table)
 
     def test_scope_cap_refuses_before_building(self, capsys, tmp_path):
         # 11^3 = 1331 vertices, but (11^2)^3 + 11 = 1,771,572 constraint

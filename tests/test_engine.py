@@ -322,7 +322,6 @@ class TestComponents:
         parts, free = components_by_union_find(source)
         comps = engine._components(net)
         assert (comps.parts, comps.free) == (parts, free)
-        assert comps.whole == (not free and len(parts) == 1)
         vertex = st.integers(0, n - 1)
         pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=3))
         fp = fixpoint(source, target).restrict(pairs)
@@ -394,14 +393,16 @@ class TestComponents:
         size = sys.getrecursionlimit() + 500
         source = component_source(size, n=[(v, v + 1) for v in range(size - 1)])
         fp = fixpoint(source, COMPONENT_TARGET)
-        assert engine._components(engine._constraints(source, COMPONENT_TARGET)).whole
+        assert engine._components(engine._constraints(source, COMPONENT_TARGET)).parts == [
+            list(range(size))
+        ]
         assert fp.solve() == tuple(v % 2 for v in range(size))
 
     def test_one_component_leaves_the_memo_empty(self):
         # a connected source searches the whole instance as before
         fp = self.check(component_source(3, n=[(0, 1), (1, 2), (2, 0)]))
         net = engine._constraints(fp.source, fp.target)
-        assert engine._components(net).whole
+        assert engine._components(net) == engine._Components([[0, 1, 2]], [])
         assert net.solved == {}
 
 
