@@ -134,7 +134,6 @@ def surgery_step(
     atom_index: int,
     cap: int = DEFAULT_VERTEX_CAP,
     var_cap: int = DEFAULT_VARIABLE_CAP,
-    verify: bool = True,
 ) -> SurgeryResult:
     """One surgery step: move the chosen constraint to a fresh variable, chain
     |A| copies, and re-restrict so the defined relation stays B-essential."""
@@ -146,14 +145,13 @@ def surgery_step(
         raise InputError("atom index %d out of range" % atom_index)
     if y not in phi.atoms[atom_index].scope:
         raise InputError("atom %d does not contain %r" % (atom_index, y))
-    if verify:
-        if not is_simplified(phi, a):
-            raise InputError("formula is not in simplified form")
-        u_rel = evaluate_pp(phi, a, var_cap)
-        if not is_b_essential(a, u_rel, b):
-            raise InputError("formula does not define a B-essential relation")
-        if not decide_jonsson(a, b, cap).holds:
-            raise InputError("B does not Jónsson-absorb the polymorphism algebra")
+    if not is_simplified(phi, a):
+        raise InputError("formula is not in simplified form")
+    u_rel = evaluate_pp(phi, a, var_cap)
+    if not is_b_essential(a, u_rel, b):
+        raise InputError("formula does not define a B-essential relation")
+    if not decide_jonsson(a, b, cap).holds:
+        raise InputError("B does not Jónsson-absorb the polymorphism algebra")
 
     registry = Registry(a)
     c_rel = evaluate_pp(phi.project((y,)), a, var_cap)
@@ -209,10 +207,9 @@ def surgery_step(
     result = PPFormula(phi.free, tuple(final_atoms))
     struct = registry.structure()
 
-    if verify:
-        out_rel = evaluate_pp(result, struct, max(var_cap, len(v_free) + 8))
-        if not is_b_essential(struct, out_rel, b):
-            raise AssertionError("surgery output is not B-essential")
+    out_rel = evaluate_pp(result, struct, max(var_cap, len(v_free) + 8))
+    if not is_b_essential(struct, out_rel, b):
+        raise AssertionError("surgery output is not B-essential")
 
     choice = SurgeryChoice(y, atom_index, c_rel, m, restr)
     return SurgeryResult(result, struct, choice, psi, theta, v_rel, v_free)
@@ -237,7 +234,6 @@ def comb_extract(
     b: Subset,
     z1: str,
     var_cap: int = DEFAULT_VARIABLE_CAP,
-    check: bool = True,
 ) -> CombExtraction:
     """Walk the tree formula from the leaf z1, collecting the comb spine and
     teeth; unselected free variables are fixed to B and the ternary sections
@@ -328,12 +324,11 @@ def comb_extract(
             "comb bound violated: kappa=%d > (2*%d-2)^%d/2+1" % (kappa, theta, lam)
         )
 
-    if check:
-        comb_phi, comb_struct = comb.as_formula(struct)
-        lhs = evaluate_pp(comb_phi, comb_struct, var_cap)
-        rhs = evaluate_pp(fixed, struct, var_cap)
-        if lhs != rhs:
-            raise AssertionError("comb evaluation differs from the fixed formula")
+    comb_phi, comb_struct = comb.as_formula(struct)
+    lhs = evaluate_pp(comb_phi, comb_struct, var_cap)
+    rhs = evaluate_pp(fixed, struct, var_cap)
+    if lhs != rhs:
+        raise AssertionError("comb evaluation differs from the fixed formula")
 
     return CombExtraction(comb, tuple(zs), tuple(ws), fixed, struct, kappa, theta)
 

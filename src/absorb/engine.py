@@ -32,15 +32,19 @@ domain masks of its scope, so every target relation carries one memo,
 shared by all constraints on it, from the tuple of scope masks to the
 revision's result (the supported mask of each position, or a wipeout).
 Only a miss scans the allowed tuples.  Every memo holds at most
-`_REVISION_MEMO_SIZE` entries (it is cleared when full) and lives as long
-as its entry in the bounded constraint cache.
+`_REVISION_MEMO_SIZE` entries (it is cleared when full).
+
+The constraints and every memo live on the instance's network, built once
+by `fixpoint` and shared by each fixpoint that `restrict` derives from it;
+they are freed with the last of those fixpoints, so nothing outlives the
+query that built it.
 
 When every relation of the target is closed under coordinatewise min (or
 max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
 constraints on ordered domains", AI 79, 1995): the domain minima (maxima)
-of any fixpoint are a solution.  The constraint cache records once per
-(source, target) which of the two holds, and `solve`, `cover` and
-`project` then read their answers off the fixpoint instead of searching.
+of any fixpoint are a solution.  The network records once per instance
+which of the two holds, and `solve`, `cover` and `project` then read their
+answers off the fixpoint instead of searching.
 The minima are the search's first solution, so every output is the same
 as the search's; see `_closed_pick`, `Fixpoint.solve` and `Fixpoint.cover`.
 
@@ -60,7 +64,6 @@ one part of every vertex, with no memo.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import chain, product
 from operator import itemgetter
 from typing import Optional
@@ -80,20 +83,11 @@ from .model import (
 
 DEFAULT_VERTEX_CAP = 10 ** 6
 
-# A query uses at most two (source, target) pairs; the bound keeps the
-# structures of evaluated pp-formulas from piling up for the whole process.
-_CONSTRAINT_CACHE_SIZE = 4
-
-# A query uses at most two powers (k=1 for the closure check, then k=3 or
-# the search arity); each cached constraint list keeps its power alive
-# anyway, so a bound below _CONSTRAINT_CACHE_SIZE would save nothing.
-_POWER_CACHE_SIZE = 4
-
-# Entries per support or revision memo; a full memo is cleared before the
-# next insert.  A support memo has one key per mask of target values, and
-# the benchmark queries miss on at most 72 of 3,592 support lookups (leq8
-# term 3) and 563 of 514,362 n-ary revisions (min4 decide), so only far
-# larger instances reach the bound.
+# Entries per support or revision memo of one instance's network; a full
+# memo is cleared before the next insert.  A support memo has one key per
+# mask of target values, and the benchmark queries miss on at most 72 of
+# 3,592 support lookups (leq8 term 3) and 563 of 514,362 n-ary revisions
+# (min4 decide), so only far larger instances reach the bound.
 _REVISION_MEMO_SIZE = 1 << 16
 
 
@@ -150,8 +144,9 @@ def _closed_pick(target: RelationalStructure):
     return None
 
 
-class _Network(Record):
-    """The constraints of a homomorphism instance, laid out for `_gac`.
+class _Network:
+    """The constraints of a homomorphism instance, laid out for `_gac`, and
+    the memos of the query that built it.
 
     adj[v] lists, for each binary relation and each position that v holds
     in some scope of it, one (memo, rows, neighbours) entry: rows[a] is the
@@ -172,14 +167,11 @@ class _Network(Record):
     solution as a tuple of one-bit masks, or None (see `_search`).
     """
 
-    adj: list
-    unary: tuple
-    cons: list
-    var_cons: list
-    pick: object
-    full: int
-    components: object
-    solved: dict
+    def __init__(self, adj, unary, cons, var_cons, pick, full):
+        self.adj, self.unary, self.cons, self.var_cons = adj, unary, cons, var_cons
+        self.pick, self.full = pick, full
+        self.components = None
+        self.solved = {}
 
 
 class _Components(Record):
@@ -205,8 +197,7 @@ def _rows(allowed, size, i):
     return tuple(rows)
 
 
-@lru_cache(maxsize=_CONSTRAINT_CACHE_SIZE)
-def _constraints(source: RelationalStructure, target: RelationalStructure) -> _Network:
+def _network(source: RelationalStructure, target: RelationalStructure) -> _Network:
     """The `_Network` of the instance from source to target."""
     adj = [[] for _ in range(source.size)]
     unary = {}
@@ -235,9 +226,7 @@ def _constraints(source: RelationalStructure, target: RelationalStructure) -> _N
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
     full = (1 << target.size) - 1
-    return _Network(
-        adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full, None, {}
-    )
+    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full)
 
 
 def _revise(allowed, key):
@@ -458,9 +447,7 @@ def _components(net) -> _Components:
         for u in part:
             placed[u] = True
         parts.append(part)
-    # the network's other fields are fixed when it is built; this one is
-    # filled in once, on first use
-    object.__setattr__(net, "components", _Components(parts, free))
+    net.components = _Components(parts, free)
     return net.components
 
 
@@ -578,7 +565,7 @@ def _search(masks, net):
     return work
 
 
-class Fixpoint(Record):
+class Fixpoint:
     """The greatest arc-consistent domains of a homomorphism instance, as one
     bitmask per source vertex; masks is None after a domain wipeout.
 
@@ -591,11 +578,29 @@ class Fixpoint(Record):
     equals the one computed from full domains with every mask applied so
     far and-ed in.  The search is deterministic, so every answer derived
     from the two is the same too.
+
+    net is the instance's `_Network`: `fixpoint` builds it, and `restrict`
+    passes it on, so the fixpoints of one query share its memos.  Equality
+    and the hash read source, target and masks alone: two fixpoints of one
+    instance with the same masks are equal, whichever network they carry.
     """
 
-    source: RelationalStructure
-    target: RelationalStructure
-    masks: Optional[tuple]
+    __slots__ = ("source", "target", "masks", "net")
+
+    def __init__(self, source: RelationalStructure, target: RelationalStructure,
+                 masks: Optional[tuple], net: _Network):
+        self.source, self.target, self.masks, self.net = source, target, masks, net
+
+    def __eq__(self, other):
+        if other.__class__ is Fixpoint:
+            return (self.source, self.target, self.masks) == (other.source, other.target, other.masks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.masks))
+
+    def __repr__(self):
+        return "Fixpoint(source=%r, target=%r, masks=%r)" % (self.source, self.target, self.masks)
 
     def _check_vertices(self, vertices) -> list:
         """vertices as a list; InputError names the first that is not a
@@ -622,15 +627,15 @@ class Fixpoint(Record):
         for v, mask in pairs:
             m = masks[v] & mask
             if m == 0:
-                return Fixpoint(self.source, self.target, None)
+                return Fixpoint(self.source, self.target, None, self.net)
             if m != masks[v]:
                 masks[v] = m
                 changed.append(v)
         if not changed:
             return self
-        if not _gac(masks, _constraints(self.source, self.target), changed):
-            return Fixpoint(self.source, self.target, None)
-        return Fixpoint(self.source, self.target, tuple(masks))
+        if not _gac(masks, self.net, changed):
+            return Fixpoint(self.source, self.target, None, self.net)
+        return Fixpoint(self.source, self.target, tuple(masks), self.net)
 
     def solve(self) -> Optional[tuple]:
         """The first solution (tuple indexed by source vertex), or None.
@@ -644,7 +649,7 @@ class Fixpoint(Record):
         """
         if self.masks is None:
             return None
-        net = _constraints(self.source, self.target)
+        net = self.net
         if net.pick is _lowest:
             return tuple(_lowest(m).bit_length() - 1 for m in self.masks)
         solution = _search(self.masks, net)
@@ -668,7 +673,7 @@ class Fixpoint(Record):
         pending = self._check_vertices(pending)
         if self.masks is None:
             return frozenset()
-        net = _constraints(self.source, self.target)
+        net = self.net
         pick = net.pick
         todo = sorted(v for v in set(pending) if self.masks[v] & mask)
         covered = set()
@@ -698,7 +703,7 @@ class Fixpoint(Record):
         vertices = self._check_vertices(vertices)
         if self.masks is None:
             return frozenset()
-        net = _constraints(self.source, self.target)
+        net = self.net
         out = set()
         stack = [(self.masks, 0)]
         while stack:
@@ -726,26 +731,14 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
     from full domains."""
     if source.signature() != target.signature():
         raise InputError("source and target structures have different signatures")
-    masks = [(1 << target.size) - 1] * source.size
-    if not _gac(masks, _constraints(source, target)):
-        return Fixpoint(source, target, None)
-    return Fixpoint(source, target, tuple(masks))
+    net = _network(source, target)
+    masks = [net.full] * source.size
+    if not _gac(masks, net):
+        return Fixpoint(source, target, None, net)
+    return Fixpoint(source, target, tuple(masks), net)
 
 
 # --- power structures and subpowers ------------------------------------------
-
-
-@lru_cache(maxsize=_POWER_CACHE_SIZE)
-def _power_structure_cached(a: RelationalStructure, k: int) -> RelationalStructure:
-    """The k-th power of a, built unchecked: a's relations are checked and
-    sorted by name, and every tuple of ranks has its relation's arity and
-    entries below a.size ** k by construction."""
-    rels = []
-    for name, rel in a.relations:
-        blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
-        tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
-        rels.append((name, rel.arity, tuples))
-    return RelationalStructure._unchecked(a.size ** k, rels)
 
 
 def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:
@@ -753,7 +746,9 @@ def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CA
 
     cap bounds both the vertices and the constraint scopes (the tuples of
     all its relations, sum of |R|^k); either count over it is refused
-    before anything is built.
+    before anything is built.  The power is built unchecked: a's relations
+    are checked and sorted by name, and every tuple of ranks has its
+    relation's arity and entries below a.size ** k by construction.
     """
     if k < 1:
         raise InputError("power exponent must be positive")
@@ -766,7 +761,12 @@ def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CA
         raise CapExceeded(
             "power structure would have %d constraint scopes, cap is %d" % (scopes, cap)
         )
-    return _power_structure_cached(a, k)
+    rels = []
+    for name, rel in a.relations:
+        blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
+        tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
+        rels.append((name, rel.arity, tuples))
+    return RelationalStructure._unchecked(a.size ** k, rels)
 
 
 def _columns(generators, size):

@@ -370,19 +370,18 @@ def simplify(
     phi: PPFormula,
     a: RelationalStructure,
     var_cap: int = DEFAULT_VARIABLE_CAP,
-    check: bool = True,
 ) -> SimplifyResult:
     """Rewrite phi into simplified form, materializing derived relations.
 
     The output is connected, its free variables are exactly the leaves, bound
     degrees are 2 or 3, scopes are non-repeating and there are no unary atoms.
-    Evaluation is preserved (asserted when check=True).
+    Evaluation is preserved (checked after every rewrite).
     """
     validate_formula(phi, a)
     registry = Registry(a)
     free = list(phi.free)
     atoms = list(phi.atoms)
-    reference = evaluate_pp(phi, a, var_cap) if check else None
+    reference = evaluate_pp(phi, a, var_cap)
 
     def degree(v, atoms):
         return sum(at.scope.count(v) for at in atoms)
@@ -396,8 +395,6 @@ def simplify(
         return out
 
     def recheck(atoms, note):
-        if not check:
-            return
         cur = PPFormula(tuple(free), tuple(atoms))
         got = evaluate_pp(cur, registry.structure(), var_cap)
         if got != reference:
@@ -581,8 +578,6 @@ def simplify(
     violation = _simplified_violation(result, struct)
     if violation is not None:
         raise SimplifyError("simplification incomplete: %s" % violation)
-    if check:
-        got = evaluate_pp(result, struct, var_cap)
-        if got != reference:
-            raise SimplifyError("evaluation changed by simplification")
+    if evaluate_pp(result, struct, var_cap) != reference:
+        raise SimplifyError("evaluation changed by simplification")
     return SimplifyResult(result, struct, dict(registry.derived))

@@ -22,19 +22,22 @@ answers off the fixpoint on min- and max-closed targets, and searches one
 connected component of the source at a time otherwise.
 
 `subpower_membership` decides one tuple of a generated subpower with one
-CSP over a power of A; `generate_subpower` must give the tuples it accepts.
+CSP over a power of A (`is_member` restricts a given fixpoint of that
+power); `generate_subpower` must give the tuples it accepts.
 
 `jonsson_digraph` is the definition of a quintuple's B-colored digraph: the
 edges (u,v) with some (b,u,v), b in B, in the subpower
-<(b1,a,a),(b2,c,c),(d,a,c)> of A^3.
+<(b1,a,a),(b2,c,c),(d,a,c)> of A^3, read off the fixpoint of power(A,3).
 
 `reference_decide` is the per-quintuple decision route.  For every
 quintuple it generates that subpower (`jonsson_digraph`), walks the
 B-colored digraph, takes the least color of each walk edge, and recovers
 that step's table by solving power(A,3) -> A with the three generator
-columns restricted to the step's values.  The package's `decide_jonsson`
-answers from per-(a,c,u,v) coverage tables instead and must return the same
-`Decision`, every table included.
+columns restricted to the step's values.  One fixpoint of power(A,3) serves
+every quintuple and every step: a restricted fixpoint equals one computed
+from scratch.  The package's `decide_jonsson` answers from per-(a,c,u,v)
+coverage tables instead and must return the same `Decision`, every table
+included.
 
 `reference_essential_witness` walks the candidate generator lists of
 `essential_witness_search` in the same lexicographic order and keeps the
@@ -215,34 +218,42 @@ def reference_project(fp, vertices):
     )
 
 
+def generator_columns(s, size):
+    """The vertex ranks of the generator columns of s in power(A, |s|)."""
+    return [tuple_rank([g[j] for g in s], size) for j in range(len(s[0]))]
+
+
+def is_member(base, s, t):
+    """True iff t lies in the subpower of A^n generated by the tuples in s,
+    base being the fixpoint of power(A, |s|) -> A: some homomorphism maps
+    the generator columns to t.  Two equal columns with different values
+    in t meet in an empty mask."""
+    pairs = zip(generator_columns(s, base.target.size), (1 << e for e in t))
+    return base.restrict(pairs).solve() is not None
+
+
 def subpower_membership(a, s, t, cap=DEFAULT_VERTEX_CAP):
-    """True iff t lies in the subpower of A^n generated by the tuples in s:
-    some homomorphism from power(A, |s|) to A maps the generator columns to t.
-    Two equal columns with different values in t meet in an empty mask."""
-    power = power_structure(a, len(s), cap)
-    cols = (tuple_rank([g[j] for g in s], a.size) for j in range(len(t)))
-    pairs = zip(cols, (1 << e for e in t))
-    return fixpoint(power, a).restrict(pairs).solve() is not None
+    """`is_member` on a fixpoint of power(A, |s|) built for this tuple."""
+    return is_member(fixpoint(power_structure(a, len(s), cap), a), s, t)
 
 
-def jonsson_digraph(a, b, q, cap=DEFAULT_VERTEX_CAP):
+def jonsson_digraph(base, b, q):
     """The B-colored edge digraph of R = <(b1,a,a),(b2,c,c),(d,a,c)> <= A^3,
-    and R."""
-    r = generate_subpower(a, q.generators(), 3, cap)
+    and R, base being the fixpoint of power(A,3) -> A: R holds the values
+    that its solutions take at the generator columns."""
+    size = base.target.size
+    r = Relation(3, base.project(generator_columns(q.generators(), size)))
     edges = frozenset((u, v) for (col, u, v) in r.tuples if col in b)
-    return Digraph(a.size, edges), r
+    return Digraph(size, edges), r
 
 
-def _recover_table(a, q, target, cap):
-    """A ternary polymorphism mapping the quintuple's generators to `target`."""
-    power = power_structure(a, 3, cap)
-    gens = q.generators()
-    pairs = [
-        (tuple_rank([g[j] for g in gens], a.size), 1 << target[j]) for j in range(3)
-    ]
-    values = fixpoint(power, a).restrict(pairs).solve()
+def _recover_table(base, q, target):
+    """A ternary polymorphism mapping the quintuple's generators to `target`,
+    base being the fixpoint of power(A,3) -> A."""
+    pairs = zip(generator_columns(q.generators(), base.target.size), (1 << e for e in target))
+    values = base.restrict(pairs).solve()
     assert values is not None, "generated tuple has no generating polymorphism"
-    return OperationTable(3, a.size, values)
+    return OperationTable(3, base.target.size, values)
 
 
 def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
@@ -256,18 +267,19 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
         return Decision(True, certificate=Certificate(tuple(entries)))
+    base = fixpoint(power_structure(expanded, 3, cap), expanded)
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))
             continue
-        graph, r = jonsson_digraph(expanded, b, q, cap)
+        graph, r = jonsson_digraph(base, b, q)
         walk = digraph_reach(graph, {q.a}, {q.c})
         if walk is None:
             return Decision(False, failing=q)
         steps = []
         for u, v in zip(walk, walk[1:]):
             color = min(col for (col, x, y) in r.tuples if x == u and y == v and col in b)
-            steps.append(CertStep(color, u, v, _recover_table(expanded, q, (color, u, v), cap)))
+            steps.append(CertStep(color, u, v, _recover_table(base, q, (color, u, v))))
         entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, certificate=Certificate(tuple(entries)))
 

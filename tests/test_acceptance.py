@@ -19,6 +19,7 @@ from absorb import (
     OperationTable,
     PPFormula,
     Quintuple,
+    Relation,
     absorption_term_search,
     bounds,
     chain_from_absorption_term,
@@ -27,10 +28,12 @@ from absorb import (
     digraph_meets_diagonal,
     essential_witness_search,
     evaluate_pp,
+    fixpoint,
     generate_subpower,
     is_b_essential,
     is_jonsson_chain,
     oracle_chain_search,
+    power_structure,
     subset,
     tuple_rank,
     verify_np_certificate,
@@ -40,6 +43,7 @@ from absorb.ppform import Atom, Registry, is_simplified
 from bruteforce import generated_subpower_oracle
 from conftest import record_line
 from fixtures import B0, aff2, corpus2, neq2, ord2, triv1
+from reference import generator_columns
 
 
 def report(name, ok, detail=""):
@@ -231,7 +235,9 @@ def _section_pool(a, b):
         ((bs[0], 0, 1), (bs[0], 1, 0), (o[0], 1, 1)),
         ((bs[0], 0, 0), (o[0], 0, 1), (o[0], 1, 0)),
     )
-    pool = {generate_subpower(a, gens, 3) for gens in gen_sets}
+    # the subpowers of all three generator sets, off one fixpoint of power(A,3)
+    base = fixpoint(power_structure(a, 3), a)
+    pool = {Relation(3, base.project(generator_columns(gens, a.size))) for gens in gen_sets}
     return sorted(pool, key=lambda r: sorted(r.tuples))
 
 

@@ -1,6 +1,8 @@
 """CSP engine and the subpower layer, cross-checked against brute force."""
 
+import gc
 import sys
+import weakref
 from itertools import product
 
 import pytest
@@ -33,6 +35,7 @@ from bruteforce import (
 )
 from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2, triv1
 from reference import (
+    is_member,
     reference_cover,
     reference_essential_witness,
     reference_gac,
@@ -44,9 +47,11 @@ from reference import (
 
 
 def membership_route(a, s):
-    """The subpower generated by s, one membership CSP per candidate tuple."""
+    """The subpower generated by s, one membership CSP per candidate tuple,
+    each a restriction of one fixpoint of power(A, |s|)."""
+    base = fixpoint(power_structure(a, len(s)), a)
     n = len(s[0])
-    return {t for t in product(range(a.size), repeat=n) if subpower_membership(a, s, t)}
+    return {t for t in product(range(a.size), repeat=n) if is_member(base, s, t)}
 
 
 class TestPowerStructure:
@@ -90,14 +95,6 @@ class TestPowerStructure:
         })
         k = data.draw(st.integers(1, 3))
         assert power_structure(a, k) == reference_power_structure(a, k)
-
-    def test_cache_is_bounded(self):
-        engine._power_structure_cached.cache_clear()
-        for size in range(1, engine._POWER_CACHE_SIZE + 3):
-            power_structure(structure(size, {"r": [(0, 0)]}), 2)
-        info = engine._power_structure_cached.cache_info()
-        assert info.maxsize == engine._POWER_CACHE_SIZE
-        assert info.currsize == engine._POWER_CACHE_SIZE
 
 
 class TestHoms:
@@ -228,12 +225,13 @@ class TestClosedTargets:
         target = structure(3, {
             name: relation(rel.arity, close_under(rel.tuples, op)) for name, rel in drawn.relations
         })
-        pick = engine._constraints(source, target).pick
+        base = fixpoint(source, target)
+        pick = base.net.pick
         assert pick is engine._lowest if op is min else pick is not None
         n = source.size
         vertex = st.integers(0, n - 1)
         pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=4))
-        fp = fixpoint(source, target).restrict(pairs)
+        fp = base.restrict(pairs)
         assert fp.solve() == reference_solve(fp)
         pending = data.draw(st.lists(vertex, max_size=n))
         mask = data.draw(st.integers(1, 7))
@@ -318,13 +316,13 @@ class TestComponents:
     def test_answers_match_the_whole_search(self, data):
         source, target = draw_disjoint_instance(data)
         n = source.size
-        net = engine._constraints(source, target)
+        base = fixpoint(source, target)
         parts, free = components_by_union_find(source)
-        comps = engine._components(net)
+        comps = engine._components(base.net)
         assert (comps.parts, comps.free) == (parts, free)
         vertex = st.integers(0, n - 1)
         pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=3))
-        fp = fixpoint(source, target).restrict(pairs)
+        fp = base.restrict(pairs)
         assert fp.solve() == reference_solve(fp)
         pending = data.draw(st.lists(vertex, max_size=n))
         mask = data.draw(st.integers(1, 7))
@@ -341,7 +339,7 @@ class TestComponents:
     def test_a_free_vertex_takes_its_lowest_value(self):
         # vertex 2 is in no scope of arity 2 or more; u leaves it {1, 2}
         fp = self.check(component_source(3, r=[(0, 1)], u=[(2,)]))
-        assert engine._components(engine._constraints(fp.source, fp.target)).free == [2]
+        assert engine._components(fp.net).free == [2]
         assert fp.solve() == (0, 1, 1)
 
     def test_a_loop_scope_on_an_isolated_vertex_is_searched(self):
@@ -393,15 +391,13 @@ class TestComponents:
         size = sys.getrecursionlimit() + 500
         source = component_source(size, n=[(v, v + 1) for v in range(size - 1)])
         fp = fixpoint(source, COMPONENT_TARGET)
-        assert engine._components(engine._constraints(source, COMPONENT_TARGET)).parts == [
-            list(range(size))
-        ]
+        assert engine._components(fp.net).parts == [list(range(size))]
         assert fp.solve() == tuple(v % 2 for v in range(size))
 
     def test_one_component_leaves_the_memo_empty(self):
         # a connected source searches the whole instance as before
         fp = self.check(component_source(3, n=[(0, 1), (1, 2), (2, 0)]))
-        net = engine._constraints(fp.source, fp.target)
+        net = fp.net
         assert engine._components(net) == engine._Components([[0, 1, 2]], [])
         assert net.solved == {}
 
@@ -416,7 +412,7 @@ class TestRevisionMemo:
         source, target = draw_instance(data, 4)
         n = source.size
         vertex = st.integers(0, n - 1)
-        net = engine._constraints(source, target)
+        net = fixpoint(source, target).net
         # later rounds meet the memo entries of earlier ones
         for _ in range(3):
             masks = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
@@ -455,47 +451,56 @@ class TestRevisionMemo:
     PERM3, _ = with_singletons(structure(3, {"r": [(x, (x + 1) % 3) for x in range(3)]}))
 
     def _results(self):
+        """The answers of some queries on power(A, 3) for MIN3, LEQ3 and
+        PERM3, and the networks of the three fixpoints they ran."""
         a = self.MIN3
         power = power_structure(a, 3)
         pairs = ((tuple_rank((0, 1, 0), 3), 0b010), (tuple_rank((0, 1, 1), 3), 0b100))
         fp = fixpoint(power, a).restrict(pairs)
-        return (
+        leq = fixpoint(power_structure(self.LEQ3, 3), self.LEQ3)
+        perm = fixpoint(power_structure(self.PERM3, 3), self.PERM3)
+        results = (
             fp.solve(),
             generate_subpower(a, ((0, 1, 2), (2, 1, 0), (1, 1, 1)), 3),
             fp,
             fp.cover(range(power.size), 0b011),
             [fp.restrict(((v, 0b001),)).solve() for v in range(0, power.size, 5)],
             absorption_term_search(a, subset([0]), 2),
-            fixpoint(power_structure(self.LEQ3, 3), self.LEQ3).cover(range(27), 0b010),
-            self._perm_results(),
+            leq.cover(range(27), 0b010),
+            perm.solve(),
+            [perm.restrict(((v, 0b010),)).solve() for v in range(27)],
+            [perm.cover(range(27), mask) for mask in (0b001, 0b110)],
+            perm.project([1, 5, 13]),
         )
-
-    def _perm_results(self):
-        a = self.PERM3
-        fp = fixpoint(power_structure(a, 3), a)
-        return (
-            fp.solve(),
-            [fp.restrict(((v, 0b010),)).solve() for v in range(27)],
-            [fp.cover(range(27), mask) for mask in (0b001, 0b110)],
-            fp.project([1, 5, 13]),
-        )
+        return results, (fp.net, leq.net, perm.net)
 
     def test_clearing_a_full_memo_changes_nothing(self, monkeypatch):
-        engine._constraints.cache_clear()
-        expected = self._results()
+        expected, _ = self._results()
         monkeypatch.setattr(engine, "_REVISION_MEMO_SIZE", 1)
-        engine._constraints.cache_clear()
-        try:
-            assert self._results() == expected
-            for a in (self.MIN3, self.LEQ3, self.PERM3):
-                net = engine._constraints(power_structure(a, 3), a)
-                memos = [con[2] for con in net.cons] + [e[0] for row in net.adj for e in row]
-                assert memos and all(len(memo) <= 1 for memo in memos)
-                assert len(net.solved) <= 1
-            perm = engine._constraints(power_structure(self.PERM3, 3), self.PERM3)
-            assert len(engine._components(perm).parts) == 9 and perm.solved
-        finally:
-            engine._constraints.cache_clear()
+        results, nets = self._results()
+        assert results == expected
+        for net in nets:
+            memos = [con[2] for con in net.cons] + [e[0] for row in net.adj for e in row]
+            assert memos and all(len(memo) <= 1 for memo in memos)
+            assert len(net.solved) <= 1
+        perm = nets[-1]
+        assert len(engine._components(perm).parts) == 9 and perm.solved
+
+    def test_nothing_outlives_the_query(self):
+        # every memo lives on the network that the query's fixpoints carry,
+        # so dropping them frees the power structure too
+        for a in (self.MIN3, self.PERM3):
+            power = power_structure(a, 3)
+            alive = weakref.ref(power)
+            fp = fixpoint(power, a)
+            narrowed = fp.restrict(((1, 0b010),))
+            assert narrowed.net is fp.net
+            narrowed.solve()
+            fp.cover(range(power.size), 0b011)
+            fp.project([1, 5, 13])
+            del power, fp, narrowed
+            gc.collect()
+            assert alive() is None
 
 
 class TestCover:
@@ -538,7 +543,8 @@ class TestCover:
         for v, m in self.pairs:
             masks[v] &= m
         assert reference_gac(self.power, self.a, masks)
-        fresh = engine.Fixpoint(self.power, self.a, tuple(masks))
+        net = engine._network(self.power, self.a)
+        fresh = engine.Fixpoint(self.power, self.a, tuple(masks), net)
         restricted = fixpoint(self.power, self.a).restrict(self.pairs)
         assert restricted == fresh
         assert restricted.cover(range(8), 0b10) == fresh.cover(range(8), 0b10)
