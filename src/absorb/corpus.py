@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .engine import DEFAULT_VERTEX_CAP, closure_unary
+from .engine import DEFAULT_VERTEX_CAP, fixpoint, power_structure
 from .errors import CapExceeded, InputError
-from .model import Record, Relation, RelationalStructure, Subset, subset, with_singletons
+from .model import Record, Relation, RelationalStructure, Subset, subset, tuple_rank, with_singletons
 
 
 class CorpusEntry(Record):
@@ -82,12 +82,18 @@ def enumerate_structures(size: int, max_arity: int):
 
 
 def subuniverse_subsets(a: RelationalStructure, cap: int = DEFAULT_VERTEX_CAP):
-    """Nonempty proper subsets of the domain closed under all polymorphisms."""
+    """Nonempty proper subsets of the domain closed under all polymorphisms.
+
+    As in `closure_unary`, b's closure is what the fixpoint of power(A,|b|)
+    projects onto the vertex of b's sorted elements; one serves each size."""
+    bases = {}
     out = []
     for mask in range(1, (1 << a.size) - 1):
         b = subset(e for e in range(a.size) if mask >> e & 1)
-        _, closed = closure_unary(a, b, cap)
-        if closed:
+        if len(b) not in bases:
+            bases[len(b)] = fixpoint(power_structure(a, len(b), cap), a)
+        vertex = tuple_rank(b.sorted_elements(), a.size)
+        if {t[0] for t in bases[len(b)].project((vertex,))} == b.elements:
             out.append(b)
     return out
 

@@ -32,12 +32,9 @@ domain masks of its scope, so every target relation carries one memo,
 shared by all constraints on it, from the tuple of scope masks to the
 revision's result (the supported mask of each position, or a wipeout).
 Only a miss scans the allowed tuples.  Every memo holds at most
-`_REVISION_MEMO_SIZE` entries (it is cleared when full).
-
-The constraints and every memo live on the instance's network, built once
-by `fixpoint` and shared by each fixpoint that `restrict` derives from it;
-they are freed with the last of those fixpoints, so nothing outlives the
-query that built it.
+`_REVISION_MEMO_SIZE` entries (it is cleared when full) and lives on the
+instance's network, which `fixpoint` builds and `restrict` passes on: it
+is freed with the last fixpoint of the query that built it.
 
 When every relation of the target is closed under coordinatewise min (or
 max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
@@ -170,8 +167,7 @@ class _Network:
     def __init__(self, adj, unary, cons, var_cons, pick, full):
         self.adj, self.unary, self.cons, self.var_cons = adj, unary, cons, var_cons
         self.pick, self.full = pick, full
-        self.components = None
-        self.solved = {}
+        self.components, self.solved = None, {}
 
 
 class _Components(Record):
@@ -583,13 +579,20 @@ class Fixpoint:
     passes it on, so the fixpoints of one query share its memos.  Equality
     and the hash read source, target and masks alone: two fixpoints of one
     instance with the same masks are equal, whichever network they carry.
+    Like a `Record`, it refuses assignment and deletion.
     """
 
     __slots__ = ("source", "target", "masks", "net")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, source: RelationalStructure, target: RelationalStructure,
                  masks: Optional[tuple], net: _Network):
-        self.source, self.target, self.masks, self.net = source, target, masks, net
+        setter = object.__setattr__
+        setter(self, "source", source)
+        setter(self, "target", target)
+        setter(self, "masks", masks)
+        setter(self, "net", net)
 
     def __eq__(self, other):
         if other.__class__ is Fixpoint:

@@ -456,12 +456,15 @@ class TestRevisionMemo:
         a = self.MIN3
         power = power_structure(a, 3)
         pairs = ((tuple_rank((0, 1, 0), 3), 0b010), (tuple_rank((0, 1, 1), 3), 0b100))
-        fp = fixpoint(power, a).restrict(pairs)
+        base = fixpoint(power, a)
+        fp = base.restrict(pairs)
+        gens = ((0, 1, 2), (2, 1, 0), (1, 1, 1))
         leq = fixpoint(power_structure(self.LEQ3, 3), self.LEQ3)
         perm = fixpoint(power_structure(self.PERM3, 3), self.PERM3)
         results = (
             fp.solve(),
-            generate_subpower(a, ((0, 1, 2), (2, 1, 0), (1, 1, 1)), 3),
+            # generate_subpower's tuples, projected through fp's network
+            base.project([tuple_rank(col, 3) for col in zip(*gens)]),
             fp,
             fp.cover(range(power.size), 0b011),
             [fp.restrict(((v, 0b001),)).solve() for v in range(0, power.size, 5)],
@@ -609,6 +612,16 @@ class TestFixpoint:
         assert reference_gac(source, target, masks) and masks == [0b11]
         assert fp.masks == (0b11,)
         assert fp.solve() is None
+
+    def test_a_fixpoint_refuses_assignment(self):
+        # it is hashed by its fields, so they must not change
+        fp = fixpoint(structure(1, {"r": [(0, 0)]}), structure(1, {"r": [(0, 0)]}))
+        for name in ("source", "target", "masks", "net"):
+            with pytest.raises(AttributeError):
+                setattr(fp, name, None)
+            with pytest.raises(AttributeError):
+                delattr(fp, name)
+        assert fp.masks == (0b1,)
 
 
 def fewest_candidates(masks):
