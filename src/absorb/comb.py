@@ -150,7 +150,7 @@ def surgery_step(
     u_rel = evaluate_pp(phi, a, var_cap)
     if not is_b_essential(a, u_rel, b):
         raise InputError("formula does not define a B-essential relation")
-    if not decide_jonsson(a, b, cap).holds:
+    if not decide_jonsson(a, b, cap, certificate=False).holds:
         raise InputError("B does not Jónsson-absorb the polymorphism algebra")
 
     registry = Registry(a)
@@ -371,18 +371,17 @@ def comb_analyze(comb: CombFormula, a: RelationalStructure, b: Subset) -> CombRe
     pb = [_edge_set(s, bset) for s in comb.sections]
     pa = [_edge_set(s, aset) for s in comb.sections]
 
-    full = {(u, u) for u in range(size)}
-    g = {}
-    h = {}
+    # G_i is the image of A along sections 1..i-1, H_i the preimage of A
+    # along sections i..lam; h is keyed in ascending order, as g is
+    g, h = {}, {}
+    forward = backward = aset
     for i in range(2, comb.lam + 1):
-        acc = full
-        for s in pb[: i - 1]:
-            acc = _compose(acc, s)
-        g[i] = frozenset(v for _, v in acc)
-        acc = full
-        for s in pb[i - 1:]:
-            acc = _compose(acc, s)
-        h[i] = frozenset(u for u, _ in acc)
+        forward = frozenset(v for u, v in pb[i - 2] if u in forward)
+        g[i] = forward
+    for i in range(comb.lam, 1, -1):
+        backward = frozenset(u for u, v in pb[i - 1] if v in backward)
+        h[i] = backward
+    h = dict(sorted(h.items()))
 
     repeated = None
     for k in range(2, comb.lam + 1):
@@ -403,8 +402,9 @@ def comb_analyze(comb: CombFormula, a: RelationalStructure, b: Subset) -> CombRe
 
     k, l = repeated
     gg, hh = g[k], h[k]
-    pacc = full
-    qacc = full
+    # composing from the identity fixes the order in which the edge sets
+    # are built, and so their reprs
+    pacc = qacc = {(u, u) for u in range(size)}
     for s in pb[k - 1: l - 1]:
         pacc = _compose(pacc, s)
     for s in pa[k - 1: l - 1]:

@@ -267,15 +267,18 @@ def chain_from_absorption_term(t: OperationTable) -> ChainWitness:
     return ChainWitness(tuple(tables))
 
 
+# The largest domain oracle_chain_search enumerates: 2^8 ternary tables on
+# two elements, 3^27 on three.
+_ORACLE_MAX_SIZE = 2
+
+
 def _all_tables(size: int, arity: int):
     count = size ** arity
     for values in product(range(size), repeat=count):
         yield OperationTable(arity, size, values)
 
 
-def oracle_chain_search(
-    a: RelationalStructure, b: Subset, max_size: int = 2
-) -> Optional[ChainWitness]:
+def oracle_chain_search(a: RelationalStructure, b: Subset) -> Optional[ChainWitness]:
     """Complete chain search by exhaustive ternary table enumeration.
 
     Only feasible for tiny domains (all size^(size^3) ternary tables are
@@ -285,7 +288,7 @@ def oracle_chain_search(
     if len(b) == 0:
         raise InputError("B must be nonempty")
     b.check_bounds(a.size)
-    if a.size > max_size:
+    if a.size > _ORACLE_MAX_SIZE:
         raise CapExceeded(
             "oracle chain search enumerates %d^%d tables; domain too large"
             % (a.size, a.size ** 3)

@@ -36,8 +36,8 @@ Only a miss scans the allowed tuples.  Every memo holds at most
 instance's network, which `fixpoint` builds and `restrict` passes on: it
 is freed with the last fixpoint of the query that built it.
 
-When every relation of the target is closed under coordinatewise min (or
-max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
+When every relation of the target that the source uses is closed under
+coordinatewise min (or max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
 constraints on ordered domains", AI 79, 1995): the domain minima (maxima)
 of any fixpoint are a solution.  The network records once per instance
 which of the two holds, and `solve`, `cover` and `project` then read their
@@ -120,11 +120,13 @@ def _closed_under(rel: Relation, op) -> bool:
     return True
 
 
-def _closed_pick(target: RelationalStructure):
-    """_lowest if every relation of target is closed under coordinatewise
-    min, else _highest if every one is closed under max, else None.
+def _closed_pick(source: RelationalStructure, target: RelationalStructure):
+    """_lowest if every relation of target that constrains the instance
+    from source is closed under coordinatewise min, else _highest if every
+    one is closed under max, else None.
 
-    Relations that hold every tuple are closed under both and are skipped.
+    A relation whose name has no scope in source constrains nothing, and
+    one that holds every tuple is closed under both; both are skipped.
     For such a target, picking that bit of each mask of a GAC fixpoint
     gives a solution.  Take min: for each position i of a constraint's
     scope, some allowed tuple t_i supports the minimum of position i's mask
@@ -134,7 +136,8 @@ def _closed_pick(target: RelationalStructure):
     repeats in the scope gets its one minimum at each of its positions.
     Max is symmetric.
     """
-    rels = [rel for _, rel in target.relations if len(rel) < target.size ** rel.arity]
+    rels = [target.rel(name) for name, scopes in source.relations if scopes.tuples]
+    rels = [rel for rel in rels if len(rel) < target.size ** rel.arity]
     for op, pick in ((min, _lowest), (max, _highest)):
         if all(_closed_under(rel, op) for rel in rels):
             return pick
@@ -155,7 +158,7 @@ class _Network:
     mask) pair per vertex with unary constraints.  cons lists the
     constraints of arity 3 or more as (scope, allowed_tuples, memo), memo
     being the revision memo of the target relation, and var_cons[v] the
-    indices of those on v.  pick is the target's `_closed_pick`, and full
+    indices of those on v.  pick is the instance's `_closed_pick`, and full
     the mask of all target values.
 
     components is None until the first search that must branch sets it to
@@ -222,7 +225,7 @@ def _network(source: RelationalStructure, target: RelationalStructure) -> _Netwo
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
     full = (1 << target.size) - 1
-    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(target), full)
+    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(source, target), full)
 
 
 def _revise(allowed, key):

@@ -98,6 +98,14 @@ def validate_formula(phi: PPFormula, a: RelationalStructure):
 # --- structural analysis ------------------------------------------------------
 
 
+def _find(parent, x):
+    """The root of x in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class FormulaReport:
     """Incidence-multigraph analysis: degrees, leaves, connectivity, treeness,
     plus the branch and neighborhood queries."""
@@ -114,20 +122,13 @@ class FormulaReport:
 
     def _components(self):
         parent = {v: v for v in self.phi.variables}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a in self.phi.atoms:
             scope = list(dict.fromkeys(a.scope))
             for u in scope[1:]:
-                parent[find(u)] = find(scope[0])
+                parent[_find(parent, u)] = _find(parent, scope[0])
         groups = {}
         for v in self.phi.variables:
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         return [frozenset(g) for g in groups.values()]
 
     def _acyclic(self):
@@ -136,16 +137,9 @@ class FormulaReport:
         nodes = {("v", v) for v in self.phi.variables}
         nodes |= {("a", i) for i in range(len(self.phi.atoms))}
         parent = {x: x for x in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, a in enumerate(self.phi.atoms):
             for v in a.scope:
-                ru, rv = find(("a", i)), find(("v", v))
+                ru, rv = _find(parent, ("a", i)), _find(parent, ("v", v))
                 if ru == rv:
                     return False
                 parent[ru] = rv
@@ -162,60 +156,25 @@ class FormulaReport:
 
     def branch(self, root, toward):
         """Variable set of the branch rooted at `root` containing `toward`:
-        keep only the root's atom on the path toward `toward`, then take the
-        connected component of `toward` (the root included)."""
+        the variables reached from `toward` through the atoms, `root`
+        included when reached but never expanded.  In a tree the search
+        meets the root only through the root's atom on the path toward
+        `toward`; in another component than the root's, the branch is
+        toward's component."""
         if root == toward:
             raise InputError("branch is undefined for identical endpoints")
         if not self.is_tree:
             raise InputError("branch queries require a tree formula")
-        atoms = self.phi.atoms
-        adj_var = {v: [] for v in self.phi.variables}
-        for i, a in enumerate(atoms):
-            for v in a.scope:
-                adj_var[v].append(i)
-        # BFS from `toward` avoiding `root` to find which root atom is hit
-        keep = None
-        seen = {toward}
-        frontier = [toward]
-        seen_atoms = set()
-        while frontier and keep is None:
-            nxt = []
-            for v in frontier:
-                for i in adj_var[v]:
-                    if i in seen_atoms:
-                        continue
-                    seen_atoms.add(i)
-                    if root in atoms[i].scope:
-                        keep = i
-                        break
-                    for w in atoms[i].scope:
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                if keep is not None:
-                    break
-            frontier = nxt
-        if keep is None:
-            # different components: the branch is just toward's component
-            for comp in self.components:
-                if toward in comp:
-                    return comp
-            raise InputError("unknown variable %r" % toward)
-        # component of `toward` after dropping all other atoms at root
-        allowed = [i for i, a in enumerate(atoms) if root not in a.scope or i == keep]
-        seen = {toward}
-        frontier = [toward]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in adj_var[v]:
-                    if i not in allowed:
-                        continue
-                    for w in atoms[i].scope:
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-            frontier = nxt
+        for v in (root, toward):
+            if v not in self.degrees:
+                raise InputError("unknown variable %r" % v)
+        seen, stack = {toward}, [toward]
+        while stack:
+            v = stack.pop()
+            if v != root:
+                new = self.neigh(v) - seen
+                seen |= new
+                stack.extend(new)
         return frozenset(seen)
 
 
@@ -366,6 +325,156 @@ def _fresh(base, taken):
         i += 1
 
 
+# Each rewrite of `simplify` takes (free, atoms, registry, struct, var_cap),
+# struct being the registry's structure at the start of the round.  It
+# either rewrites the atoms list in place and returns a note naming the
+# rewrite, or leaves it alone and returns None.
+
+
+def _drop_bound_components(free, atoms, registry, struct, var_cap):
+    """Drop every component without a free variable, once it is known to be
+    satisfiable; free variables in two components cannot be joined."""
+    components = analyze_formula(PPFormula(free, tuple(atoms))).components
+    if sum(1 for c in components if c & set(free)) > 1:
+        raise SimplifyError("free variables lie in distinct components")
+    drop = [c for c in components if not c & set(free)]
+    for comp in drop:
+        comp_atoms = [at for at in atoms if set(at.scope) & comp]
+        if comp_atoms and not is_satisfiable(
+            PPFormula((min(comp),), tuple(comp_atoms)), struct, var_cap
+        ):
+            raise SimplifyError("unsatisfiable bound-only component")
+        atoms[:] = [at for at in atoms if not set(at.scope) & comp]
+    return "dropped bound-only components" if drop else None
+
+
+def _collapse_repeated_scope(free, atoms, registry, struct, var_cap):
+    """Replace the first atom that repeats a variable by the tuples of its
+    relation that agree on the repeats, over its distinct variables."""
+    for i, at in enumerate(atoms):
+        first = tuple(dict.fromkeys(at.scope))
+        if len(first) == len(at.scope):
+            continue
+        positions = [[j for j, w in enumerate(at.scope) if w == v] for v in first]
+        tuples = set()
+        for t in struct.rel(at.rel).tuples:
+            if all(len({t[j] for j in ps}) == 1 for ps in positions):
+                tuples.add(tuple(t[ps[0]] for ps in positions))
+        name = registry.ensure(
+            Relation(len(first), frozenset(tuples)), "diagonal collapse of %s" % at.rel
+        )
+        atoms[i] = Atom(name, first)
+        return "collapsed repeated scope"
+    return None
+
+
+def _eliminate_unary(free, atoms, registry, struct, var_cap):
+    """Remove the first unary atom: fold it into another atom on its
+    variable, else merge it into another unary atom on it, else drop it if
+    it allows the whole domain, else reject the formula.  A variable in no
+    other atom is free here, as a bound one would be a bound-only
+    component, dropped first."""
+    for i, at in enumerate(atoms):
+        if len(at.scope) != 1:
+            continue
+        v = at.scope[0]
+        unary = struct.rel(at.rel)
+        host = next(
+            (j for j, other in enumerate(atoms) if j != i and v in other.scope and len(other.scope) > 1),
+            None,
+        )
+        other_unary = next((j for j, o in enumerate(atoms) if j != i and o.scope == at.scope), None)
+        if host is not None:
+            other = atoms[host]
+            rel = struct.rel(other.rel)
+            p = other.scope.index(v)
+            restricted = Relation(
+                rel.arity,
+                frozenset(t for t in rel.tuples if (t[p],) in unary.tuples),
+            )
+            name = registry.ensure(restricted, "folded unary %s into %s" % (at.rel, other.rel))
+            atoms[host] = Atom(name, other.scope)
+        elif other_unary is not None:
+            merged = Relation(1, unary.tuples & struct.rel(atoms[other_unary].rel).tuples)
+            name = registry.ensure(merged, "merged unary atoms on %s" % v)
+            atoms[other_unary] = Atom(name, at.scope)
+        elif len(unary.tuples) != registry.base.size:
+            raise SimplifyError(
+                "unary constraint on free %r has no incident atom to fold into" % v
+            )
+        del atoms[i]
+        return "eliminated a unary atom"
+    return None
+
+
+def _project_bound_leaf(free, atoms, registry, struct, var_cap):
+    """Project the first bound leaf out of its one atom, which is not unary:
+    the unary atoms are gone by now."""
+    phi = PPFormula(free, tuple(atoms))
+    for v in phi.bound:
+        if phi._degree_of(v) != 1:
+            continue
+        i = next(j for j, at in enumerate(atoms) if v in at.scope)
+        at = atoms[i]
+        rel = struct.rel(at.rel)
+        p = at.scope.index(v)
+        projected = Relation(rel.arity - 1, frozenset(t[:p] + t[p + 1:] for t in rel.tuples))
+        name = registry.ensure(projected, "projected bound leaf %r out of %s" % (v, at.rel))
+        atoms[i] = Atom(name, at.scope[:p] + at.scope[p + 1:])
+        return "projected a bound leaf"
+    return None
+
+
+def _split_free_variable(free, atoms, registry, struct, var_cap):
+    """Make the first free variable of degree 2 or more a leaf: a fresh
+    variable takes its place in every atom, tied to it by an equality."""
+    phi = PPFormula(free, tuple(atoms))
+    for v in free:
+        if phi._degree_of(v) <= 1:
+            continue
+        u = _fresh(v, set(phi.variables))
+        atoms[:] = [Atom(at.rel, tuple(u if w == v else w for w in at.scope)) for at in atoms]
+        eq = registry.ensure(diagonal(registry.base.size), "equality for leaf split")
+        atoms.append(Atom(eq, (v, u)))
+        return "split free variable %r" % v
+    return None
+
+
+def _chain_high_degree(free, atoms, registry, struct, var_cap):
+    """Give each incidence of the first bound variable of degree 4 or more
+    its own copy, the copies joined in a chain of equalities."""
+    phi = PPFormula(free, tuple(atoms))
+    taken = set(phi.variables)
+    for v in phi.bound:
+        if phi._degree_of(v) <= 3:
+            continue
+        incidences = [
+            (j, p) for j, at in enumerate(atoms) for p, w in enumerate(at.scope) if w == v
+        ]
+        eq = registry.ensure(diagonal(registry.base.size), "equality for degree chain")
+        names = [v]
+        for _ in incidences[1:]:
+            names.append(_fresh(v, taken))
+            taken.add(names[-1])
+        for (j, p), u in zip(incidences, names):
+            scope = list(atoms[j].scope)
+            scope[p] = u
+            atoms[j] = Atom(atoms[j].rel, tuple(scope))
+        atoms.extend(Atom(eq, pair) for pair in zip(names, names[1:]))
+        return "chained high-degree bound variable %r" % v
+    return None
+
+
+_REWRITES = (
+    _drop_bound_components,
+    _collapse_repeated_scope,
+    _eliminate_unary,
+    _project_bound_leaf,
+    _split_free_variable,
+    _chain_high_degree,
+)
+
+
 def simplify(
     phi: PPFormula,
     a: RelationalStructure,
@@ -375,205 +484,28 @@ def simplify(
 
     The output is connected, its free variables are exactly the leaves, bound
     degrees are 2 or 3, scopes are non-repeating and there are no unary atoms.
-    Evaluation is preserved (checked after every rewrite).
+    Each round applies the first of `_REWRITES` that changes the formula, and
+    evaluation is checked to be preserved after every rewrite.
     """
     validate_formula(phi, a)
     registry = Registry(a)
-    free = list(phi.free)
+    free = phi.free
     atoms = list(phi.atoms)
     reference = evaluate_pp(phi, a, var_cap)
-
-    def degree(v, atoms):
-        return sum(at.scope.count(v) for at in atoms)
-
-    def variables(atoms):
-        out = list(free)
-        for at in atoms:
-            for v in at.scope:
-                if v not in out:
-                    out.append(v)
-        return out
-
-    def recheck(atoms, note):
-        cur = PPFormula(tuple(free), tuple(atoms))
-        got = evaluate_pp(cur, registry.structure(), var_cap)
-        if got != reference:
-            raise SimplifyError("evaluation changed during rewrite: %s" % note)
-
     for _ in range(200):
-        changed = False
         struct = registry.structure()
-
-        # (1) connectivity
-        report = analyze_formula(PPFormula(tuple(free), tuple(atoms)))
-        free_set = set(free)
-        comps_with_free = [c for c in report.components if c & free_set]
-        if len(comps_with_free) > 1:
-            raise SimplifyError("free variables lie in distinct components")
-        drop = [c for c in report.components if not (c & free_set)]
-        if drop:
-            for comp in drop:
-                comp_atoms = [at for at in atoms if set(at.scope) & comp]
-                if comp_atoms and not is_satisfiable(
-                    PPFormula((min(comp),), tuple(comp_atoms)), struct, var_cap
-                ):
-                    raise SimplifyError("unsatisfiable bound-only component")
-                atoms = [at for at in atoms if not (set(at.scope) & comp)]
-            recheck(atoms, "dropped bound-only components")
-            changed = True
-            continue
-
-        # (4) repeating scopes
-        done = False
-        for i, at in enumerate(atoms):
-            if len(set(at.scope)) == len(at.scope):
-                continue
-            rel = struct.rel(at.rel)
-            first = list(dict.fromkeys(at.scope))
-            positions = {v: [j for j, w in enumerate(at.scope) if w == v] for v in first}
-            new_tuples = set()
-            for t in rel.tuples:
-                if all(len({t[j] for j in positions[v]}) == 1 for v in first):
-                    new_tuples.add(tuple(t[positions[v][0]] for v in first))
-            name = registry.ensure(
-                Relation(len(first), frozenset(new_tuples)),
-                "diagonal collapse of %s" % at.rel,
-            )
-            atoms[i] = Atom(name, tuple(first))
-            recheck(atoms, "collapsed repeated scope")
-            done = True
+        for rewrite in _REWRITES:
+            note = rewrite(free, atoms, registry, struct, var_cap)
+            if note is not None:
+                break
+        else:
             break
-        if done:
-            continue
-
-        # (5) unary atoms
-        done = False
-        for i, at in enumerate(atoms):
-            if len(at.scope) != 1:
-                continue
-            v = at.scope[0]
-            unary = struct.rel(at.rel)
-            host = next(
-                (j for j, other in enumerate(atoms) if j != i and v in other.scope and len(other.scope) > 1),
-                None,
-            )
-            if host is not None:
-                other = atoms[host]
-                rel = struct.rel(other.rel)
-                p = other.scope.index(v)
-                restricted = Relation(
-                    rel.arity,
-                    frozenset(t for t in rel.tuples if (t[p],) in unary.tuples),
-                )
-                name = registry.ensure(restricted, "folded unary %s into %s" % (at.rel, other.rel))
-                atoms[host] = Atom(name, other.scope)
-                del atoms[i]
-            else:
-                other_unary = next(
-                    (j for j, o in enumerate(atoms) if j != i and o.scope == at.scope),
-                    None,
-                )
-                if other_unary is not None:
-                    merged = Relation(
-                        1, unary.tuples & struct.rel(atoms[other_unary].rel).tuples
-                    )
-                    name = registry.ensure(merged, "merged unary atoms on %s" % v)
-                    atoms[other_unary] = Atom(name, at.scope)
-                    del atoms[i]
-                elif v not in free_set:
-                    if not unary.tuples:
-                        raise SimplifyError("unsatisfiable unary constraint on bound %r" % v)
-                    del atoms[i]
-                elif len(unary.tuples) == a.size:
-                    # full-domain restriction on an otherwise isolated free
-                    # variable: vacuous, drop it
-                    del atoms[i]
-                else:
-                    raise SimplifyError(
-                        "unary constraint on free %r has no incident atom to fold into" % v
-                    )
-            recheck(atoms, "eliminated a unary atom")
-            done = True
-            break
-        if done:
-            continue
-
-        # (2a) bound leaves: project them out of their single atom
-        done = False
-        for v in variables(atoms):
-            if v in free_set or degree(v, atoms) != 1:
-                continue
-            i = next(j for j, at in enumerate(atoms) if v in at.scope)
-            at = atoms[i]
-            if len(at.scope) == 1:
-                continue  # handled by the unary pass next round
-            rel = struct.rel(at.rel)
-            p = at.scope.index(v)
-            projected = Relation(
-                rel.arity - 1, frozenset(t[:p] + t[p + 1:] for t in rel.tuples)
-            )
-            name = registry.ensure(projected, "projected bound leaf %r out of %s" % (v, at.rel))
-            atoms[i] = Atom(name, at.scope[:p] + at.scope[p + 1:])
-            recheck(atoms, "projected a bound leaf")
-            done = True
-            break
-        if done:
-            continue
-
-        # (2b) free variables must be leaves
-        done = False
-        taken = set(variables(atoms))
-        for v in free:
-            if degree(v, atoms) <= 1:
-                continue
-            u = _fresh(v, taken)
-            taken.add(u)
-            atoms = [
-                Atom(at.rel, tuple(u if w == v else w for w in at.scope)) for at in atoms
-            ]
-            eq = registry.ensure(diagonal(a.size), "equality for leaf split")
-            atoms.append(Atom(eq, (v, u)))
-            recheck(atoms, "split free variable %r" % v)
-            done = True
-            break
-        if done:
-            continue
-
-        # (3) bound degree > 3: equality chain
-        done = False
-        for v in variables(atoms):
-            if v in free_set:
-                continue
-            d = degree(v, atoms)
-            if d <= 3:
-                continue
-            incidences = [
-                (j, p) for j, at in enumerate(atoms) for p, w in enumerate(at.scope) if w == v
-            ]
-            eq = registry.ensure(diagonal(a.size), "equality for degree chain")
-            names = [v]
-            for _ in incidences[1:]:
-                u = _fresh(v, taken)
-                taken.add(u)
-                names.append(u)
-            for (j, p), u in zip(incidences, names):
-                scope = list(atoms[j].scope)
-                scope[p] = u
-                atoms[j] = Atom(atoms[j].rel, tuple(scope))
-            for prev, nxt in zip(names, names[1:]):
-                atoms.append(Atom(eq, (prev, nxt)))
-            recheck(atoms, "chained high-degree bound variable %r" % v)
-            done = True
-            break
-        if done:
-            continue
-
-        if not changed:
-            break
+        if evaluate_pp(PPFormula(free, tuple(atoms)), registry.structure(), var_cap) != reference:
+            raise SimplifyError("evaluation changed during rewrite: %s" % note)
     else:
         raise SimplifyError("simplification did not terminate")
 
-    result = PPFormula(tuple(free), tuple(atoms))
+    result = PPFormula(free, tuple(atoms))
     struct = registry.structure()
     violation = _simplified_violation(result, struct)
     if violation is not None:

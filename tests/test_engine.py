@@ -13,6 +13,7 @@ from absorb import (
     CapExceeded,
     InputError,
     OperationTable,
+    Relation,
     absorption_term_search,
     closure_unary,
     essential_witness_search,
@@ -207,12 +208,21 @@ class TestClosedTargets:
         leq = structure(3, {"r": [(x, y) for x, y in pairs if x <= y]})
         at_least_one = structure(3, {"r": [(x, y) for x, y in pairs if max(x, y) >= 1]})
         swap = structure(3, {"r": [(0, 1), (1, 0)]})
-        assert engine._closed_pick(leq) is engine._lowest
-        assert engine._closed_pick(at_least_one) is engine._highest
-        assert engine._closed_pick(swap) is None
+        # each structure is its own source, so it uses all its relations
+        assert engine._closed_pick(leq, leq) is engine._lowest
+        assert engine._closed_pick(at_least_one, at_least_one) is engine._highest
+        assert engine._closed_pick(swap, swap) is None
         # a relation that holds every tuple is closed under both
         full = structure(3, {"f": full_relation(3, 2), "r": at_least_one.rel("r")})
-        assert engine._closed_pick(full) is engine._highest
+        assert engine._closed_pick(full, full) is engine._highest
+        # a relation without scopes in the source constrains nothing
+        both = structure(3, {"r": leq.rel("r"), "s": swap.rel("r")})
+        uses_r = structure(2, {"r": [(0, 1)], "s": Relation(2, frozenset())})
+        assert engine._closed_pick(both, both) is None
+        assert engine._closed_pick(uses_r, both) is engine._lowest
+        fp = fixpoint(uses_r, both)
+        assert fp.net.pick is engine._lowest
+        assert fp.solve() == reference_solve(fp) == (0, 0)
         # the minima of a max-closed target need not be a solution
         fp = fixpoint(structure(2, {"r": [(0, 1)]}), at_least_one)
         assert fp.masks == (0b111, 0b111)

@@ -140,6 +140,17 @@ class TestAnalyze:
         with pytest.raises(InputError):
             report.branch("y", "y")
 
+    def test_branch_of_an_unknown_variable(self):
+        report = analyze_formula(comp_formula())
+        with pytest.raises(InputError, match="unknown variable 'nope'"):
+            report.branch("y", "nope")
+        with pytest.raises(InputError, match="unknown variable 'nope'"):
+            report.branch("nope", "x1")
+
+    def test_branch_in_a_forest_is_the_component(self):
+        phi = PPFormula(("x", "u"), (Atom("leq", ("x", "y")), Atom("leq", ("u", "v"))))
+        assert analyze_formula(phi).branch("x", "v") == frozenset({"u", "v"})
+
     def test_disconnected_components(self):
         phi = PPFormula(("x", "u"), (Atom("leq", ("x", "y")), Atom("leq", ("u", "v"))))
         report = analyze_formula(phi)
@@ -191,6 +202,33 @@ class TestSimplify:
         result = simplify(phi, ord2())
         assert evaluate_pp(result.formula, result.structure) == before
         assert all(len(at.scope) > 1 for at in result.formula.atoms)
+
+    def test_unary_atoms_on_an_isolated_free_variable_merged(self):
+        # both atoms collapse to the full unary relation, merge into one
+        # and are dropped as vacuous
+        phi = PPFormula(("x",), (Atom("leq", ("x", "x")), Atom("leq", ("x", "x"))))
+        result = simplify(phi, ord2())
+        assert result.formula.atoms == ()
+        assert evaluate_pp(result.formula, result.structure) == evaluate_pp(phi, ord2())
+        assert [note for _, note in result.derived.values()] == ["diagonal collapse of leq"]
+
+    def test_unary_atoms_with_an_empty_meet_rejected(self):
+        # the merged atom allows no value, and x has no other atom to fold into
+        phi = PPFormula(("x",), (Atom("s0", ("x",)), Atom("s1", ("x",))))
+        with pytest.raises(SimplifyError, match="on free 'x' has no incident atom"):
+            simplify(phi, ord2())
+
+    def test_bound_leaf_projected(self):
+        phi = PPFormula(
+            ("x", "z"),
+            (Atom("leq", ("x", "y")), Atom("leq", ("y", "z")), Atom("leq", ("y", "w"))),
+        )
+        result = simplify(phi, ord2())
+        assert evaluate_pp(result.formula, result.structure) == evaluate_pp(phi, ord2())
+        assert "w" not in result.formula.variables
+        notes = [note for _, note in result.derived.values()]
+        assert notes == ["projected bound leaf 'w' out of leq"]
+        assert is_simplified(result.formula, result.structure)
 
     def test_free_non_leaf_split_with_equality(self):
         phi = PPFormula(("x",), (Atom("leq", ("x", "y")), Atom("leq", ("y", "x"))))
