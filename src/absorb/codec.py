@@ -255,11 +255,6 @@ def chain_to_obj(chain: ChainWitness):
     return {"tables": [table_to_obj(t) for t in chain.tables]}
 
 
-def chain_from_obj(obj) -> ChainWitness:
-    tables = _expect(obj, "tables", list, "chain")
-    return ChainWitness(tuple(table_from_obj(t) for t in tables))
-
-
 # --- essential witnesses ------------------------------------------------------
 
 def witness_to_obj(w: EssentialWitness):

@@ -247,7 +247,6 @@ def comb_extract(
     registry = Registry(a)
     eq = registry.ensure(diagonal(a.size), "spine equality")
     taken = set(phi.variables)
-    w_names = []
 
     def fresh_w(k):
         name = "w~%d" % k

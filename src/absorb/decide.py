@@ -86,9 +86,6 @@ class CertEntry(Record):
 class Certificate(Record):
     entries: tuple
 
-    def by_quintuple(self):
-        return {e.q: e for e in self.entries}
-
 
 class Decision(Record):
     holds: bool
@@ -115,8 +112,6 @@ def _quintuples(size: int, b: Subset):
 
 
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
-    if len(b) == 0:
-        raise InputError("B must be nonempty")
     b.check_bounds(a.size)
     expanded, _ = with_singletons(a)
     _, is_sub = closure_unary(expanded, b, cap)
@@ -201,6 +196,7 @@ def decide_jonsson(
 
 def is_absorption_term(a: RelationalStructure, b: Subset, t: OperationTable):
     """t is an idempotent polymorphism with t(B,..,B,A,B,..,B) <= B at every position."""
+    b.check_bounds(a.size)
     expanded, _ = with_singletons(a)
     if not t.is_idempotent():
         return False
@@ -219,6 +215,7 @@ def is_absorption_term(a: RelationalStructure, b: Subset, t: OperationTable):
 
 def is_jonsson_chain(a: RelationalStructure, b: Subset, chain: ChainWitness):
     """Check the chain axioms; returns (ok, first_violation_or_None)."""
+    b.check_bounds(a.size)
     tables = chain.tables
     size = a.size
     if not tables:
@@ -285,8 +282,6 @@ def oracle_chain_search(a: RelationalStructure, b: Subset) -> Optional[ChainWitn
     enumerated), hence the hard size limit.  B is checked first, as every
     other query checks it.
     """
-    if len(b) == 0:
-        raise InputError("B must be nonempty")
     b.check_bounds(a.size)
     if a.size > _ORACLE_MAX_SIZE:
         raise CapExceeded(
@@ -345,8 +340,6 @@ def verify_np_certificate(
     relation R, the constraint scopes of power(A, 3); over cap, the check is
     refused before any replay, as `power_structure` refuses that power.
     """
-    if len(b) == 0:
-        return False, "B is empty"
     b.check_bounds(a.size)
     expanded, _ = with_singletons(a)
     scopes = sum(len(rel) ** 3 for _, rel in expanded.relations)

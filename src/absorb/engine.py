@@ -9,12 +9,15 @@ every "first witness" output is reproducible.
 
 Every query starts from one value, a `Fixpoint`: the greatest
 arc-consistent domains of a homomorphism instance, or a wipeout.
-`fixpoint` computes it from full domains; `restrict` narrows chosen
-vertices to value masks and resumes propagation; `solve` returns the first
-solution; `project` returns the distinct value tuples that solutions take
-at chosen vertices (generated subpowers and the relations of pp-formulas);
-`cover` returns the vertices that some solution sends into a value set
-(the decider's coverage tables).
+`fixpoint` propagates from the network's start masks (full domains and-ed
+with the unary constraints); `restrict` narrows chosen vertices to value
+masks and resumes propagation; `solve` returns the first solution;
+`project` returns the distinct value tuples that solutions take at chosen
+vertices (generated subpowers and the relations of pp-formulas); `cover`
+returns the vertices that some solution sends into a value set (the
+decider's coverage tables).  `restrict`, the search, `project` and `cover`
+all narrow by `_narrow`, which resumes `_gac` from the vertices that
+narrowed; `_gac` has no other entry.
 
 Binary constraints, nearly all the constraints of a power of a graph or
 order, propagate along vertices.  Each binary target relation gives, per
@@ -154,8 +157,8 @@ class _Network:
     beside value a at v's, neighbours are the vertices at the other
     position of those scopes (v itself for a loop scope), and memo maps a
     mask of v to the union of its rows, the support it leaves its
-    neighbours.  unary holds one (vertex, allowed
-    mask) pair per vertex with unary constraints.  cons lists the
+    neighbours.  start[v] is the mask of all target values and-ed with v's
+    unary constraints.  cons lists the
     constraints of arity 3 or more as (scope, allowed_tuples, memo), memo
     being the revision memo of the target relation, and var_cons[v] the
     indices of those on v.  pick is the instance's `_closed_pick`, and full
@@ -167,8 +170,8 @@ class _Network:
     solution as a tuple of one-bit masks, or None (see `_search`).
     """
 
-    def __init__(self, adj, unary, cons, var_cons, pick, full):
-        self.adj, self.unary, self.cons, self.var_cons = adj, unary, cons, var_cons
+    def __init__(self, adj, start, cons, var_cons, pick, full):
+        self.adj, self.start, self.cons, self.var_cons = adj, start, cons, var_cons
         self.pick, self.full = pick, full
         self.components, self.solved = None, {}
 
@@ -199,14 +202,15 @@ def _rows(allowed, size, i):
 def _network(source: RelationalStructure, target: RelationalStructure) -> _Network:
     """The `_Network` of the instance from source to target."""
     adj = [[] for _ in range(source.size)]
-    unary = {}
+    full = (1 << target.size) - 1
+    start = [full] * source.size
     cons = []
     for name, rel in source.relations:
         allowed = target.rel(name)
         if rel.arity == 1:
             mask = sum(1 << t[0] for t in allowed.tuples)
             for (v,) in rel.tuples:
-                unary[v] = unary.get(v, mask) & mask
+                start[v] &= mask
         elif rel.arity == 2:
             for i in (0, 1):
                 neighbours = [[] for _ in range(source.size)]
@@ -224,8 +228,7 @@ def _network(source: RelationalStructure, target: RelationalStructure) -> _Netwo
     for ci, (scope, _, _) in enumerate(cons):
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
-    full = (1 << target.size) - 1
-    return _Network(adj, tuple(unary.items()), cons, var_cons, _closed_pick(source, target), full)
+    return _Network(adj, tuple(start), cons, var_cons, _closed_pick(source, target), full)
 
 
 def _revise(allowed, key):
@@ -255,14 +258,13 @@ def _support(rows, mask):
     return out
 
 
-def _gac(masks, net, queue=None):
+def _gac(masks, net, queue):
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
-    With no queue this runs from scratch: the unary constraints are applied
-    and every vertex and constraint is revised.  Otherwise masks must be a
-    fixpoint but for the vertices listed in queue, which have narrowed since;
-    the unary constraints hold already and stay satisfied.  Masks hold only
-    values of the target.
+    masks must be a fixpoint but for the vertices listed in queue, which
+    have narrowed since; `fixpoint` queues every vertex of the start masks.
+    The unary constraints hold already and stay satisfied, and masks hold
+    only values of the target.
 
     Binary constraints propagate along the vertices: a popped vertex looks
     up the support its mask leaves each (relation, direction) entry of
@@ -276,27 +278,16 @@ def _gac(masks, net, queue=None):
     that of revising every scope position against the allowed tuples.
     """
     adj, cons, var_cons, full = net.adj, net.cons, net.var_cons, net.full
-    if queue is None:
-        for v, allowed in net.unary:
-            m = masks[v] & allowed
-            if m == 0:
-                return False
-            masks[v] = m
-        queue = deque(range(len(masks)))
-        in_queue = [True] * len(masks)
-        con_queue = deque(range(len(cons)))
-        in_cons = [True] * len(cons)
-    else:
-        queue = deque(dict.fromkeys(queue))
-        in_queue = [False] * len(masks)
-        con_queue = deque()
-        in_cons = [False] * len(cons)
-        for v in queue:
-            in_queue[v] = True
-            for ci in var_cons[v]:
-                if not in_cons[ci]:
-                    con_queue.append(ci)
-                    in_cons[ci] = True
+    queue = deque(dict.fromkeys(queue))
+    in_queue = [False] * len(masks)
+    con_queue = deque()
+    in_cons = [False] * len(cons)
+    for v in queue:
+        in_queue[v] = True
+        for ci in var_cons[v]:
+            if not in_cons[ci]:
+                con_queue.append(ci)
+                in_cons[ci] = True
     while True:
         while queue:
             v = queue.popleft()
@@ -358,6 +349,24 @@ def _gac(masks, net, queue=None):
                     if not in_cons[cj]:
                         con_queue.append(cj)
                         in_cons[cj] = True
+
+
+def _narrow(masks, net, pairs):
+    """masks, a fixpoint left unmodified, with each (vertex, value bitmask)
+    pair and-ed in and propagated from the vertices that narrowed: a new
+    list, masks itself when none did, or None on a wipeout."""
+    narrowed = list(masks)
+    changed = []
+    for v, mask in pairs:
+        m = narrowed[v] & mask
+        if m != narrowed[v]:
+            if m == 0:
+                return None
+            narrowed[v] = m
+            changed.append(v)
+    if not changed:
+        return masks
+    return narrowed if _gac(narrowed, net, changed) else None
 
 
 def _bits(mask):
@@ -461,8 +470,8 @@ def _search_part(masks, net, part):
     vertex stays in its part).  The search is depth-first with an explicit
     stack of (masks, vertex, remaining values) frames, so the depth is
     bounded by the vertex count, not by Python's recursion limit; each
-    frame keeps the masks before its branch, and each value is tried on a
-    copy of them.
+    frame keeps the masks before its branch, and each value is tried by
+    `_narrow` on them.
     """
     stack = []
     while True:
@@ -481,10 +490,8 @@ def _search_part(masks, net, part):
                 return None
             parent, v, values = stack[-1]
             for val in values:
-                child = list(parent)
-                child[v] = 1 << val
-                if _gac(child, net, (v,)):
-                    masks = child
+                masks = _narrow(parent, net, ((v, 1 << val),))
+                if masks is not None:
                     break
             else:
                 stack.pop()
@@ -628,20 +635,10 @@ class Fixpoint:
         self._check_vertices(v for v, _ in pairs)
         if self.masks is None:
             return self
-        masks = list(self.masks)
-        changed = []
-        for v, mask in pairs:
-            m = masks[v] & mask
-            if m == 0:
-                return Fixpoint(self.source, self.target, None, self.net)
-            if m != masks[v]:
-                masks[v] = m
-                changed.append(v)
-        if not changed:
+        masks = _narrow(self.masks, self.net, pairs)
+        if masks is self.masks:
             return self
-        if not _gac(masks, self.net, changed):
-            return Fixpoint(self.source, self.target, None, self.net)
-        return Fixpoint(self.source, self.target, tuple(masks), self.net)
+        return Fixpoint(self.source, self.target, None if masks is None else tuple(masks), self.net)
 
     def solve(self) -> Optional[tuple]:
         """The first solution (tuple indexed by source vertex), or None.
@@ -653,15 +650,12 @@ class Fixpoint:
         never removes a value of a solution, so that branch survives with
         every other minimum in place and the search never backtracks.
         """
-        if self.masks is None:
+        masks = self.masks
+        if masks is not None and self.net.pick is not _lowest:
+            masks = _search(masks, self.net)
+        if masks is None:
             return None
-        net = self.net
-        if net.pick is _lowest:
-            return tuple(_lowest(m).bit_length() - 1 for m in self.masks)
-        solution = _search(self.masks, net)
-        if solution is None:
-            return None
-        return tuple(_bits(m)[0] for m in solution)
+        return tuple(_lowest(m).bit_length() - 1 for m in masks)
 
     def cover(self, pending, mask: int) -> frozenset:
         """The pending vertices that some solution sends into the value bitmask.
@@ -671,7 +665,7 @@ class Fixpoint:
         sends into the mask as covered, and drop the vertex when its
         restricted solve fails.
 
-        On a min- or max-closed target the solution is the trial fixpoint's
+        On a min- or max-closed target the solution is the trial's
         minima or maxima (see `_closed_pick`), with no search.  Any solution
         gives the same set: a vertex is either covered by some solution or
         tried on its own.
@@ -686,7 +680,7 @@ class Fixpoint:
         for v in todo:
             if v in covered:
                 continue
-            trial = self.restrict(((v, mask),)).masks
+            trial = _narrow(self.masks, net, ((v, mask),))
             if trial is None:
                 continue
             if pick is not None:
@@ -716,30 +710,25 @@ class Fixpoint:
             masks, depth = stack.pop()
             if depth == len(vertices):
                 if net.pick is not None or _search(masks, net) is not None:
-                    out.add(tuple(_bits(masks[v])[0] for v in vertices))
+                    out.add(tuple(masks[v].bit_length() - 1 for v in vertices))
                 continue
             v = vertices[depth]
-            if masks[v] & (masks[v] - 1) == 0:
-                # already fixed (pinned, repeated or forced): propagating
-                # again would cost a GAC pass and prune nothing
-                stack.append((masks, depth + 1))
-                continue
             for val in _bits(masks[v]):
-                child = list(masks)
-                child[v] = 1 << val
-                if _gac(child, net, (v,)):
+                child = _narrow(masks, net, ((v, 1 << val),))
+                if child is not None:
                     stack.append((child, depth + 1))
         return frozenset(out)
 
 
 def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoint:
     """The GAC fixpoint of the homomorphism instance from source to target,
-    from full domains."""
+    from full domains: the network's start masks, propagated from every
+    vertex (a start mask of 0 is a wipeout)."""
     if source.signature() != target.signature():
         raise InputError("source and target structures have different signatures")
     net = _network(source, target)
-    masks = [net.full] * source.size
-    if not _gac(masks, net):
+    masks = list(net.start)
+    if 0 in masks or not _gac(masks, net, range(source.size)):
         return Fixpoint(source, target, None, net)
     return Fixpoint(source, target, tuple(masks), net)
 
@@ -798,8 +787,6 @@ def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERT
 
 def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
     """Smallest subuniverse containing b, plus a flag: closure == b."""
-    if len(b) == 0:
-        raise InputError("cannot close the empty subset")
     b.check_bounds(a.size)
     gens = [(e,) for e in b.sorted_elements()]
     closed = subset(t[0] for t in generate_subpower(a, gens, 1, cap).tuples)
@@ -844,11 +831,9 @@ def essential_witness_search(
     candidate restricts one fixpoint of power(A,n), and the witness's
     relation is that fixpoint projected onto its generator columns.
     """
-    if len(b) == 0:
-        raise InputError("B must be nonempty")
+    b.check_bounds(a.size)
     if n < 2:
         raise InputError("essential witnesses require arity >= 2")
-    b.check_bounds(a.size)
     if len(b) == a.size:
         return None
     choices = list(_essential_generator_choices(a, b, n))
@@ -869,8 +854,6 @@ def absorption_term_search(
     Diagonal vertices are pinned to their element (idempotence); every vertex
     whose tuple has at most one coordinate outside B is restricted to B.
     """
-    if len(b) == 0:
-        raise InputError("B must be nonempty")
     b.check_bounds(a.size)
     power = power_structure(a, n, cap)
     bmask = sum(1 << e for e in b.elements)

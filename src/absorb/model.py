@@ -257,6 +257,9 @@ class Subset(Record):
         return sorted(self.elements)
 
     def check_bounds(self, size: int):
+        """Refuse B when it is empty or holds an element outside range(size)."""
+        if not self.elements:
+            raise InputError("B must be nonempty")
         for e in self.elements:
             if e >= size:
                 raise InputError("subset element %d out of range for size %d" % (e, size))

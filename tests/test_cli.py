@@ -282,6 +282,16 @@ class TestVerifyCommand:
         code, payload = run(capsys, "--max-power-vertices", "29", *verify)
         assert code == 0 and payload["holds"] is True
 
+    def test_empty_b_is_an_input_error(self, capsys, files):
+        # as decide, search and chain report it, not as a failed verdict
+        tmp, ord2_path, _ = files
+        cert = str(tmp / "cert.json")
+        run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
+        code = main(["verify", "-s", ord2_path, "-b", '{"elements":[]}', "--certificate", cert])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "B must be nonempty" in captured.err
+
     def test_non_json_certificate(self, capsys, files):
         tmp, ord2_path, _ = files
         bad = tmp / "bad.json"

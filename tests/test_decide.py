@@ -23,6 +23,7 @@ from absorb import (
     chain_from_absorption_term,
     closure_unary,
     decide_jonsson,
+    essential_witness_search,
     fixpoint,
     generate_subpower,
     is_absorption_term,
@@ -259,6 +260,34 @@ class TestCertificateVerification:
         # remain a valid alternative witness table
         if not ok:
             assert defect
+
+
+MIN2 = OperationTable(2, 2, (0, 0, 0, 1))
+
+
+class TestBChecks:
+    """Every entry point that takes B refuses an empty B, and one with an
+    element outside the domain, by one InputError."""
+
+    ENTRY_POINTS = {
+        "decide_jonsson": decide_jonsson,
+        "oracle_chain_search": oracle_chain_search,
+        "verify_np_certificate": lambda a, b: verify_np_certificate(a, b, Certificate(())),
+        "is_absorption_term": lambda a, b: is_absorption_term(a, b, MIN2),
+        "is_jonsson_chain": lambda a, b: is_jonsson_chain(a, b, chain_from_absorption_term(MIN2)),
+        "closure_unary": closure_unary,
+        "essential_witness_search": lambda a, b: essential_witness_search(a, b, 2),
+        "absorption_term_search": lambda a, b: absorption_term_search(a, b, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("elements, message", [
+        ([], "B must be nonempty"),
+        ([5], "subset element 5 out of range for size 2"),
+    ])
+    def test_refused(self, name, elements, message):
+        with pytest.raises(InputError, match=message):
+            self.ENTRY_POINTS[name](ord2(), subset(elements))
 
 
 class TestTermsAndChains:

@@ -427,8 +427,12 @@ class TestRevisionMemo:
         for _ in range(3):
             masks = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
             mode = data.draw(st.sampled_from(("full", "queue", "incremental")))
-            queue = None
-            if mode != "full":
+            if mode == "full":
+                # fixpoint's entry: the start masks and-ed in, every vertex
+                # queued, against a reference run over every constraint
+                fast = [m & s for m, s in zip(masks, net.start)]
+                queue, ref_queue = range(n), None
+            else:
                 # a fixpoint, then some vertices narrowed and queued: one in
                 # "incremental" mode, any number in "queue" mode
                 if not reference_gac(source, target, masks):
@@ -441,9 +445,10 @@ class TestRevisionMemo:
                     masks[v] &= data.draw(st.integers(1, 7))
                 if 0 in masks:
                     continue
-            fast, slow = list(masks), list(masks)
-            consistent = engine._gac(fast, net, queue)
-            assert consistent == reference_gac(source, target, slow, queue)
+                fast, ref_queue = list(masks), queue
+            slow = list(masks)
+            consistent = 0 not in fast and engine._gac(fast, net, queue)
+            assert consistent == reference_gac(source, target, slow, ref_queue)
             if consistent:
                 assert fast == slow
         for _, allowed, memo in net.cons:
@@ -633,6 +638,13 @@ class TestFixpoint:
                 delattr(fp, name)
         assert fp.masks == (0b1,)
 
+    def test_equal_masks_of_two_networks_are_one_fixpoint(self):
+        one, two = fixpoint(ord2(), ord2()), fixpoint(ord2(), ord2())
+        assert one.net is not two.net
+        assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+        assert one != one.masks
+        assert repr(one) == "Fixpoint(source=%r, target=%r, masks=(1, 2))" % (ord2(), ord2())
+
 
 def fewest_candidates(masks):
     """The MRV rule by its definition: the open vertex of least (count, index)."""
@@ -690,6 +702,12 @@ class TestSubpowers:
         gens = ((0, 0, 0), (0, 1, 1), (1, 1, 0))
         got = generate_subpower(a, gens, 3).tuples
         assert got == generated_subpower_oracle(a, gens)
+
+    def test_malformed_generators_rejected(self):
+        with pytest.raises(InputError, match="generator list must be nonempty"):
+            generate_subpower(ord2(), [], 2)
+        with pytest.raises(InputError, match="generator arity mismatch"):
+            generate_subpower(ord2(), [(0, 1), (0,)], 2)
 
     def test_singleton_generator(self):
         got = generate_subpower(ord2(), [(0, 0)], 2).tuples
@@ -808,6 +826,10 @@ class TestWitnessSearch:
 
     def test_ord2_has_none(self):
         assert essential_witness_search(ord2(), B0, 2) is None
+
+    def test_arity_below_two_rejected(self):
+        with pytest.raises(InputError, match="essential witnesses require arity >= 2"):
+            essential_witness_search(aff2(), B0, 1)
 
     def test_b_equals_a_has_none(self):
         assert essential_witness_search(ord2(), subset([0, 1]), 2) is None
