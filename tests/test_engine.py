@@ -3,7 +3,8 @@
 import gc
 import sys
 import weakref
-from itertools import product
+from itertools import combinations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -519,6 +520,158 @@ class TestRevisionMemo:
             del power, fp, narrowed
             gc.collect()
             assert alive() is None
+
+
+def position_swaps(k):
+    """Every transposition of k positions, and for k = 4 the three products
+    of two disjoint transpositions, as tuples p: the image of a tuple t
+    is (t[p[0]], ..., t[p[k-1]])."""
+    perms = []
+    for i, j in combinations(range(k), 2):
+        p = list(range(k))
+        p[i], p[j] = j, i
+        perms.append(tuple(p))
+    if k == 4:
+        perms += [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    return perms
+
+
+def permuted(t, p):
+    return tuple(t[i] for i in p)
+
+
+def draw_symmetric_instance(data):
+    """A 3-element target whose relation t, of arity 3 or 4, is closed under
+    a random transposition or double transposition of its positions, beside
+    random unary and binary relations, and a source of at most 4 vertices
+    (so scopes often repeat a vertex) whose t-scopes hold the image of some
+    of their scopes under that permutation and not of others, and some
+    images under a swap that t need not be closed under."""
+    k = data.draw(st.sampled_from((3, 4)))
+    p = data.draw(st.sampled_from(position_swaps(k)))
+    value = st.integers(0, 2)
+    drawn = data.draw(st.sets(st.tuples(*[value] * k), min_size=3, max_size=30))
+    target = structure(3, {
+        "u": relation(1, data.draw(st.sets(st.tuples(value), min_size=1))),
+        "r": relation(2, data.draw(st.sets(st.tuples(value, value), max_size=7))),
+        "t": relation(k, drawn | {permuted(t, p) for t in drawn}),
+    })
+    n = data.draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    scopes = data.draw(st.lists(st.tuples(*[vertex] * k), min_size=2, max_size=5))
+    # images under p, and under a swap q that t need not be closed under
+    q = data.draw(st.sampled_from(position_swaps(k)))
+    with_images = [permuted(s, g) for s in scopes for g in (p, q) if data.draw(st.booleans())]
+    source = structure(n, {
+        "u": relation(1, data.draw(st.sets(st.tuples(vertex), max_size=2))),
+        "r": relation(2, data.draw(st.sets(st.tuples(vertex, vertex), max_size=3))),
+        "t": relation(k, set(scopes) | set(with_images)),
+    })
+    return source, target
+
+
+def check_against_reference(fp, pairs=()):
+    """fp and its restriction by pairs against `reference_gac` from full
+    masks, and the restriction's solve, cover and project against the
+    reference search over every scope; returns the restriction."""
+    source, target = fp.source, fp.target
+    full = (1 << target.size) - 1
+    for narrow in ((), pairs):
+        masks = [full] * source.size
+        for v, m in narrow:
+            masks[v] &= m
+        expected = None
+        if 0 not in masks and reference_gac(source, target, masks):
+            expected = tuple(masks)
+        assert fp.restrict(narrow).masks == expected
+    fp = fp.restrict(pairs)
+    assert fp.solve() == reference_solve(fp)
+    for mask in range(1, full + 1):
+        assert fp.cover(range(source.size), mask) == reference_cover(fp, range(source.size), mask)
+    for pair in product(range(source.size), repeat=2):
+        assert fp.project(pair) == reference_project(fp, pair)
+    return fp
+
+
+AFF3W = structure(3, {"aff": [t for t in product(range(3), repeat=4) if (t[0] - t[1] + t[2] - t[3]) % 3 == 0]})
+
+
+def min_graph(n):
+    return structure(n, {"min": [(x, y, min(x, y)) for x in range(n) for y in range(n)]})
+
+
+class TestSymmetricScopes:
+    """The network keeps one n-ary scope per orbit of its target relation's
+    position symmetries; every answer must be that of all the scopes,
+    which `reference_gac` and the reference search revise one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_answers_match_the_reference(self, data):
+        source, target = draw_symmetric_instance(data)
+        fp = fixpoint(source, target)
+        assert len(fp.net.cons) <= len(source.rel("t"))
+        vertex = st.integers(0, source.size - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=2))
+        check_against_reference(fp, pairs)
+
+    def test_a_scope_whose_image_is_not_in_the_source(self):
+        # t holds (1, 0, 2, 0) only beside (2, 0, 1, 0), its image under the
+        # swap of positions 0 and 2, and nothing is symmetric otherwise
+        t = [(1, 0, 2, 0), (2, 0, 1, 0), (0, 1, 0, 2), (2, 2, 0, 1), (0, 2, 2, 1)]
+        target = structure(3, {"t": t})
+        assert [g((0, 1, 2, 3)) for g in engine._symmetries(target.rel("t"))] == [(2, 1, 0, 3)]
+        # the source holds (z, y, x, w) = (2, 1, 0, 3) but not (x, y, z, w),
+        # and (0, 1, 0, 3), which repeats a vertex and is its own image
+        lone = structure(4, {"t": [(2, 1, 0, 3), (0, 1, 0, 3)]})
+        fp = fixpoint(lone, target)
+        assert sorted(scope for scope, _, _ in fp.net.cons) == [(0, 1, 0, 3), (2, 1, 0, 3)]
+        check_against_reference(fp, ((3, 0b001),))
+        # with (x, y, z, w) and (3, 3, 1, 1), whose image (1, 3, 3, 1) is
+        # missing, the orbit {(0,1,2,3), (2,1,0,3)} keeps one scope
+        both = structure(4, {"t": [(2, 1, 0, 3), (0, 1, 2, 3), (0, 1, 0, 3), (3, 3, 1, 1)]})
+        fp = fixpoint(both, target)
+        assert len(fp.net.cons) == 3
+        check_against_reference(fp)
+        check_against_reference(fp, ((1, 0b100),))
+
+    def test_one_scope_per_orbit_of_the_benchmark_powers(self):
+        cases = (
+            (AFF3W, 3, 19_683, 2_835),
+            (AFF3W, 2, 729, 135),
+            (min_graph(3), 3, 729, 378),
+            (min_graph(5), 3, 15_625, 7_875),
+        )
+        for a, n, scopes, kept in cases:
+            (_, rel), = a.relations
+            # aff: (x z), (y w), (x y)(z w), (x z)(y w), (x w)(y z); min: (x y)
+            assert len(engine._symmetries(rel)) == (5 if rel.arity == 4 else 1)
+            power = power_structure(a, n)
+            assert sum(len(r) for _, r in power.relations) == scopes
+            assert len(fixpoint(power, a).net.cons) == kept
+
+    def test_symmetry_detection_is_bounded(self, monkeypatch):
+        # every permutation of ten positions maps {0^10, 1^10} onto itself;
+        # only the transpositions and double transpositions are checked
+        a = structure(2, {"e": [(0,) * 10, (1,) * 10]})
+        checked = []
+        swaps = engine._swaps
+
+        def counted(k):
+            for p in swaps(k):
+                checked.append(p)
+                yield p
+
+        monkeypatch.setattr(engine, "_swaps", counted)
+        assert absorption_term_search(a, B0, 2) == OperationTable(2, 2, (0, 0, 0, 1))
+        assert len(checked) == len(set(checked)) == comb(10, 2) + 3 * comb(10, 4) == 675
+        assert len(checked) < factorial(10)
+        assert all(permuted(permuted(range(10), p), p) == tuple(range(10)) != p for p in checked)
+        checked.clear()
+        assert absorption_term_search(a, B1, 2) == OperationTable(2, 2, (0, 1, 1, 1))
+        assert len(checked) == 675
+        # power(A, 2)'s four scopes are constant tuples, each its own orbit
+        assert len(fixpoint(power_structure(a, 2), a).net.cons) == 4
 
 
 class TestCover:
