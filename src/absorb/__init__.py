@@ -37,12 +37,14 @@ from .engine import (
     DEFAULT_VERTEX_CAP,
     EssentialWitness,
     Fixpoint,
+    Power,
     absorption_term_search,
     closure_unary,
     essential_witness_search,
     fixpoint,
     generate_subpower,
     is_b_essential,
+    power_fixpoint,
     power_structure,
 )
 from .errors import (

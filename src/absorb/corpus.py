@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .engine import DEFAULT_VERTEX_CAP, fixpoint, power_structure
+from .engine import DEFAULT_VERTEX_CAP, power_fixpoint
 from .errors import CapExceeded, InputError
 from .model import Record, Relation, RelationalStructure, Subset, subset, tuple_rank, with_singletons
 
@@ -91,7 +91,7 @@ def subuniverse_subsets(a: RelationalStructure, cap: int = DEFAULT_VERTEX_CAP):
     for mask in range(1, (1 << a.size) - 1):
         b = subset(e for e in range(a.size) if mask >> e & 1)
         if len(b) not in bases:
-            bases[len(b)] = fixpoint(power_structure(a, len(b), cap), a)
+            bases[len(b)] = power_fixpoint(a, len(b), cap)
         vertex = tuple_rank(b.sorted_elements(), a.size)
         if {t[0] for t in bases[len(b)].project((vertex,))} == b.elements:
             out.append(b)

@@ -37,8 +37,7 @@ from .engine import (
     DEFAULT_VERTEX_CAP,
     Fixpoint,
     closure_unary,
-    fixpoint,
-    power_structure,
+    power_fixpoint,
 )
 from .model import (
     Digraph,
@@ -172,7 +171,7 @@ def decide_jonsson(
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
         return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
-    base = fixpoint(power_structure(expanded, 3, cap), expanded)
+    base = power_fixpoint(expanded, 3, cap)
     pair = tables = None
     for q in _quintuples(size, b):
         if q.a == q.c:
@@ -338,7 +337,8 @@ def verify_np_certificate(
 
     Each polymorphism check of a ternary table visits |R|^3 tuples of every
     relation R, the constraint scopes of power(A, 3); over cap, the check is
-    refused before any replay, as `power_structure` refuses that power.
+    refused before any replay, as `power_fixpoint` refuses the fixpoint of
+    that power before building anything.
     """
     b.check_bounds(a.size)
     expanded, _ = with_singletons(a)

@@ -9,15 +9,15 @@ every "first witness" output is reproducible.
 
 Every query starts from one value, a `Fixpoint`: the greatest
 arc-consistent domains of a homomorphism instance, or a wipeout.
-`fixpoint` propagates from the network's start masks (full domains and-ed
-with the unary constraints); `restrict` narrows chosen vertices to value
-masks and resumes propagation; `solve` returns the first solution;
-`project` returns the distinct value tuples that solutions take at chosen
-vertices (generated subpowers and the relations of pp-formulas); `cover`
-returns the vertices that some solution sends into a value set (the
-decider's coverage tables).  `restrict`, the search, `project` and `cover`
-all narrow by `_narrow`, which resumes `_gac` from the vertices that
-narrowed; `_gac` has no other entry.
+`fixpoint` and `power_fixpoint` propagate from the network's start masks
+(full domains and-ed with the unary constraints); `restrict` narrows
+chosen vertices to value masks and resumes propagation; `solve` returns
+the first solution; `project` returns the distinct value tuples that
+solutions take at chosen vertices (generated subpowers and the relations
+of pp-formulas); `cover` returns the vertices that some solution sends
+into a value set (the decider's coverage tables).  `restrict`, the
+search, `project` and `cover` all narrow by `_narrow`, which resumes
+`_gac` from the vertices that narrowed; `_gac` has no other entry.
 
 Binary constraints, nearly all the constraints of a power of a graph or
 order, propagate along vertices.  Each binary target relation gives, per
@@ -38,11 +38,29 @@ position i the support that revising s gives the position g moves to i,
 which holds the same vertex.  So keeping one scope per orbit changes no
 fixpoint, and no answer read from one.  The symmetries looked for are the
 transpositions and the products of two disjoint transpositions that map
-R onto itself (`_symmetries`), and orbits are walked through the source's
-own scopes (`_orbit_representatives`); a symmetry outside the group that
-they generate is only left unused.  power(aff3w, 3), of x - y + z - w = 0
-mod 3, keeps 2,835 of its 19,683 scopes, and power(min5, 3) 7,875 of
-15,625.
+R onto itself (`_symmetries`), and for a source given by its tuples the
+orbits are walked through its own scopes (`_orbit_representatives`); a
+symmetry outside the group that they generate is only left unused.
+power(aff3w, 3), of x - y + z - w = 0 mod 3, keeps 2,835 of its 19,683
+scopes, and power(min5, 3) 7,875 of 15,625.  A symmetry keeps a scope's
+vertex set, so where no two scopes of a relation share one, nothing is
+looked for.
+
+Every query of the package solves power(A, k) -> A, and `power_fixpoint`
+builds that network from A's rows without building the power; its
+fixpoint's source is `Power(A, k)`, which names the power.  A unary R
+holds the ranks of the k-tuples over R's elements.  In a binary R^k, a
+vertex's neighbours in each direction are the product of its
+coordinates' neighbours in R, ranked by place value
+(`_power_neighbours`).  A scope of an n-ary R^k is a k-tuple of R's rows,
+and a symmetry of R acts on all k rows at once, so the orbits of the
+scopes are those of the group G that the symmetries generate, acting on
+k-tuples of rows.  A stabiliser chain over R's sorted rows keeps one
+tuple of each, by Schreier's lemma and without enumerating G
+(`_orbit_scopes`).  R^k is closed under every symmetry of R, so in a
+materialised power the walk through the source's own scopes reaches
+whole G-orbits too: both builders keep one scope per orbit, as many
+scopes, and the same fixpoint.
 
 A revision of an n-ary constraint is a pure function of its target
 relation's allowed tuples and the domain masks of its scope, so every
@@ -50,9 +68,9 @@ target relation carries one memo, shared by all constraints on it, from
 the tuple of scope masks to the revision's result (the supported mask of
 each position, or a wipeout).  Only a miss scans the allowed tuples.
 Every memo holds at most `_REVISION_MEMO_SIZE` entries (it is cleared
-when full) and lives on the instance's network, which `fixpoint` builds
-and `restrict` passes on: it is freed with the last fixpoint of the query
-that built it.
+when full) and lives on the instance's network, which `fixpoint` (or
+`power_fixpoint`) builds and `restrict` passes on: it is freed with the
+last fixpoint of the query that built it.
 
 When every relation of the target that the source uses is closed under
 coordinatewise min (or max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
@@ -93,7 +111,6 @@ from .model import (
     power_blocks,
     subset,
     tuple_rank,
-    unrank_tuple,
 )
 
 DEFAULT_VERTEX_CAP = 10 ** 6
@@ -139,15 +156,15 @@ def _closed_under(rel: Relation, op) -> bool:
     return True
 
 
-def _closed_pick(source: RelationalStructure, target: RelationalStructure):
-    """_lowest if every relation of target that constrains the instance
-    from source is closed under coordinatewise min, else _highest if every
-    one is closed under max, else None.
+def _closed_pick(names, target: RelationalStructure):
+    """_lowest if every relation of target named in names, the relations
+    that have scopes in the source, is closed under coordinatewise min,
+    else _highest if every one is closed under max, else None.
 
-    A relation whose name has no scope in source constrains nothing, and
-    one that holds every tuple is closed under both; both are skipped.
-    For such a target, picking that bit of each mask of a GAC fixpoint
-    gives a solution.  Take min: for each position i of a constraint's
+    A relation with no scope in the source constrains nothing, so it is
+    not named, and one that holds every tuple is closed under both and is
+    skipped.  For such a target, picking that bit of each mask of a GAC
+    fixpoint gives a solution.  Take min: for each position i of a constraint's
     scope, some allowed tuple t_i supports the minimum of position i's mask
     and lies in the masks of all positions.  At position j every t_i is at
     least the minimum of j's mask, and t_j equals it, so the coordinatewise
@@ -155,7 +172,7 @@ def _closed_pick(source: RelationalStructure, target: RelationalStructure):
     repeats in the scope gets its one minimum at each of its positions.
     Max is symmetric.
     """
-    rels = [target.rel(name) for name, scopes in source.relations if scopes.tuples]
+    rels = [target.rel(name) for name in names]
     rels = [rel for rel in rels if len(rel) < target.size ** rel.arity]
     for op, pick in ((min, _lowest), (max, _highest)):
         if all(_closed_under(rel, op) for rel in rels):
@@ -277,40 +294,78 @@ def _orbit_representatives(scopes, gens) -> list:
     return kept
 
 
-def _network(source: RelationalStructure, target: RelationalStructure) -> _Network:
-    """The `_Network` of the instance from source to target."""
-    adj = [[] for _ in range(source.size)]
+def _assemble(size: int, target: RelationalStructure, scopes) -> _Network:
+    """The `_Network` of an instance of size source vertices into target.
+
+    scopes yields one (name, arity, data) triple per source relation that
+    has scopes: for arity 1, data lists the vertices it holds; for arity
+    2, it is the pair of per-vertex neighbour lists, of the vertices at
+    position 1 beside each vertex at position 0 and the reverse; otherwise
+    it lists the scopes to keep.  `_network` reads them off a source's
+    tuples and `power_fixpoint` off the rows of the power's base.
+    """
+    adj = [[] for _ in range(size)]
     full = (1 << target.size) - 1
-    start = [full] * source.size
+    start = [full] * size
     cons = []
-    for name, rel in source.relations:
+    names = []
+    for name, arity, data in scopes:
+        names.append(name)
         allowed = target.rel(name)
-        if rel.arity == 1:
+        if arity == 1:
             mask = sum(1 << t[0] for t in allowed.tuples)
-            for (v,) in rel.tuples:
+            for v in data:
                 start[v] &= mask
-        elif rel.arity == 2:
-            for i in (0, 1):
-                neighbours = [[] for _ in range(source.size)]
-                for scope in rel.tuples:
-                    neighbours[scope[i]].append(scope[1 - i])
+        elif arity == 2:
+            for i, neighbours in enumerate(data):
                 entry = ({}, _rows(allowed.tuples, target.size, i))
                 for v, out in enumerate(neighbours):
                     if out:
                         adj[v].append(entry + (out,))
         else:
-            scopes = rel.tuples
-            gens = _symmetries(allowed) if len(scopes) > 1 else ()
-            if gens:
-                scopes = _orbit_representatives(scopes, gens)
             tuples = allowed.sorted_tuples()
             memo = {}
-            cons.extend((scope, tuples, memo) for scope in scopes)
-    var_cons = [[] for _ in range(source.size)]
+            cons.extend((scope, tuples, memo) for scope in data)
+    var_cons = [[] for _ in range(size)]
     for ci, (scope, _, _) in enumerate(cons):
         for v in dict.fromkeys(scope):
             var_cons[v].append(ci)
-    return _Network(adj, tuple(start), cons, var_cons, _closed_pick(source, target), full)
+    return _Network(adj, tuple(start), cons, var_cons, _closed_pick(names, target), full)
+
+
+def _source_scopes(source: RelationalStructure, target: RelationalStructure):
+    """`_assemble`'s triples, read off the tuples of source's relations.
+
+    An n-ary relation keeps one scope per orbit of its scopes under the
+    symmetries of its target relation.  A symmetry keeps a scope's vertex
+    set, so when no two scopes share one, no orbit merges and neither the
+    symmetries nor the orbits are looked for.
+    """
+    for name, rel in source.relations:
+        scopes = rel.tuples
+        if not scopes:
+            continue
+        if rel.arity == 1:
+            yield name, 1, [v for (v,) in scopes]
+        elif rel.arity == 2:
+            pairs = []
+            for i in (0, 1):
+                neighbours = [[] for _ in range(source.size)]
+                for scope in scopes:
+                    neighbours[scope[i]].append(scope[1 - i])
+                pairs.append(neighbours)
+            yield name, 2, pairs
+        else:
+            if len(set(map(frozenset, scopes))) < len(scopes):
+                gens = _symmetries(target.rel(name))
+                if gens:
+                    scopes = _orbit_representatives(scopes, gens)
+            yield name, rel.arity, scopes
+
+
+def _network(source: RelationalStructure, target: RelationalStructure) -> _Network:
+    """The `_Network` of the instance from source to target."""
+    return _assemble(source.size, target, _source_scopes(source, target))
 
 
 def _revise(allowed, key):
@@ -669,8 +724,11 @@ class Fixpoint:
     far and-ed in.  The search is deterministic, so every answer derived
     from the two is the same too.
 
-    net is the instance's `_Network`: `fixpoint` builds it, and `restrict`
-    passes it on, so the fixpoints of one query share its memos.  Equality
+    source is the source structure, or the `Power` that `power_fixpoint`
+    names in place of building it; the vertex checks read its size alone.
+    net is the instance's `_Network`: `fixpoint` or `power_fixpoint` builds
+    it, and `restrict` passes it on, so the fixpoints of one query share
+    its memos.  Equality
     and the hash read source, target and masks alone: two fixpoints of one
     instance with the same masks are equal, whichever network they carry.
     Like a `Record`, it refuses assignment and deletion.
@@ -680,7 +738,7 @@ class Fixpoint:
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
-    def __init__(self, source: RelationalStructure, target: RelationalStructure,
+    def __init__(self, source, target: RelationalStructure,
                  masks: Optional[tuple], net: _Network):
         setter = object.__setattr__
         setter(self, "source", source)
@@ -810,9 +868,14 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
     vertex (a start mask of 0 is a wipeout)."""
     if source.signature() != target.signature():
         raise InputError("source and target structures have different signatures")
-    net = _network(source, target)
+    return _propagated(source, target, _network(source, target))
+
+
+def _propagated(source, target: RelationalStructure, net: _Network) -> Fixpoint:
+    """The fixpoint of net from its start masks, propagated from every
+    vertex (a start mask of 0 is a wipeout)."""
     masks = list(net.start)
-    if 0 in masks or not _gac(masks, net, range(source.size)):
+    if 0 in masks or not _gac(masks, net, range(len(masks))):
         return Fixpoint(source, target, None, net)
     return Fixpoint(source, target, tuple(masks), net)
 
@@ -820,15 +883,23 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
 # --- power structures and subpowers ------------------------------------------
 
 
-def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:
-    """The k-th power of a; vertices are k-tuples in lexicographic rank order.
+class Power(Record):
+    """The k-th power of base as the source of a `Fixpoint`, named rather
+    than built: its vertices are the k-tuples over base's domain in
+    lexicographic rank order, and its relations those `power_structure`
+    builds."""
 
-    cap bounds both the vertices and the constraint scopes (the tuples of
-    all its relations, sum of |R|^k); either count over it is refused
-    before anything is built.  The power is built unchecked: a's relations
-    are checked and sorted by name, and every tuple of ranks has its
-    relation's arity and entries below a.size ** k by construction.
-    """
+    base: RelationalStructure
+    k: int
+
+    @property
+    def size(self) -> int:
+        return self.base.size ** self.k
+
+
+def _check_power(a: RelationalStructure, k: int, cap: int):
+    """Refuse power(a, k) when k < 1, or when its vertices or its constraint
+    scopes (the tuples of all its relations, sum of |R|^k) number over cap."""
     if k < 1:
         raise InputError("power exponent must be positive")
     if a.size ** k > cap:
@@ -840,12 +911,166 @@ def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CA
         raise CapExceeded(
             "power structure would have %d constraint scopes, cap is %d" % (scopes, cap)
         )
+
+
+def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:
+    """The k-th power of a; vertices are k-tuples in lexicographic rank order.
+
+    cap bounds both the vertices and the constraint scopes (`_check_power`);
+    either count over it is refused before anything is built.  The power is
+    built unchecked: a's relations are checked and sorted by name, and
+    every tuple of ranks has its relation's arity and entries below
+    a.size ** k by construction.  The package's queries do not build it:
+    they start from `power_fixpoint`.
+    """
+    _check_power(a, k, cap)
     rels = []
     for name, rel in a.relations:
         blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
         tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
         rels.append((name, rel.arity, tuples))
     return RelationalStructure._unchecked(a.size ** k, rels)
+
+
+def power_fixpoint(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> Fixpoint:
+    """The fixpoint of the instance from power(a, k) to a, with source
+    `Power(a, k)`: `fixpoint(power_structure(a, k, cap), a)` but for the
+    source, and without building the power.
+
+    The caps are `power_structure`'s, checked before anything is built.
+    The network is read off a's rows (`_power_scopes`), so no tuple of
+    any R^k is made.
+    """
+    _check_power(a, k, cap)
+    return _propagated(Power(a, k), a, _assemble(a.size ** k, a, _power_scopes(a, k)))
+
+
+def _power_scopes(a: RelationalStructure, k: int):
+    """`_assemble`'s triples of power(a, k), read off a's rows.
+
+    A unary R holds the ranks of the k-tuples over R's elements, a binary
+    R gives `_power_neighbours`, and an n-ary R one scope per orbit
+    (`_orbit_scopes`); an empty R has no scopes and is skipped.
+    """
+    size = a.size
+    for name, rel in a.relations:
+        rows = rel.sorted_tuples()
+        if not rows:
+            continue
+        if rel.arity == 1:
+            elements = [e for (e,) in rows]
+            ranks = [0]
+            for _ in range(k):
+                ranks = [r + e for r in [r * size for r in ranks] for e in elements]
+            yield name, 1, ranks
+        elif rel.arity == 2:
+            yield name, 2, [_power_neighbours(rows, size, k, i) for i in (0, 1)]
+        else:
+            yield name, rel.arity, _orbit_scopes(rel, rows, size, k)
+
+
+def _power_neighbours(rows, size: int, k: int, i: int) -> list:
+    """For each vertex of power(R, k), R the binary relation of rows, the
+    vertices at position 1 - i of the scopes that hold it at position i.
+
+    They are the product of its coordinates' lists in R, ranked by place
+    value, and are built one coordinate at a time: the list of the vertex
+    of rank v * size + a in power(R, m + 1) holds w * size + b for each w
+    in v's list in power(R, m) and each b beside a in R.
+    """
+    beside = [[] for _ in range(size)]
+    for t in rows:
+        beside[t[i]].append(t[1 - i])
+    lists = [[0]]
+    for _ in range(k):
+        lists = [
+            [w + b for w in scaled for b in out]
+            for scaled in ([w * size for w in prev] for prev in lists)
+            for out in beside
+        ]
+    return lists
+
+
+def _inverse(perm: tuple) -> tuple:
+    """The inverse of a permutation of range(len(perm)), perm[x] being x's image."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
+    """One scope of each orbit of power(R, k)'s scopes under the group G
+    that `_symmetries(R)` generates, rows being R's sorted tuples.
+
+    The scope of the k-tuple of rows (r_1, ..., r_k) holds at position i
+    the vertex (r_1[i], ..., r_k[i]), and one tuple gives one scope.  A
+    permutation g of R's positions maps it to the scope of
+    (g r_1, ..., g r_k), so G acts on the scopes through its action on R's
+    rows, and each generator is taken as the permutation it makes of the
+    rows' indices.  The scope kept of an orbit is its tuple of row indices
+    (x_1, ..., x_k) in which each x_j is the least of its orbit under the
+    stabiliser in G of x_1, ..., x_(j-1); every orbit has exactly one.
+
+    A stabiliser chain finds them.  At each depth, each orbit of the
+    prefix's stabiliser on the rows is walked from its least row x,
+    recording for each row y reached an element u_y that maps x to y.  By
+    Schreier's lemma, the elements u_(g(y))^-1 g u_y over the orbit's rows
+    y and the generators g generate the stabiliser of x (Seress,
+    Permutation Group Algorithms, CUP 2003, section 4.1); the last depth
+    needs none.  Once a stabiliser acts trivially, every tail is its own
+    orbit, and the scopes of all tails come from rank arithmetic as in
+    `power_blocks`.  G itself is never enumerated.
+    """
+    n = len(rows)
+    identity = tuple(range(n))
+    gens = set()
+    if n > 1:
+        index = {row: x for x, row in enumerate(rows)}
+        gens = {tuple(map(index.__getitem__, map(g, rows))) for g in _symmetries(rel)}
+        gens.discard(identity)
+    cols = [[row[j] for row in rows] for j in range(rel.arity)]
+    # tails[m][j]: the ranks, at position j, of the scopes of every m-tuple
+    # of rows, in product order
+    tails = [[[0]] * rel.arity]
+    kept = []
+    stack = [((0,) * rel.arity, 0, gens)]
+    while stack:
+        prefix, depth, gens = stack.pop()
+        if not gens:
+            m = k - depth
+            while len(tails) <= m:
+                tails.append([
+                    [r + v for r in [p * size for p in tail] for v in col]
+                    for tail, col in zip(tails[-1], cols)
+                ])
+            shift = size ** m
+            kept.extend(zip(*[map((p * shift).__add__, tail) for p, tail in zip(prefix, tails[m])]))
+            continue
+        placed = [False] * n
+        for x in range(n):
+            if placed[x]:
+                continue
+            moved = {x: identity}
+            orbit = [x]
+            for y in orbit:
+                for g in gens:
+                    z = g[y]
+                    if z not in moved:
+                        moved[z] = tuple(map(g.__getitem__, moved[y]))
+                        orbit.append(z)
+            for y in orbit:
+                placed[y] = True
+            child = tuple(p * size + col[x] for p, col in zip(prefix, cols))
+            if depth + 1 == k:
+                kept.append(child)
+                continue
+            back = {y: _inverse(u) for y, u in moved.items()}
+            stabiliser = {
+                tuple(map(back[g[y]].__getitem__, map(g.__getitem__, moved[y])))
+                for y in orbit
+                for g in gens
+            }
+            stabiliser.discard(identity)
+            stack.append((child, depth + 1, stabiliser))
+    return kept
 
 
 def _columns(generators, size):
@@ -865,8 +1090,7 @@ def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERT
         raise InputError("generator list must be nonempty")
     if any(len(g) != n for g in s):
         raise InputError("generator arity mismatch")
-    power = power_structure(a, len(s), cap)
-    return Relation(n, fixpoint(power, a).project(_columns(s, a.size)))
+    return Relation(n, power_fixpoint(a, len(s), cap).project(_columns(s, a.size)))
 
 
 def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
@@ -921,7 +1145,7 @@ def essential_witness_search(
     if len(b) == a.size:
         return None
     choices = list(_essential_generator_choices(a, b, n))
-    base = fixpoint(power_structure(a, n, cap), a)
+    base = power_fixpoint(a, n, cap)
     bmask = sum(1 << e for e in b.elements)
     for gens in product(*choices):
         cols = _columns(gens, a.size)
@@ -936,20 +1160,37 @@ def absorption_term_search(
     """An n-ary absorption term for B, found by one CSP over power(A,n).
 
     Diagonal vertices are pinned to their element (idempotence); every vertex
-    whose tuple has at most one coordinate outside B is restricted to B.
+    whose tuple has at most one coordinate outside B is restricted to B
+    (`_term_pairs`).
     """
     b.check_bounds(a.size)
-    power = power_structure(a, n, cap)
-    bmask = sum(1 << e for e in b.elements)
-    pairs = []
-    for rank in range(power.size):
-        t = unrank_tuple(rank, a.size, n)
-        if all(e == t[0] for e in t):
-            pairs.append((rank, 1 << t[0]))
-        if sum(1 for e in t if e not in b) <= 1:
-            pairs.append((rank, bmask))
+    base = power_fixpoint(a, n, cap)
     # a diagonal element outside B (possible only when n == 1) wipes out
-    values = fixpoint(power, a).restrict(pairs).solve()
+    values = base.restrict(_term_pairs(a.size, b, n)).solve()
     if values is None:
         return None
     return OperationTable(n, a.size, values)
+
+
+def _term_pairs(size: int, b: Subset, n: int) -> list:
+    """The restriction pairs of `absorption_term_search` over power(A, n):
+    (rank of (e, ..., e), the mask of e) for each element e, then (rank,
+    mask of B) for each n-tuple with at most one coordinate outside B.
+
+    The ranks come from rank arithmetic, one coordinate at a time: a tuple
+    of rank r extended by e has rank r * size + e.  inside holds the
+    tuples over B, and one_out those with exactly one coordinate outside.
+    """
+    bs = b.sorted_elements()
+    outside = [e for e in range(size) if e not in b.elements]
+    pairs = [(tuple_rank((e,) * n, size), 1 << e) for e in range(size)]
+    inside, one_out = [0], []
+    for _ in range(n):
+        inside, one_out = (
+            [r + e for r in [r * size for r in inside] for e in bs],
+            [r + e for r in [r * size for r in one_out] for e in bs]
+            + [r + e for r in [r * size for r in inside] for e in outside],
+        )
+    bmask = sum(1 << e for e in bs)
+    pairs.extend((rank, bmask) for rank in chain(inside, one_out))
+    return pairs

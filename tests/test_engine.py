@@ -3,7 +3,7 @@
 import gc
 import sys
 import weakref
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, factorial
 
 import pytest
@@ -14,6 +14,7 @@ from absorb import (
     CapExceeded,
     InputError,
     OperationTable,
+    Power,
     Relation,
     absorption_term_search,
     closure_unary,
@@ -22,11 +23,13 @@ from absorb import (
     full_relation,
     generate_subpower,
     is_b_essential,
+    power_fixpoint,
     power_structure,
     relation,
     structure,
     subset,
     tuple_rank,
+    unrank_tuple,
     with_singletons,
 )
 from bruteforce import (
@@ -209,18 +212,19 @@ class TestClosedTargets:
         leq = structure(3, {"r": [(x, y) for x, y in pairs if x <= y]})
         at_least_one = structure(3, {"r": [(x, y) for x, y in pairs if max(x, y) >= 1]})
         swap = structure(3, {"r": [(0, 1), (1, 0)]})
-        # each structure is its own source, so it uses all its relations
-        assert engine._closed_pick(leq, leq) is engine._lowest
-        assert engine._closed_pick(at_least_one, at_least_one) is engine._highest
-        assert engine._closed_pick(swap, swap) is None
+        # the names are those of the relations with scopes in the source
+        assert engine._closed_pick(("r",), leq) is engine._lowest
+        assert engine._closed_pick(("r",), at_least_one) is engine._highest
+        assert engine._closed_pick(("r",), swap) is None
         # a relation that holds every tuple is closed under both
         full = structure(3, {"f": full_relation(3, 2), "r": at_least_one.rel("r")})
-        assert engine._closed_pick(full, full) is engine._highest
-        # a relation without scopes in the source constrains nothing
+        assert engine._closed_pick(("f", "r"), full) is engine._highest
+        # a relation without scopes in the source constrains nothing: the
+        # network does not name it
         both = structure(3, {"r": leq.rel("r"), "s": swap.rel("r")})
         uses_r = structure(2, {"r": [(0, 1)], "s": Relation(2, frozenset())})
-        assert engine._closed_pick(both, both) is None
-        assert engine._closed_pick(uses_r, both) is engine._lowest
+        assert engine._closed_pick(("r", "s"), both) is None
+        assert engine._closed_pick(("r",), both) is engine._lowest
         fp = fixpoint(uses_r, both)
         assert fp.net.pick is engine._lowest
         assert fp.solve() == reference_solve(fp) == (0, 0)
@@ -635,6 +639,23 @@ class TestSymmetricScopes:
         check_against_reference(fp)
         check_against_reference(fp, ((1, 0b100),))
 
+    def test_no_symmetry_check_where_no_orbit_can_merge(self, monkeypatch):
+        # a symmetry keeps a scope's vertex set, so scopes on distinct vertex
+        # sets are each their own orbit, and no symmetry is looked for
+        target = structure(3, {"t": [(0, 1, 2), (1, 0, 2), (2, 2, 0)]})
+        calls = []
+        symmetries = engine._symmetries
+        monkeypatch.setattr(engine, "_symmetries", lambda rel: calls.append(rel) or symmetries(rel))
+        distinct = structure(4, {"t": [(0, 1, 2), (1, 2, 3), (0, 0, 3)]})
+        fp = fixpoint(distinct, target)
+        assert len(fp.net.cons) == 3 and not calls
+        check_against_reference(fp, ((3, 0b011),))
+        # (0, 1, 2) and (1, 0, 2) share a vertex set and one orbit
+        shared = structure(4, {"t": [(0, 1, 2), (1, 0, 2), (0, 0, 3)]})
+        fp = fixpoint(shared, target)
+        assert len(fp.net.cons) == 2 and len(calls) == 1
+        check_against_reference(fp, ((3, 0b011),))
+
     def test_one_scope_per_orbit_of_the_benchmark_powers(self):
         cases = (
             (AFF3W, 3, 19_683, 2_835),
@@ -673,6 +694,140 @@ class TestSymmetricScopes:
         # power(A, 2)'s four scopes are constant tuples, each its own orbit
         assert len(fixpoint(power_structure(a, 2), a).net.cons) == 4
 
+
+
+def draw_power_instance(data):
+    """A random structure of 2 or 3 elements with one relation of each arity
+    1 to 4, any of them possibly empty, the ternary one holding a row that
+    repeats an entry (so some scopes of its powers repeat a vertex), the
+    n-ary ones often closed under a random transposition or double
+    transposition of their positions; and an exponent of 1 to 3."""
+    size = data.draw(st.integers(2, 3))
+    value = st.integers(0, size - 1)
+    rels = {}
+    for name, k in (("u", 1), ("r", 2), ("t", 3), ("w", 4)):
+        drawn = data.draw(st.sets(st.tuples(*[value] * k), max_size=5 if k < 4 else 4))
+        if k == 3 and drawn:
+            x, y = data.draw(st.tuples(value, value))
+            drawn.add((x, x, y))
+        if k > 2 and data.draw(st.booleans()):
+            p = data.draw(st.sampled_from(position_swaps(k)))
+            drawn |= {permuted(t, p) for t in drawn}
+        rels[name] = relation(k, drawn)
+    return structure(size, rels), data.draw(st.integers(1, 3))
+
+
+def kept_scopes(fp, a):
+    """{name: the n-ary scopes fp's network keeps of that relation}; the
+    constraints of one relation share one revision memo and sit together."""
+    names = [name for name, rel in a.relations if rel.arity > 2 and rel.tuples]
+    groups = [[scope for scope, _, _ in g] for _, g in groupby(fp.net.cons, key=lambda c: id(c[2]))]
+    return dict(zip(names, groups, strict=True))
+
+
+def orbit_closure(scopes, gens):
+    """The scopes reached from scopes by the permutations gens."""
+    reached = set(scopes)
+    stack = list(reached)
+    while stack:
+        s = stack.pop()
+        for g in gens:
+            if g(s) not in reached:
+                reached.add(g(s))
+                stack.append(g(s))
+    return reached
+
+
+def neighbour_lists(fp):
+    """Each vertex's (rows, sorted neighbours) per binary relation and direction."""
+    return [[(rows, sorted(out)) for _, rows, out in entries] for entries in fp.net.adj]
+
+
+class TestPowerFixpoint:
+    """power_fixpoint, built from A's rows, against the fixpoint of the
+    power that power_structure materialises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_materialised_power(self, data):
+        a, k = draw_power_instance(data)
+        power = power_structure(a, k)
+        new, old = power_fixpoint(a, k), fixpoint(power, a)
+        assert new.source == Power(a, k) and new.source.size == power.size
+        assert new.net.start == old.net.start
+        assert neighbour_lists(new) == neighbour_lists(old)
+        assert new.net.pick is old.net.pick
+        assert new.masks == old.masks
+        new_kept, old_kept = kept_scopes(new, a), kept_scopes(old, a)
+        assert new_kept.keys() == old_kept.keys()
+        for name, scopes in new_kept.items():
+            assert set(scopes) <= power.rel(name).tuples
+            assert len(scopes) == len(old_kept[name])
+            # the kept scopes meet every orbit, as many as the walk keeps
+            gens = engine._symmetries(a.rel(name))
+            assert orbit_closure(scopes, gens) == power.rel(name).tuples
+        full = (1 << a.size) - 1
+        vertex = st.integers(0, power.size - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, full)), max_size=2))
+        new, old = new.restrict(pairs), old.restrict(pairs)
+        assert new.masks == old.masks
+        masks = [full] * power.size
+        for v, m in pairs:
+            masks[v] &= m
+        consistent = 0 not in masks and reference_gac(power, a, masks)
+        assert old.masks == (tuple(masks) if consistent else None)
+        assert new.solve() == old.solve() == reference_solve(old)
+        mask = data.draw(st.integers(1, full))
+        vertices = range(power.size)
+        assert new.cover(vertices, mask) == old.cover(vertices, mask) == reference_cover(old, vertices, mask)
+        pair = data.draw(st.tuples(vertex, vertex))
+        assert new.project(pair) == old.project(pair) == reference_project(old, pair)
+
+    def test_kept_counts_of_the_benchmark_powers(self):
+        for a, n, kept in ((AFF3W, 3, 2_835), (AFF3W, 2, 135), (min_graph(3), 3, 378), (min_graph(5), 3, 7_875)):
+            (name, _), = a.relations
+            scopes = kept_scopes(power_fixpoint(a, n), a)[name]
+            assert len(scopes) == kept
+            assert set(scopes) <= power_structure(a, n).rel(name).tuples
+
+    def test_a_large_group_is_not_enumerated(self):
+        # the ten unit vectors of arity 10 are permuted by all 10! position
+        # permutations; the orbits of their k-tuples are the set partitions
+        # of k positions, Bell(k) of them
+        a = structure(2, {"e": [tuple(int(i == j) for i in range(10)) for j in range(10)]})
+        for k, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
+            assert len(power_fixpoint(a, k).net.cons) == bell
+
+    def test_the_source_is_a_power(self):
+        fp = power_fixpoint(ord2(), 2)
+        assert fp.source == Power(ord2(), 2) and hash(fp.source) == hash(Power(ord2(), 2))
+        assert fp.source != Power(ord2(), 3) and fp.source != power_structure(ord2(), 2)
+        assert repr(fp.source) == "Power(base=%r, k=2)" % (ord2(),)
+        assert fp.source.size == 4
+        assert fp.masks == fixpoint(power_structure(ord2(), 2), ord2()).masks
+        assert fp == power_fixpoint(ord2(), 2) != fixpoint(power_structure(ord2(), 2), ord2())
+        with pytest.raises(InputError, match="vertex 4 out of range"):
+            fp.restrict(((4, 0b1),))
+        with pytest.raises(AttributeError):
+            fp.source.k = 3
+
+    def test_caps_are_checked_before_anything_is_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("built before the caps were checked")
+
+        monkeypatch.setattr(engine, "_power_scopes", unbuilt)
+        monkeypatch.setattr(engine, "_assemble", unbuilt)
+        full3 = structure(3, {"f": full_relation(3, 2)})
+        with pytest.raises(InputError, match="^power exponent must be positive$"):
+            power_fixpoint(ord2(), 0)
+        with pytest.raises(CapExceeded, match="^power structure would have 16 vertices, cap is 10$"):
+            power_fixpoint(ord2(), 4, cap=10)
+        with pytest.raises(CapExceeded, match="^power structure would have 81 constraint scopes, cap is 50$"):
+            power_fixpoint(full3, 2, cap=50)
+        with pytest.raises(CapExceeded, match="^power structure would have 9 vertices, cap is 8$"):
+            power_fixpoint(full3, 2, cap=8)
+        with pytest.raises(AssertionError, match="built before"):
+            power_fixpoint(full3, 2, cap=81)
 
 class TestCover:
     """Fixpoint.cover and .restrict against an enumeration of all ternary
@@ -1025,3 +1180,17 @@ class TestTermSearch:
 
     def test_unary_absent_for_proper_b(self):
         assert absorption_term_search(ord2(), B0, 1) is None
+
+    def test_restriction_pairs_match_the_rank_loop(self):
+        # the pairs by rank arithmetic against a loop that unranks every vertex
+        for size, n in product(range(1, 5), range(1, 4)):
+            for mask in range(1, 1 << size):
+                b = subset(e for e in range(size) if mask >> e & 1)
+                loop = []
+                for rank in range(size ** n):
+                    t = unrank_tuple(rank, size, n)
+                    if all(e == t[0] for e in t):
+                        loop.append((rank, 1 << t[0]))
+                    if sum(1 for e in t if e not in b.elements) <= 1:
+                        loop.append((rank, mask))
+                assert sorted(engine._term_pairs(size, b, n)) == sorted(loop)
