@@ -162,6 +162,130 @@ class TestDecideCommand:
         assert "ABSORB_MAX_VERTICES must be at least 1" in capsys.readouterr().err
 
 
+class TestUsage:
+    """The command-line grammar: the option forms it accepts, usage errors
+    (exit 2, nothing on stdout, a usage line and an error naming the offending
+    word) and -h.  Only the words are pinned, not the layout of the text."""
+
+    HELP = {
+        None: ("decide", "verify", "search", "bounds", "corpus", "--max-power-vertices"),
+        "decide": ("-s", "--structure", "-b", "--subset", "--mode", "--certificate"),
+        "verify": ("-s", "--structure", "-b", "--subset", "--certificate"),
+        "search": ("-s", "--structure", "-b", "--subset", "--what", "--arity"),
+        "bounds": ("--theta", "--size"),
+        "corpus": ("--size", "--max-arity", "--out"),
+    }
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            ([], ("command",)),
+            (["frob"], ("frob",)),
+            (["decide"], ("--structure", "--subset")),
+            (["decide", "-b", B0], ("--structure",)),
+            (["bounds"], ("--theta", "--size")),
+            (["bounds", "--theta", "x", "--size", "2"], ("--theta", "'x'")),
+            (["--max-power-vertices", "lots", "bounds", "--theta", "2", "--size", "2"],
+             ("--max-power-vertices", "'lots'")),
+            (["search", "-s", "ORD2", "-b", B0, "--what", "frob"], ("--what", "'frob'")),
+            (["decide", "-s", "ORD2", "-b", B0, "--mode", "strict"], ("--mode", "'strict'")),
+            (["bounds", "--theta", "2", "--size", "2", "--frob"], ("--frob",)),
+            (["--frob", "bounds", "--theta", "2", "--size", "2"], ("--frob",)),
+            (["decide", "--s", "ORD2", "-b", B0], ("--s",)),
+            (["bounds", "--theta"], ("--theta",)),
+            (["decide", "-s", "ORD2", "-b"], ("-b",)),
+            (["decide", "-s", "ORD2", "-b", B0, "--max-power-vertices", "5"],
+             ("--max-power-vertices",)),
+            (["bounds", "--theta", "2", "--size", "2", "extra"], ("extra",)),
+        ],
+        ids=[
+            "no-command", "unknown-command", "missing-required", "missing-one-required",
+            "missing-both-ints", "bad-int", "bad-global-int", "bad-choice-what",
+            "bad-choice-mode", "unknown-option", "unknown-global-option", "ambiguous-prefix",
+            "missing-int-value", "missing-str-value", "global-option-after-command",
+            "stray-word",
+        ],
+    )
+    def test_usage_error(self, capsys, files, argv, words):
+        _, ord2_path, _ = files
+        argv = [ord2_path if word == "ORD2" else word for word in argv]
+        code, out, err = self.outcome(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: absorb")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors and all(word in errors[-1] for word in words), err
+
+    def test_subprocess_usage_error_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "absorb.cli", "bounds", "--theta", "x", "--size", "2"],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: absorb")
+        assert "error:" in proc.stderr and "'x'" in proc.stderr
+
+    def test_equals_and_prefix_forms(self, capsys, files):
+        tmp, ord2_path, _ = files
+        code, payload = run(capsys, "bounds", "--theta=2", "--size=2")
+        assert code == 0 and payload["kappa"] == 257
+        code, payload = run(capsys, "bounds", "--th", "2", "--si=2")
+        assert code == 0 and payload["kappa"] == 257
+        cert = tmp / "prefix.cert.json"
+        code, payload = run(
+            capsys, "decide", "-s" + ord2_path, "--sub=" + B0, "--cert=" + str(cert),
+            "--mo", "jonsson",
+        )
+        assert code == 0 and payload["holds"] is True and payload["mode"] == "jonsson"
+        assert cert.exists()
+        code, payload = run(
+            capsys, "--max=100000", "verify", "--struct", ord2_path, "-b", B0, "--cert", str(cert)
+        )
+        assert code == 0 and payload["holds"] is True
+
+    def test_global_prefix_with_small_cap(self, capsys, files):
+        _, ord2_path, _ = files
+        code, _ = run(capsys, "--max-power", "2", "decide", "-s", ord2_path, "-b", B0)
+        assert code == 3
+
+    def test_last_repeat_wins(self, capsys, files):
+        _, ord2_path, _ = files
+        code, payload = run(capsys, "bounds", "--theta", "3", "--size", "2", "--theta", "2")
+        assert code == 0 and payload["theta"] == 2 and payload["kappa"] == 257
+        code, payload = run(
+            capsys, "decide", "-s", "/nonexistent.json", "-s", ord2_path, "-b", B0,
+            "--mode", "jonsson", "--mode", "absorb",
+        )
+        assert code == 0 and payload["mode"] == "absorb"
+
+    def test_defaults(self, capsys, files):
+        _, ord2_path, _ = files
+        code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
+        assert code == 0 and payload["mode"] == "absorb"
+
+    @pytest.mark.parametrize("command", [None, "decide", "verify", "search", "bounds", "corpus"])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, flag]
+        code, out, err = self.outcome(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: absorb")
+        for word in self.HELP[command]:
+            assert word in out, word
+
+    def test_help_wins_over_missing_options(self, capsys):
+        code, out, _ = self.outcome(capsys, ["decide", "-h"])
+        assert code == 0 and "--certificate" in out
+
+
 class TestInternalError:
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         def boom(args):
