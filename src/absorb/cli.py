@@ -8,13 +8,12 @@ holds, 1 it fails, 2 input or usage error, 3 a resource cap was exceeded,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import codec
-from .corpus import build_corpus, manifest_obj
 from .decide import (
     bounds,
     decide_jonsson,
@@ -167,6 +166,9 @@ def cmd_bounds(args):
 
 
 def cmd_corpus(args):
+    # imported here: no other command uses the corpus
+    from .corpus import build_corpus, manifest_obj
+
     cap = _cap(args)
     manifest = build_corpus(args.size, args.max_arity, cap)
     obj = manifest_obj(manifest)
@@ -187,63 +189,234 @@ def cmd_corpus(args):
     return _emit(obj, EXIT_HOLDS)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="absorb",
-        description="Decide absorption properties of finite relational structures.",
-    )
-    parser.add_argument(
-        "--max-power-vertices",
+# --- the command table ----------------------------------------------------------
+
+
+class Option:
+    """One option of the command table: its flags, the attribute its value
+    is stored under (`dest`, from the last flag), `type` (`str`, `int`, or
+    None for -h, which takes no value), required or a default, and the
+    values it may take (`choices`, or None for any)."""
+
+    __slots__ = ("flags", "dest", "type", "required", "default", "choices", "help")
+
+    def __init__(self, flags, help, type=str, required=False, default=None, choices=None):
+        self.flags = flags
+        self.dest = flags[-1].lstrip("-").replace("-", "_")
+        self.type = type
+        self.required = required
+        self.default = default
+        self.choices = choices
+        self.help = help
+
+    def name(self):
+        return "/".join(self.flags)
+
+    def metavar(self):
+        if self.choices is not None:
+            return "{%s}" % ",".join(self.choices)
+        return self.dest.upper()
+
+
+HELP = Option(("-h", "--help"), "show this help and exit", type=None)
+STRUCTURE = Option(("-s", "--structure"), "structure JSON file", required=True)
+SUBSET = Option(("-b", "--subset"), "subset JSON (inline)", required=True)
+
+# The options before the command; every option list also takes -h.
+GLOBAL_OPTIONS = (
+    Option(
+        ("--max-power-vertices",),
+        "cap on power-structure vertices and constraint scopes, and on the "
+        "relations corpus enumerates (env ABSORB_MAX_VERTICES)",
         type=int,
-        default=None,
-        help="cap on power-structure vertices and constraint scopes (verify "
-        "counts those of the cube), and on the relations corpus enumerates "
-        "(env ABSORB_MAX_VERTICES)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    ),
+)
 
-    p = sub.add_parser("decide", help="decide whether B (Jónsson-)absorbs the structure")
-    p.add_argument("-s", "--structure", required=True, help="structure JSON file")
-    p.add_argument("-b", "--subset", required=True, help="subset JSON (inline)")
-    p.add_argument("--mode", choices=("absorb", "jonsson"), default="absorb")
-    p.add_argument(
-        "--certificate",
-        help="write the certificate JSON here when the property holds; "
-        "when it fails, remove any file here",
-    )
-    p.set_defaults(func=cmd_decide)
+# command -> (help line, options); `main` runs `cmd_<command>`.
+COMMANDS = {
+    "decide": (
+        "decide whether B (Jónsson-)absorbs the structure",
+        (
+            STRUCTURE,
+            SUBSET,
+            Option(("--mode",), "label of the payload; both modes run one computation",
+                   default="absorb", choices=("absorb", "jonsson")),
+            Option(("--certificate",), "write the certificate JSON here when the property "
+                   "holds; when it fails, remove any file here"),
+        ),
+    ),
+    "verify": (
+        "check an NP certificate",
+        (STRUCTURE, SUBSET, Option(("--certificate",), "certificate JSON file", required=True)),
+    ),
+    "search": (
+        "search for a term, essential witness, or chain",
+        (
+            STRUCTURE,
+            SUBSET,
+            Option(("--what",), "what to search for", required=True,
+                   choices=("term", "essential", "chain")),
+            Option(("--arity",), "arity of the term or witness (term and essential)", type=int),
+        ),
+    ),
+    "bounds": (
+        "arity bounds for the absorption term",
+        (Option(("--theta",), "theta, at least 2", type=int, required=True),
+         Option(("--size",), "domain size", type=int, required=True)),
+    ),
+    "corpus": (
+        "enumerate the small-domain fixture corpus",
+        (Option(("--size",), "domain size", type=int, required=True),
+         Option(("--max-arity",), "largest relation arity", type=int, required=True),
+         Option(("--out",), "directory for fixture files")),
+    ),
+}
 
-    p = sub.add_parser("verify", help="check an NP certificate")
-    p.add_argument("-s", "--structure", required=True)
-    p.add_argument("-b", "--subset", required=True)
-    p.add_argument("--certificate", required=True, help="certificate JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="search for a term, essential witness, or chain")
-    p.add_argument("-s", "--structure", required=True)
-    p.add_argument("-b", "--subset", required=True)
-    p.add_argument("--what", choices=("term", "essential", "chain"), required=True)
-    p.add_argument("--arity", type=int, default=None)
-    p.set_defaults(func=cmd_search)
+def _options(command):
+    """-h and the options of the top level (command None) or of a command."""
+    return (HELP,) + (GLOBAL_OPTIONS if command is None else COMMANDS[command][1])
 
-    p = sub.add_parser("bounds", help="arity bounds for the absorption term")
-    p.add_argument("--theta", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("corpus", help="enumerate the small-domain fixture corpus")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--max-arity", type=int, required=True)
-    p.add_argument("--out", default=None, help="directory for fixture files")
-    p.set_defaults(func=cmd_corpus)
-    return parser
+class UsageError(Exception):
+    """A command line the table does not accept; `command` is the command
+    it names, or None."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
+def _is_value(word):
+    # a word that cannot be an option: "-" alone and negative numbers
+    # ("--max-arity -1") are values, as they are to argparse
+    return not word.startswith("-") or word[1:2] in "0123456789."
+
+
+def _find(command, options, word):
+    """(option, attached value or None) for an option word."""
+    exact = {flag: opt for opt in options for flag in opt.flags}
+    if word in exact:
+        return exact[word], None
+    flag, eq, value = word.partition("=")
+    if eq and flag in exact:
+        return exact[flag], value
+    if word.startswith("--") and len(flag) > 2:
+        if not eq:
+            value = None
+        matches = [f for f in exact if f.startswith(flag)]
+        if len(matches) == 1:
+            return exact[matches[0]], value
+        if matches:
+            raise UsageError(
+                command, "ambiguous option: %s could match %s" % (flag, ", ".join(matches))
+            )
+    elif len(word) > 2 and word[:2] in exact:
+        return exact[word[:2]], word[2:]
+    raise UsageError(command, "unrecognized arguments: %s" % word)
+
+
+def _convert(command, opt, value):
+    if opt.type is int:
+        try:
+            value = int(value)
+        except ValueError:
+            raise UsageError(
+                command, "argument %s: invalid int value: %r" % (opt.name(), value)
+            ) from None
+    if opt.choices is not None and value not in opt.choices:
+        raise UsageError(
+            command,
+            "argument %s: invalid choice: %r (choose from %s)"
+            % (opt.name(), value, ", ".join(map(repr, opt.choices))),
+        )
+    return value
+
+
+def parse_args(argv):
+    """(command, namespace of option values) for a command line; the
+    namespace is None when -h asks for help (command None: the top level).
+    Raises UsageError."""
+    command, values = None, {}
+    options = _options(None)
+    words = iter(argv)
+    for word in words:
+        if _is_value(word):
+            if command is not None:
+                raise UsageError(command, "unrecognized arguments: %s" % word)
+            if word not in COMMANDS:
+                raise UsageError(
+                    None,
+                    "argument command: invalid choice: %r (choose from %s)"
+                    % (word, ", ".join(map(repr, COMMANDS))),
+                )
+            command, options = word, _options(word)
+            continue
+        opt, value = _find(command, options, word)
+        if opt is HELP:
+            if value is not None:
+                raise UsageError(
+                    command, "argument %s: ignored explicit argument %r" % (opt.name(), value)
+                )
+            return command, None
+        if value is None:
+            value = next(words, None)
+            if value is None or not _is_value(value):
+                raise UsageError(command, "argument %s: expected one argument" % opt.name())
+        values[opt.dest] = _convert(command, opt, value)
+    if command is None:
+        raise UsageError(None, "the following arguments are required: command")
+    missing = [opt.name() for opt in options if opt.required and opt.dest not in values]
+    if missing:
+        raise UsageError(
+            command, "the following arguments are required: %s" % ", ".join(missing)
+        )
+    for opt in GLOBAL_OPTIONS + COMMANDS[command][1]:
+        values.setdefault(opt.dest, opt.default)
+    return command, SimpleNamespace(**values)
+
+
+def usage(command):
+    """The usage line of the top level (command None) or of one command."""
+    words = ["usage: absorb"] if command is None else ["usage: absorb", command]
+    for opt in _options(command):
+        word = opt.flags[0] if opt.type is None else "%s %s" % (opt.flags[0], opt.metavar())
+        words.append(word if opt.required else "[%s]" % word)
+    if command is None:
+        words.append("{%s} ..." % ",".join(COMMANDS))
+    return " ".join(words)
+
+
+def help_text(command):
+    """What -h prints: the usage line, the commands or the command's help
+    line, then each option with its help line."""
+    lines = [usage(command), ""]
+    if command is None:
+        lines += ["Decide absorption properties of finite relational structures.", "",
+                  "commands:"]
+        lines += ["  %-8s %s" % (name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        lines.append(COMMANDS[command][0])
+    lines += ["", "options:"]
+    for opt in _options(command):
+        flags = ", ".join(opt.flags)
+        lines.append("  " + (flags if opt.type is None else "%s %s" % (flags, opt.metavar())))
+        lines.append("        " + opt.help)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        prog = "absorb" if exc.command is None else "absorb " + exc.command
+        sys.stderr.write("%s\n%s: error: %s\n" % (usage(exc.command), prog, exc))
+        return EXIT_INPUT
+    if args is None:
+        sys.stdout.write(help_text(command))
+        return EXIT_HOLDS
+    try:
+        return globals()["cmd_" + command](args)
     except CapExceeded as exc:
         print("resource cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP

@@ -7,8 +7,8 @@ parse(serialize(v)) == v and serialize(parse(text)) is byte-stable.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .comb import CombFormula
 from .decide import Certificate, CertEntry, CertStep, ChainWitness, Decision, Quintuple
 from .engine import EssentialWitness
 from .errors import InputError, ParseError
@@ -20,7 +20,10 @@ from .model import (
     relation,
     subset,
 )
-from .ppform import Atom, PPFormula
+
+if TYPE_CHECKING:
+    from .comb import CombFormula
+    from .ppform import PPFormula
 
 
 def _loads(text: str):
@@ -271,6 +274,9 @@ def formula_to_obj(phi: PPFormula):
 
 
 def formula_from_obj(obj) -> PPFormula:
+    # imported here, as in comb_from_obj: no CLI query reads formulas or combs
+    from .ppform import Atom, PPFormula
+
     free = _expect(obj, "free", list, "formula")
     if not all(isinstance(v, str) for v in free):
         raise ParseError("formula: free variables must be strings")
@@ -298,6 +304,8 @@ def comb_to_obj(comb: CombFormula):
 
 
 def comb_from_obj(obj) -> CombFormula:
+    from .comb import CombFormula
+
     sections = _expect(obj, "sections", list, "comb")
     rels = tuple(relation_from_obj(s, "comb section %d" % i) for i, s in enumerate(sections))
     return CombFormula(len(rels), rels)

@@ -106,8 +106,21 @@ class Record:
     def __repr__(self):
         return "%s(%s)" % (
             type(self).__qualname__,
-            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+            ", ".join("%s=%s" % (f, _field_repr(getattr(self, f))) for f in self._fields),
         )
+
+
+def _field_repr(value):
+    """repr(value), but a frozenset's elements in sorted order, so that equal
+    records print alike whatever order their sets were built in.  Elements
+    that cannot be compared are sorted by their repr."""
+    if not isinstance(value, frozenset) or not value:
+        return repr(value)
+    try:
+        items = sorted(value)
+    except TypeError:
+        items = sorted(value, key=repr)
+    return "frozenset({%s})" % ", ".join(map(repr, items))
 
 
 class Relation(Record):

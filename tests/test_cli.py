@@ -178,10 +178,8 @@ class TestUsage:
 
     @staticmethod
     def outcome(capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        # main returns the code of a usage error or of -h, as of any other run
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -598,14 +596,52 @@ class TestCorpusCommand:
 
 
 class TestImportCost:
-    @pytest.mark.parametrize("module", ["absorb.cli", "absorb"])
-    def test_import_leaves_heavy_modules_out(self, module):
-        # -S: only what the package itself imports counts, not site hooks
-        heavy = ("dataclasses", "inspect", "traceback")
-        code = "import sys, %s; print(sorted(set(sys.modules) & set(%r)))" % (module, heavy)
+    @staticmethod
+    def loaded(statement, modules):
+        """Which of `modules` a fresh `python -S` process has loaded after
+        running `statement` (-S: only what the package itself imports
+        counts, not site hooks)."""
+        code = "import sys; %s; print(sorted(set(sys.modules) & set(%r)))" % (statement, modules)
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
             capture_output=True, text=True, env=package_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    @pytest.mark.parametrize("module", ["absorb.cli", "absorb"])
+    def test_import_leaves_heavy_modules_out(self, module):
+        heavy = ("dataclasses", "inspect", "traceback")
+        assert self.loaded("import " + module, heavy) == "[]\n"
+
+    def test_cli_import_leaves_what_no_query_runs_out(self):
+        unused = (
+            "argparse", "gettext", "locale", "absorb.comb", "absorb.ppform", "absorb.corpus"
+        )
+        assert self.loaded("import absorb.cli", unused) == "[]\n"
+
+    def test_package_import_loads_no_submodule(self):
+        submodules = ["absorb." + info.name for info in pkgutil.iter_modules(absorb.__path__)]
+        assert "absorb.engine" in submodules
+        assert self.loaded("import absorb", submodules) == "[]\n"
+
+    def test_every_export_is_its_home_modules(self):
+        assert len(absorb.__all__) == len(set(absorb.__all__)) == 72
+        for module, names in absorb._EXPORTS.items():
+            home = importlib.import_module("absorb." + module)
+            for name in names:
+                value = getattr(absorb, name)
+                assert value is getattr(home, name), name
+                if isinstance(value, type) or callable(value):
+                    assert value.__module__ == home.__name__, name
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from absorb import *", namespace)
+        assert set(absorb.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(absorb, name) for name in absorb.__all__)
+        assert set(absorb.__all__) <= set(dir(absorb))
+        assert "__version__" in dir(absorb)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            absorb.no_such_name
+        assert not hasattr(absorb, "find_hom")

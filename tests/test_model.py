@@ -344,3 +344,24 @@ class TestRecord:
             a.size, a.relations,
         )
         assert repr(Decision(True)) == "Decision(holds=True, failing=None, certificate=None)"
+
+    def test_equal_records_built_in_different_orders_print_alike(self):
+        pairs = [(x, y) for x in range(12) for y in range(10)]
+        forward = Relation(2, frozenset(pairs))
+        backward = Relation(2, frozenset(reversed(pairs)))
+        assert forward == backward
+        assert repr(forward) == repr(backward)
+        assert repr(forward).startswith("Relation(arity=2, tuples=frozenset({(0, 0), (0, 1), ")
+        edges = [(u, v) for u in range(20) for v in range(20) if (u * v) % 7 == 3]
+        assert repr(Digraph(20, frozenset(edges))) == repr(Digraph(20, frozenset(edges[::-1])))
+        assert repr(subset([5, 0, 3])) == "Subset(elements=frozenset({0, 3, 5}))"
+        assert repr(Digraph(1, frozenset())) == "Digraph(n=1, edges=frozenset())"
+
+    def test_repr_sorts_incomparable_elements_by_repr(self):
+        class Mixed(Record):
+            items: frozenset
+
+        one = Mixed(frozenset([(1, 2), "a", 3, None]))
+        other = Mixed(frozenset([None, 3, "a", (1, 2)]))
+        assert repr(one) == repr(other)
+        assert repr(one).endswith(".Mixed(items=frozenset({'a', (1, 2), 3, None}))")
