@@ -4,6 +4,14 @@ Machine-readable JSON goes to stdout (tagged "schema": "absorb/1"),
 human-oriented diagnostics to stderr.  Exit codes: 0 the queried property
 holds, 1 it fails, 2 input or usage error, 3 a resource cap was exceeded,
 4 an internal error (any other exception; its traceback goes to stderr).
+
+The command table (`GLOBAL_OPTIONS` and `COMMANDS`) is the one place to add
+a command or a flag: it feeds the parser, -h and dispatch, which runs
+`cmd_<command>(args)` with one attribute per option.  The parser accepts
+`--opt VALUE`, `--opt=VALUE`, `-s VALUE`, `-sVALUE` and unique prefixes of
+long options; the last of a repeated option wins, and a value is the next
+word even when it looks like a negative number.  A usage error prints the
+usage line and `absorb[ CMD]: error: ...` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -226,8 +234,9 @@ SUBSET = Option(("-b", "--subset"), "subset JSON (inline)", required=True)
 GLOBAL_OPTIONS = (
     Option(
         ("--max-power-vertices",),
-        "cap on power-structure vertices and constraint scopes, and on the "
-        "relations corpus enumerates (env ABSORB_MAX_VERTICES)",
+        "cap on power-structure vertices and constraint scopes (verify counts "
+        "those of the cube), and on the relations corpus enumerates (env "
+        "ABSORB_MAX_VERTICES)",
         type=int,
     ),
 )
