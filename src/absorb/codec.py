@@ -7,7 +7,6 @@ parse(serialize(v)) == v and serialize(parse(text)) is byte-stable.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from .decide import Certificate, CertEntry, CertStep, ChainWitness, Decision, Quintuple
 from .engine import EssentialWitness
@@ -21,6 +20,8 @@ from .model import (
     subset,
 )
 
+# annotations stay strings, so these are read by type checkers only
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .comb import CombFormula
     from .ppform import PPFormula

@@ -12,8 +12,6 @@ each); comb_analyze computes the path-image subsets G_i/H_i, the repeated
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .decide import decide_jonsson
 from .engine import DEFAULT_VERTEX_CAP, is_b_essential
 from .errors import InputError
@@ -35,6 +33,11 @@ from .ppform import (
     evaluate_pp,
     is_simplified,
 )
+
+# annotations stay strings, so typing is read by type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 class CombFormula(Record):

@@ -19,9 +19,19 @@ for each (u,v) and covers the columns (b1,b2,d) in B x B x A with B
 (engine.Fixpoint.restrict and .cover).  The edges of a quintuple are then
 the (u,v) whose table covers its column.  A walk step takes the least color
 in B for which the (u,v) fixpoint with (b1,b2,d) also restricted has a
-solution; a restricted fixpoint equals the one computed from scratch (see
+solution, and that solution's table (engine.Fixpoint.solve_at); a
+restricted fixpoint equals the one computed from scratch (see
 engine.Fixpoint), so that table does not depend on the order of the
-restrictions.
+restrictions.  On a min-closed power the step is read off the (u,v)
+fixpoint's minima whenever the minimum at (b1,b2,d) lies in B.
+
+Only the pairs with a < c are covered; they come first in quintuple order.
+The swap pi(x,y,z) = (y,x,z) is an automorphism of power(A,3), so pair
+(c,a)'s covered columns are read off pair (a,c)'s (`_swapped_coverage`),
+which are kept until (c,a) comes up.  A walk step of (c,a) restricts its
+own (u,v) fixpoint, once per pair, and takes the first solution from it
+as above: the MRV search's first solution depends on vertex indices, so
+mapping (a,c)'s solutions through pi would give other tables.
 """
 
 from __future__ import annotations
@@ -30,12 +40,12 @@ import math
 import sys
 from collections import deque
 from itertools import product
-from typing import Optional
 
 from .errors import CapExceeded, InputError, NotSubuniverseError
 from .engine import (
     DEFAULT_VERTEX_CAP,
     Fixpoint,
+    check_power_vertices,
     closure_unary,
     power_fixpoint,
 )
@@ -51,6 +61,11 @@ from .model import (
     tuple_rank,
     with_singletons,
 )
+
+# annotations stay strings, so typing is read by type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 class Quintuple(Record):
@@ -112,6 +127,7 @@ def _quintuples(size: int, b: Subset):
 
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     b.check_bounds(a.size)
+    check_power_vertices(a.size, 3, cap)
     expanded, _ = with_singletons(a)
     _, is_sub = closure_unary(expanded, b, cap)
     if not is_sub:
@@ -121,17 +137,24 @@ def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     return expanded
 
 
-def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
-    """{(u, v): (Fixpoint, covered columns)} for the pair a=x, c=y.
+def _pair_table(base: Fixpoint, x: int, y: int, u: int, v: int) -> Fixpoint:
+    """base, the fixpoint of power(A,3), with the columns (x,y,x) restricted
+    to u and (x,y,y) to v: the table of pair a=x, c=y at (u, v)."""
+    size = base.target.size
+    return base.restrict(
+        ((tuple_rank((x, y, x), size), 1 << u), (tuple_rank((x, y, y), size), 1 << v))
+    )
 
-    Each entry restricts the columns (x,y,x) to u and (x,y,y) to v in base, the
-    fixpoint of power(A,3), and covers the generator columns (b1,b2,d) in
-    B x B x A with mask B: a covered column means (b,u,v) lies in the
-    subpower of that quintuple for some color b in B.
+
+def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
+    """({(u, v): table}, {(u, v): covered columns}) for the pair a=x, c=y.
+
+    Each table is `_pair_table(base, x, y, u, v)`, whose cover of the
+    generator columns (b1,b2,d) in B x B x A with mask B gives the covered
+    columns: a covered column means (b,u,v) lies in the subpower of that
+    quintuple for some color b in B.
     """
     size = base.target.size
-    col_u = tuple_rank((x, y, x), size)
-    col_v = tuple_rank((x, y, y), size)
     pending = [
         tuple_rank((b1, b2, d), size)
         for b1, b2 in product(b.sorted_elements(), repeat=2)
@@ -139,20 +162,42 @@ def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
     ]
     bmask = sum(1 << e for e in b.elements)
     tables = {}
+    covered = {}
     for u, v in product(range(size), repeat=2):
-        table = base.restrict(((col_u, 1 << u), (col_v, 1 << v)))
-        tables[u, v] = table, table.cover(pending, bmask)
-    return tables
+        table = tables[u, v] = _pair_table(base, x, y, u, v)
+        covered[u, v] = table.cover(pending, bmask)
+    return tables, covered
 
 
-def _cert_step(table: Fixpoint, col: int, u: int, v: int, b: Subset) -> CertStep:
-    """The least color b in B with (b,u,v) generated, and the first solution
-    of table with col also restricted to b, as an operation table."""
-    for color in b.sorted_elements():
-        values = table.restrict(((col, 1 << color),)).solve()
-        if values is not None:
-            return CertStep(color, u, v, OperationTable(3, table.target.size, values))
-    raise AssertionError("covered edge has no generating polymorphism")
+def _swapped_coverage(covered: dict, size: int) -> dict:
+    """The covered columns of pair (c, a), read off those of pair (a, c).
+
+    pi(x,y,z) = (y,x,z) is an automorphism of power(A,3): it permutes the
+    scopes of every relation and fixes the singleton scopes (e,e,e), so
+    h -> h.pi is a bijection on solutions.  pi swaps (a,c,a) with (c,a,a)
+    and (a,c,c) with (c,a,c), so (c,a)'s set at (u,v) holds column
+    (b1,b2,d) exactly when (a,c)'s set at (v,u) holds (b2,b1,d).
+    """
+    square = size * size
+    swap = [
+        b2 * square + b1 * size + d
+        for b1, b2, d in product(range(size), repeat=3)
+    ]
+    return {
+        (u, v): frozenset(map(swap.__getitem__, covered[v, u]))
+        for u, v in product(range(size), repeat=2)
+    }
+
+
+def _cert_step(table: Fixpoint, col: int, u: int, v: int, bmask: int) -> CertStep:
+    """The least color b in the mask bmask of B with (b,u,v) generated, and
+    the first solution of table with col also restricted to b, as an
+    operation table."""
+    found = table.solve_at(col, bmask)
+    if found is None:
+        raise AssertionError("covered edge has no generating polymorphism")
+    color, values = found
+    return CertStep(color, u, v, OperationTable(3, table.target.size, values))
 
 
 def decide_jonsson(
@@ -160,7 +205,11 @@ def decide_jonsson(
 ) -> Decision:
     """Decide B Jónsson-absorbs Pol(A); on failure report the least failing
     quintuple, on success assemble the NP certificate (unless certificate is
-    False, in which case Decision.certificate is None)."""
+    False, in which case Decision.certificate is None).
+
+    A structure whose cube has more vertices than cap is refused first,
+    before any work that grows with its size.
+    """
     expanded = _validate_inputs(a, b, cap)
     size = a.size
     entries = []
@@ -172,24 +221,33 @@ def decide_jonsson(
             entries.append(CertEntry(q, steps))
         return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
     base = power_fixpoint(expanded, 3, cap)
-    pair = tables = None
+    bmask = sum(1 << e for e in b.elements)
+    # the covered sets of each pair (a, c) with a < c, until (c, a) comes up
+    kept = {}
+    pair = tables = covered = None
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))
             continue
         if pair != (q.a, q.c):
             pair = (q.a, q.c)
-            tables = _coverage_tables(b, q.a, q.c, base)
+            if q.a < q.c:
+                tables, covered = _coverage_tables(b, q.a, q.c, base)
+                kept[pair] = covered
+            else:
+                tables, covered = {}, _swapped_coverage(kept.pop((q.c, q.a)), size)
         col = tuple_rank((q.b1, q.b2, q.d), size)
-        edges = frozenset(uv for uv, (_, covered) in tables.items() if col in covered)
+        edges = frozenset(uv for uv, cols in covered.items() if col in cols)
         walk = digraph_reach(Digraph(size, edges), {q.a}, {q.c})
         if walk is None:
             return Decision(False, failing=q)
         if certificate:
-            steps = tuple(
-                _cert_step(tables[u, v][0], col, u, v, b) for u, v in zip(walk, walk[1:])
-            )
-            entries.append(CertEntry(q, steps))
+            steps = []
+            for u, v in zip(walk, walk[1:]):
+                if (u, v) not in tables:
+                    tables[u, v] = _pair_table(base, q.a, q.c, u, v)
+                steps.append(_cert_step(tables[u, v], col, u, v, bmask))
+            entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
 
 
@@ -335,27 +393,36 @@ def verify_np_certificate(
 ):
     """Polynomial-time certificate check; returns (ok, first_defect_or_None).
 
-    Each polymorphism check of a ternary table visits |R|^3 tuples of every
-    relation R, the constraint scopes of power(A, 3); over cap, the check is
-    refused before any replay, as `power_fixpoint` refuses the fixpoint of
-    that power before building anything.
+    Each ternary table has one entry per vertex of the cube A^3, and its
+    polymorphism check visits |R|^3 tuples of every relation R, the
+    constraint scopes of power(A, 3).  When either count is over cap, the
+    check is refused before any replay, as `power_fixpoint` refuses the
+    fixpoint of that power before building anything; the vertices are
+    counted first, before any work that grows with the domain.
     """
     b.check_bounds(a.size)
+    size = a.size
+    if size ** 3 > cap:
+        raise CapExceeded(
+            "verify would check %d vertices of the cube per table, cap is %d" % (size ** 3, cap)
+        )
     expanded, _ = with_singletons(a)
     scopes = sum(len(rel) ** 3 for _, rel in expanded.relations)
     if scopes > cap:
         raise CapExceeded(
             "verify would check %d constraint scopes per table, cap is %d" % (scopes, cap)
         )
-    size = a.size
-    replayed = set(_quintuples(size, b))
     table = {}
     for entry in cert.entries:
-        if entry.q in table:
-            return False, "duplicate quintuple %r" % (entry.q.as_list(),)
-        if entry.q not in replayed:
-            return False, "unexpected quintuple %r" % (entry.q.as_list(),)
-        table[entry.q] = entry
+        q = entry.q
+        if q in table:
+            return False, "duplicate quintuple %r" % (q.as_list(),)
+        if not (
+            0 <= q.a < size and 0 <= q.c < size and 0 <= q.d < size
+            and q.b1 in b and q.b2 in b
+        ):
+            return False, "unexpected quintuple %r" % (q.as_list(),)
+        table[q] = entry
     poly_cache = {}
 
     def _is_poly(phi):

@@ -12,7 +12,9 @@ arc-consistent domains of a homomorphism instance, or a wipeout.
 `fixpoint` and `power_fixpoint` propagate from the network's start masks
 (full domains and-ed with the unary constraints); `restrict` narrows
 chosen vertices to value masks and resumes propagation; `solve` returns
-the first solution; `project` returns the distinct value tuples that
+the first solution, and `solve_at` the first one that gives a vertex the
+least value of a mask that any solution gives it (the decider's
+certificate steps); `project` returns the distinct value tuples that
 solutions take at chosen vertices (generated subpowers and the relations
 of pp-formulas); `cover` returns the vertices that some solution sends
 into a value set (the decider's coverage tables).  `restrict`, the
@@ -76,8 +78,8 @@ When every relation of the target that the source uses is closed under
 coordinatewise min (or max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
 constraints on ordered domains", AI 79, 1995): the domain minima (maxima)
 of any fixpoint are a solution.  The network records once per instance
-which of the two holds, and `solve`, `cover` and `project` then read their
-answers off the fixpoint instead of searching.
+which of the two holds, and `solve`, `solve_at`, `cover` and `project`
+then read their answers off the fixpoint instead of searching.
 The minima are the search's first solution, so every output is the same
 as the search's; see `_closed_pick`, `Fixpoint.solve` and `Fixpoint.cover`.
 
@@ -99,7 +101,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain, combinations, product
 from operator import itemgetter
-from typing import Optional
 
 from .errors import CapExceeded, InputError
 from .model import (
@@ -112,6 +113,11 @@ from .model import (
     subset,
     tuple_rank,
 )
+
+# annotations stay strings, so typing is read by type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 DEFAULT_VERTEX_CAP = 10 ** 6
 
@@ -724,6 +730,12 @@ class Fixpoint:
     far and-ed in.  The search is deterministic, so every answer derived
     from the two is the same too.
 
+    The answers are `solve` (the first solution), `solve_at` (the least
+    value in a mask that some solution gives one vertex, with the first
+    solution that does), `cover` and `project`.  On a min-closed target
+    `solve` reads the domain minima and `solve_at` does too when the
+    vertex's minimum lies in the mask, with no search and no restrict.
+
     source is the source structure, or the `Power` that `power_fixpoint`
     names in place of building it; the vertex checks read its size alone.
     net is the instance's `_Network`: `fixpoint` or `power_fixpoint` builds
@@ -798,6 +810,32 @@ class Fixpoint:
         if masks is None:
             return None
         return tuple(_lowest(m).bit_length() - 1 for m in masks)
+
+    def solve_at(self, vertex: int, mask: int) -> Optional[tuple]:
+        """(x, the first solution with vertex restricted to x) for the least
+        value x in the value bitmask that some solution gives vertex, or None.
+
+        The answer is that of restricting vertex to each value of mask in
+        ascending order and solving, at the first value with a solution.  A
+        value outside the vertex's mask wipes out there, so only the values
+        of both masks are tried.  On a min-closed target whose minimum m at vertex lies in
+        mask, the answer is (m, the minima), with no restrict: the minima
+        are a solution with vertex = m, so restricting vertex to m keeps
+        them, and as propagation removes no value of a solution, the minima
+        of the restricted fixpoint are the old ones, which `solve` returns.
+        """
+        self._check_vertices((vertex,))
+        masks = self.masks
+        if masks is None:
+            return None
+        least = _lowest(masks[vertex])
+        if self.net.pick is _lowest and least & mask:
+            return least.bit_length() - 1, self.solve()
+        for x in _bits(masks[vertex] & mask):
+            values = self.restrict(((vertex, 1 << x),)).solve()
+            if values is not None:
+                return x, values
+        return None
 
     def cover(self, pending, mask: int) -> frozenset:
         """The pending vertices that some solution sends into the value bitmask.
@@ -897,15 +935,20 @@ class Power(Record):
         return self.base.size ** self.k
 
 
+def check_power_vertices(size: int, k: int, cap: int):
+    """Refuse the k-th power of a structure of size elements when its
+    vertices number over cap: the arithmetic that `_check_power` starts
+    with, for a caller that has not built the structure's singletons yet."""
+    if size ** k > cap:
+        raise CapExceeded("power structure would have %d vertices, cap is %d" % (size ** k, cap))
+
+
 def _check_power(a: RelationalStructure, k: int, cap: int):
     """Refuse power(a, k) when k < 1, or when its vertices or its constraint
     scopes (the tuples of all its relations, sum of |R|^k) number over cap."""
     if k < 1:
         raise InputError("power exponent must be positive")
-    if a.size ** k > cap:
-        raise CapExceeded(
-            "power structure would have %d vertices, cap is %d" % (a.size ** k, cap)
-        )
+    check_power_vertices(a.size, k, cap)
     scopes = sum(len(rel) ** k for _, rel in a.relations)
     if scopes > cap:
         raise CapExceeded(

@@ -10,9 +10,13 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
+
+# annotations stay strings, so typing is read by type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Optional, Sequence
 
 SINGLETON_PREFIX = "_s"
 

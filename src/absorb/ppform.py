@@ -11,8 +11,6 @@ decides its satisfiability.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .engine import fixpoint
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
@@ -22,6 +20,11 @@ from .model import (
     diagonal,
     relation,
 )
+
+# annotations stay strings, so typing is read by type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 DEFAULT_VARIABLE_CAP = 22
 

@@ -150,6 +150,29 @@ class TestDecideCommand:
         code, _ = run(capsys, "decide", "-s", str(path), "-b", B0)
         assert code == 2
 
+    def test_cube_cap_refuses_before_any_work_on_the_domain(self, capsys, tmp_path):
+        # with_singletons and the subuniverse check took 9 s here before
+        # the cube's vertices were counted
+        path = tmp_path / "empty.json"
+        path.write_text('{"size": 300000, "relations": {}}')
+        start = time.perf_counter()
+        code = main(["decide", "-s", str(path), "-b", B0])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "power structure would have %d vertices, cap is 1000000" % 300000 ** 3 in captured.err
+        assert elapsed < 2
+
+    def test_cube_cap_comes_before_the_subuniverse_check(self, capsys, tmp_path):
+        # {0,1} is not a subuniverse (exit 2 under the cap), but the cube of
+        # 27 vertices is over a cap of 26
+        path = tmp_path / "three.json"
+        path.write_text(codec.dump_structure(structure(3, {"r": [(0, 1)]})))
+        argv = ["decide", "-s", str(path), "-b", '{"elements":[0,1]}']
+        assert main(argv) == 2
+        assert main(["--max-power-vertices", "26", *argv]) == 3
+        assert "27 vertices, cap is 26" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_usage_error(self, capsys, files, monkeypatch, cap):
         _, ord2_path, _ = files
@@ -404,6 +427,38 @@ class TestVerifyCommand:
         code, payload = run(capsys, "--max-power-vertices", "29", *verify)
         assert code == 0 and payload["holds"] is True
 
+    def test_cube_cap_refuses_before_any_work_on_the_domain(self, capsys, tmp_path):
+        # verify capped only the constraint scopes and ran for minutes here
+        path = tmp_path / "empty.json"
+        path.write_text('{"size": 2000, "relations": {}}')
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"quintuples": []}')
+        start = time.perf_counter()
+        code = main(["verify", "-s", str(path), "-b", B0, "--certificate", str(cert)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "verify would check 8000000000 vertices of the cube per table, cap is 1000000" in (
+            captured.err
+        )
+        assert elapsed < 2
+
+    def test_quintuples_are_checked_without_listing_them(self, capsys, tmp_path):
+        # 8,000,000 quintuples were built into a set before the first entry
+        # was read: 27 s to find the first one missing
+        path = tmp_path / "empty.json"
+        path.write_text('{"size": 200, "relations": {}}')
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"quintuples": [{"q": [0, 1, 0, 0, 0], "steps": []}]}')
+        start = time.perf_counter()
+        code, payload = run(
+            capsys, "--max-power-vertices", "10000000",
+            "verify", "-s", str(path), "-b", B0, "--certificate", str(cert),
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 1 and payload["defect"] == "missing quintuple [0, 0, 0, 0, 0]"
+        assert elapsed < 2
+
     def test_empty_b_is_an_input_error(self, capsys, files):
         # as decide, search and chain report it, not as a failed verdict
         tmp, ord2_path, _ = files
@@ -619,6 +674,10 @@ class TestImportCost:
             "argparse", "gettext", "locale", "absorb.comb", "absorb.ppform", "absorb.corpus"
         )
         assert self.loaded("import absorb.cli", unused) == "[]\n"
+
+    def test_cli_import_loads_no_typing(self):
+        # the annotations are strings, read by type checkers only
+        assert self.loaded("import absorb.cli", ("typing",)) == "[]\n"
 
     def test_package_import_loads_no_submodule(self):
         submodules = ["absorb." + info.name for info in pkgutil.iter_modules(absorb.__path__)]

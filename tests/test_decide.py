@@ -29,6 +29,7 @@ from absorb import (
     is_absorption_term,
     is_jonsson_chain,
     oracle_chain_search,
+    power_fixpoint,
     power_structure,
     projection_table,
     relation,
@@ -37,7 +38,7 @@ from absorb import (
     verify_np_certificate,
     with_singletons,
 )
-from absorb.decide import _quintuples
+from absorb.decide import _coverage_tables, _quintuples, _swapped_coverage
 from bruteforce import generated_subpower_oracle
 from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
 from reference import jonsson_digraph, reference_decide
@@ -204,6 +205,65 @@ class TestAgainstReferenceRoute:
             assert ok, defect
 
 
+def _leq(n):
+    return structure(n, {"leq": [(x, y) for x, y in product(range(n), repeat=2) if x <= y]})
+
+
+def _min_graph(n):
+    return structure(n, {"min": [(x, y, min(x, y)) for x, y in product(range(n), repeat=2)]})
+
+
+def _relabelled(a, perm):
+    return structure(a.size, {
+        name: [tuple(perm[e] for e in t) for t in rel.tuples] for name, rel in a.relations
+    })
+
+
+def perm_graph(n):
+    """The graph of x -> x + 1 mod n: closed under neither min nor max."""
+    return structure(n, {"p": [(x, (x + 1) % n) for x in range(n)]})
+
+
+class TestDerivedPairs:
+    """decide computes the coverage tables of each pair (a, c) with a < c and
+    reads those of (c, a) off them; a certificate step of (c, a) restricts
+    its table lazily, and a min-closed one is read off the table's minima."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        ternary=st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4),
+        elements=st.sets(st.integers(0, 2), min_size=1, max_size=2),
+    )
+    def test_swapped_coverage_equals_the_computed_one(self, binary, ternary, elements):
+        rels = {"r": sorted(binary)}
+        if ternary:
+            rels["t"] = sorted(ternary)
+        a = expand(structure(3, rels))
+        b = subset(sorted(elements))
+        base = power_fixpoint(a, 3)
+        for x, y in [(0, 1), (0, 2), (1, 2)]:
+            _, covered = _coverage_tables(b, x, y, base)
+            _, expected = _coverage_tables(b, y, x, base)
+            assert _swapped_coverage(covered, 3) == expected
+
+    @pytest.mark.parametrize(
+        "a, elements",
+        [
+            # leq5 with 1 and the top element swapped: not min-closed
+            (_relabelled(_leq(5), [0, 4, 2, 3, 1]), [0]),
+            (_min_graph(4), [0, 1]),
+            (perm_graph(5), [0]),
+        ],
+        ids=["leq5r", "min4", "perm5"],
+    )
+    def test_certificates_equal_the_reference_route(self, a, elements):
+        b = subset(elements)
+        decision = decide_jonsson(a, b)
+        assert decision.holds
+        assert decision == reference_decide(a, b)
+
+
 class TestCertificateVerification:
     def _holding(self):
         d = decide_jonsson(ord2(), B0)
@@ -217,6 +277,14 @@ class TestCertificateVerification:
         cert = Certificate(self._holding().entries[1:])
         ok, defect = verify_np_certificate(ord2(), B0, cert)
         assert not ok and "missing" in defect
+
+    @pytest.mark.parametrize(
+        "q", [(-1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 1, 2, 0, 0), (0, 1, 0, 1, 0), (1, 0, 1, 0, 1)]
+    )
+    def test_quintuple_out_of_range(self, q):
+        entries = self._holding().entries + (CertEntry(Quintuple(*q), ()),)
+        ok, defect = verify_np_certificate(ord2(), B0, Certificate(entries))
+        assert (ok, defect) == (False, "unexpected quintuple %r" % (list(q),))
 
     def test_duplicate_quintuple(self):
         entries = self._holding().entries
@@ -388,14 +456,6 @@ class TestBounds:
 CERTS = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "data", "certs"
 )
-
-
-def _leq(n):
-    return structure(n, {"leq": [(x, y) for x, y in product(range(n), repeat=2) if x <= y]})
-
-
-def _min_graph(n):
-    return structure(n, {"min": [(x, y, min(x, y)) for x, y in product(range(n), repeat=2)]})
 
 
 # The benchmark's pinned instances, in the labelling of their pinned certificates.

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from absorb import engine
 from absorb import (
     CapExceeded,
+    Fixpoint,
     InputError,
     OperationTable,
     Power,
@@ -253,6 +254,68 @@ class TestClosedTargets:
         assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
         vertices = data.draw(st.lists(vertex, max_size=3))
         assert fp.project(vertices) == reference_project(fp, vertices)
+
+
+def restrict_and_solve(fp, vertex, mask):
+    """Fixpoint.solve_at by restricting vertex to each value of mask in
+    ascending order, the first solution taken by the reference search."""
+    for x in range(fp.target.size):
+        if (mask >> x) & 1:
+            values = reference_solve(fp.restrict(((vertex, 1 << x),)))
+            if values is not None:
+                return x, values
+    return None
+
+
+class TestSolveAt:
+    """The least value in a mask that some solution gives a vertex, with the
+    first solution that gives it, against one restricted solve per value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), op=st.sampled_from((min, max, None)))
+    def test_matches_restrict_and_solve(self, data, op):
+        source, target = draw_instance(data, 5)
+        if op is not None:
+            target = structure(3, {
+                name: relation(rel.arity, close_under(rel.tuples, op))
+                for name, rel in target.relations
+            })
+        base = fixpoint(source, target)
+        if op is min:
+            assert base.net.pick is engine._lowest
+        n = source.size
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, st.integers(1, 7)), max_size=3))
+        fp = base.restrict(pairs)
+        v = data.draw(vertex)
+        mask = data.draw(st.integers(0, 7))
+        assert fp.solve_at(v, mask) == restrict_and_solve(fp, v, mask)
+
+    def test_min_closed_minimum_in_the_mask_is_read_off(self, monkeypatch):
+        less = structure(3, {"r": [(x, y) for x, y in product(range(3), repeat=2) if x < y]})
+        fp = fixpoint(structure(3, {"r": [(0, 1), (0, 2)]}), less)
+        assert fp.net.pick is engine._lowest
+        assert fp.masks == (0b011, 0b110, 0b110)
+        expected = restrict_and_solve(fp, 2, 0b110)
+        assert expected == (1, (0, 1, 1))
+
+        def no_restrict(self, pairs):
+            raise AssertionError("restricted")
+
+        monkeypatch.setattr(Fixpoint, "restrict", no_restrict)
+        assert fp.solve_at(2, 0b110) == expected
+        # a mask without the minimum is answered by restricting
+        with pytest.raises(AssertionError, match="restricted"):
+            fp.solve_at(2, 0b100)
+
+    def test_wipeout_and_vertex_range(self):
+        # a loop has no image in a loopless target
+        fp = fixpoint(structure(2, {"r": [(0, 0)]}), structure(2, {"r": [(0, 1)]}))
+        assert fp.masks is None and fp.solve_at(0, 0b11) is None
+        fp = fixpoint(structure(2, {"r": [(0, 1)]}), structure(2, {"r": [(0, 1)]}))
+        assert fp.solve_at(1, 0b01) is None
+        with pytest.raises(InputError, match="vertex 2 out of range"):
+            fp.solve_at(2, 0b11)
 
 
 def draw_disjoint_instance(data):
