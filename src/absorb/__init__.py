@@ -54,7 +54,6 @@ _EXPORTS = {
         "generate_subpower",
         "is_b_essential",
         "power_fixpoint",
-        "power_structure",
     ),
     "errors": (
         "AbsorbError",

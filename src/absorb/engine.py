@@ -31,22 +31,19 @@ in that relation and direction's memo and and-ed into each neighbour, one
 test per neighbour.  In a power structure thousands of scopes share one
 target relation and meet the same few masks, so a lookup rarely misses.
 
-Constraints of arity 3 or more keep a queue of their own, with one scope
-per orbit of their target relation's position symmetries.  In a power
-structure, every scope of R^n comes with its image under each permutation
-g of positions that maps R onto itself, and the two are one constraint:
-the assignments they allow are the same, and revising g(s) gives its
-position i the support that revising s gives the position g moves to i,
-which holds the same vertex.  So keeping one scope per orbit changes no
-fixpoint, and no answer read from one.  The symmetries looked for are the
-transpositions and the products of two disjoint transpositions that map
-R onto itself (`_symmetries`), and for a source given by its tuples the
-orbits are walked through its own scopes (`_orbit_representatives`); a
-symmetry outside the group that they generate is only left unused.
-power(aff3w, 3), of x - y + z - w = 0 mod 3, keeps 2,835 of its 19,683
-scopes, and power(min5, 3) 7,875 of 15,625.  A symmetry keeps a scope's
-vertex set, so where no two scopes of a relation share one, nothing is
-looked for.
+Constraints of arity 3 or more keep a queue of their own.  A source given
+by its tuples (`fixpoint`) keeps every scope.  A power keeps one scope per
+orbit of its target relation's position symmetries: every scope of R^n
+comes with its image under each permutation g of positions that maps R
+onto itself, and the two are one constraint: the assignments they allow
+are the same, and revising g(s) gives its position i the support that
+revising s gives the position g moves to i, which holds the same vertex.
+So keeping one scope per orbit changes no fixpoint, and no answer read
+from one.  The symmetries looked for are the transpositions and the
+products of two disjoint transpositions that map R onto itself
+(`_symmetries`); a symmetry outside the group that they generate is only
+left unused.  power(aff3w, 3), of x - y + z - w = 0 mod 3, keeps 2,835 of
+its 19,683 scopes, and power(min5, 3) 7,875 of 15,625.
 
 Every query of the package solves power(A, k) -> A, and `power_fixpoint`
 builds that network from A's rows without building the power; its
@@ -59,10 +56,7 @@ and a symmetry of R acts on all k rows at once, so the orbits of the
 scopes are those of the group G that the symmetries generate, acting on
 k-tuples of rows.  A stabiliser chain over R's sorted rows keeps one
 tuple of each, by Schreier's lemma and without enumerating G
-(`_orbit_scopes`).  R^k is closed under every symmetry of R, so in a
-materialised power the walk through the source's own scopes reaches
-whole G-orbits too: both builders keep one scope per orbit, as many
-scopes, and the same fixpoint.
+(`_orbit_scopes`).
 
 A revision of an n-ary constraint is a pure function of its target
 relation's allowed tuples and the domain masks of its scope, so every
@@ -109,7 +103,6 @@ from .model import (
     Relation,
     RelationalStructure,
     Subset,
-    power_blocks,
     subset,
     tuple_rank,
 )
@@ -200,13 +193,13 @@ class _Network:
     unary constraints.  cons lists the
     constraints of arity 3 or more as (scope, allowed_tuples, memo), memo
     being the revision memo of the target relation, and var_cons[v] the
-    indices of those on v.  cons holds one scope of each orbit of a
-    relation's scopes under the symmetries `_symmetries` finds in its
-    target relation: a scope and its image under one allow the same
-    assignments and narrow each vertex alike (see the module docstring),
-    so the fixpoint, and every answer read from it, is that of all the
-    scopes.  pick is the instance's `_closed_pick`, and full the mask of
-    all target values.
+    indices of those on v.  In a power's network, cons holds one scope of
+    each orbit of a relation's scopes under the symmetries `_symmetries`
+    finds in its target relation: a scope and its image under one allow
+    the same assignments and narrow each vertex alike (see the module
+    docstring), so the fixpoint, and every answer read from it, is that of
+    all the scopes.  pick is the instance's `_closed_pick`, and full the
+    mask of all target values.
 
     components is None until the first search that must branch sets it to
     the source's `_Components` (see `_components`), and solved is the
@@ -272,34 +265,6 @@ def _symmetries(rel: Relation) -> list:
     return out
 
 
-def _orbit_representatives(scopes, gens) -> list:
-    """One scope of each orbit of scopes, a set, under the group that the
-    permutations gens generate, in the order scopes iterates.
-
-    The walk from each kept scope applies every generator to each scope it
-    reaches and goes on only into scopes of the set not reached before.
-    Each generator is an involution, so the walk reaches exactly the scopes
-    joined to its start by a chain of generators inside the set, and it
-    reaches each once: the work is |scopes| x |gens| applications.
-    """
-    left = set(scopes)
-    kept = []
-    for s in scopes:
-        if s not in left:
-            continue
-        left.remove(s)
-        kept.append(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for g in gens:
-                w = g(u)
-                if w in left:
-                    left.remove(w)
-                    stack.append(w)
-    return kept
-
-
 def _assemble(size: int, target: RelationalStructure, scopes) -> _Network:
     """The `_Network` of an instance of size source vertices into target.
 
@@ -307,7 +272,7 @@ def _assemble(size: int, target: RelationalStructure, scopes) -> _Network:
     has scopes: for arity 1, data lists the vertices it holds; for arity
     2, it is the pair of per-vertex neighbour lists, of the vertices at
     position 1 beside each vertex at position 0 and the reverse; otherwise
-    it lists the scopes to keep.  `_network` reads them off a source's
+    it lists the scopes to keep.  `fixpoint` reads them off a source's
     tuples and `power_fixpoint` off the rows of the power's base.
     """
     adj = [[] for _ in range(size)]
@@ -339,14 +304,9 @@ def _assemble(size: int, target: RelationalStructure, scopes) -> _Network:
     return _Network(adj, tuple(start), cons, var_cons, _closed_pick(names, target), full)
 
 
-def _source_scopes(source: RelationalStructure, target: RelationalStructure):
-    """`_assemble`'s triples, read off the tuples of source's relations.
-
-    An n-ary relation keeps one scope per orbit of its scopes under the
-    symmetries of its target relation.  A symmetry keeps a scope's vertex
-    set, so when no two scopes share one, no orbit merges and neither the
-    symmetries nor the orbits are looked for.
-    """
+def _source_scopes(source: RelationalStructure):
+    """`_assemble`'s triples, read off the tuples of source's relations;
+    an n-ary relation keeps every scope."""
     for name, rel in source.relations:
         scopes = rel.tuples
         if not scopes:
@@ -362,16 +322,7 @@ def _source_scopes(source: RelationalStructure, target: RelationalStructure):
                 pairs.append(neighbours)
             yield name, 2, pairs
         else:
-            if len(set(map(frozenset, scopes))) < len(scopes):
-                gens = _symmetries(target.rel(name))
-                if gens:
-                    scopes = _orbit_representatives(scopes, gens)
             yield name, rel.arity, scopes
-
-
-def _network(source: RelationalStructure, target: RelationalStructure) -> _Network:
-    """The `_Network` of the instance from source to target."""
-    return _assemble(source.size, target, _source_scopes(source, target))
 
 
 def _revise(allowed, key):
@@ -906,7 +857,7 @@ def fixpoint(source: RelationalStructure, target: RelationalStructure) -> Fixpoi
     vertex (a start mask of 0 is a wipeout)."""
     if source.signature() != target.signature():
         raise InputError("source and target structures have different signatures")
-    return _propagated(source, target, _network(source, target))
+    return _propagated(source, target, _assemble(source.size, target, _source_scopes(source)))
 
 
 def _propagated(source, target: RelationalStructure, net: _Network) -> Fixpoint:
@@ -924,8 +875,9 @@ def _propagated(source, target: RelationalStructure, net: _Network) -> Fixpoint:
 class Power(Record):
     """The k-th power of base as the source of a `Fixpoint`, named rather
     than built: its vertices are the k-tuples over base's domain in
-    lexicographic rank order, and its relations those `power_structure`
-    builds."""
+    lexicographic rank order, and its relations are the R^k of base's
+    relations R: a k-tuple of R's rows gives the scope whose i-th vertex is
+    the k-tuple of the rows' i-th entries."""
 
     base: RelationalStructure
     k: int
@@ -956,33 +908,15 @@ def _check_power(a: RelationalStructure, k: int, cap: int):
         )
 
 
-def power_structure(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> RelationalStructure:
-    """The k-th power of a; vertices are k-tuples in lexicographic rank order.
-
-    cap bounds both the vertices and the constraint scopes (`_check_power`);
-    either count over it is refused before anything is built.  The power is
-    built unchecked: a's relations are checked and sorted by name, and
-    every tuple of ranks has its relation's arity and entries below
-    a.size ** k by construction.  The package's queries do not build it:
-    they start from `power_fixpoint`.
-    """
-    _check_power(a, k, cap)
-    rels = []
-    for name, rel in a.relations:
-        blocks = power_blocks(rel.sorted_tuples(), rel.arity, a.size, k)
-        tuples = frozenset(chain.from_iterable(zip(*block) for block in blocks))
-        rels.append((name, rel.arity, tuples))
-    return RelationalStructure._unchecked(a.size ** k, rels)
-
-
 def power_fixpoint(a: RelationalStructure, k: int, cap: int = DEFAULT_VERTEX_CAP) -> Fixpoint:
     """The fixpoint of the instance from power(a, k) to a, with source
-    `Power(a, k)`: `fixpoint(power_structure(a, k, cap), a)` but for the
-    source, and without building the power.
+    `Power(a, k)`; the power itself is never built.
 
-    The caps are `power_structure`'s, checked before anything is built.
-    The network is read off a's rows (`_power_scopes`), so no tuple of
-    any R^k is made.
+    cap bounds both the power's vertices and its constraint scopes
+    (`_check_power`); either count over it is refused before anything is
+    built.  The network is read off a's rows (`_power_scopes`), so no
+    tuple of any R^k is made, and an n-ary R^k keeps one scope per orbit
+    of its scopes.
     """
     _check_power(a, k, cap)
     return _propagated(Power(a, k), a, _assemble(a.size ** k, a, _power_scopes(a, k)))

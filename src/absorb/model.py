@@ -194,28 +194,6 @@ class RelationalStructure(Record):
                         )
         object.__setattr__(self, "_by_name", seen)
 
-    @classmethod
-    def _unchecked(cls, size, relations):
-        """The structure built without `__post_init__`'s checks, for the
-        power builder's own values only, never for input.
-
-        relations lists (name, arity, tuples) triples sorted by name, names
-        distinct, tuples a frozenset of tuples of that arity with entries
-        below size: the form the checks leave and accept.
-        """
-        setter = object.__setattr__
-        rels = []
-        for name, arity, tuples in relations:
-            rel = object.__new__(Relation)
-            setter(rel, "arity", arity)
-            setter(rel, "tuples", tuples)
-            rels.append((name, rel))
-        self = object.__new__(cls)
-        setter(self, "size", size)
-        setter(self, "relations", tuple(rels))
-        setter(self, "_by_name", dict(rels))
-        return self
-
     @property
     def names(self):
         return tuple(name for name, _ in self.relations)

@@ -6,8 +6,10 @@ allowed tuples of its target relation.  `engine._gac` must return the same
 flag and, when nothing is wiped out, leave the same masks.
 
 `reference_power_structure` is the power builder that ranks every tuple of
-every position with `tuple_rank`; `engine.power_structure` must build the
-same structure.
+every position with `tuple_rank`.  Every oracle below that needs a power
+solves `fixpoint(reference_power_structure(a, k), a)`, which keeps every
+scope, so the oracles share no power code with `engine.power_fixpoint`,
+which reads its network off A's rows and keeps one n-ary scope per orbit.
 
 `reference_is_polymorphism` applies the table to every tuple of rows, one
 `OperationTable.apply` at a time; `model.is_polymorphism` must return the
@@ -62,7 +64,6 @@ from absorb import (
     digraph_reach,
     fixpoint,
     generate_subpower,
-    power_structure,
     projection_table,
     tuple_rank,
 )
@@ -232,9 +233,9 @@ def is_member(base, s, t):
     return base.restrict(pairs).solve() is not None
 
 
-def subpower_membership(a, s, t, cap=DEFAULT_VERTEX_CAP):
+def subpower_membership(a, s, t):
     """`is_member` on a fixpoint of power(A, |s|) built for this tuple."""
-    return is_member(fixpoint(power_structure(a, len(s), cap), a), s, t)
+    return is_member(fixpoint(reference_power_structure(a, len(s)), a), s, t)
 
 
 def jonsson_digraph(base, b, q):
@@ -267,7 +268,7 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
         return Decision(True, certificate=Certificate(tuple(entries)))
-    base = fixpoint(power_structure(expanded, 3, cap), expanded)
+    base = fixpoint(reference_power_structure(expanded, 3), expanded)
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))

@@ -33,7 +33,6 @@ from absorb import (
     is_b_essential,
     is_jonsson_chain,
     oracle_chain_search,
-    power_structure,
     subset,
     tuple_rank,
     verify_np_certificate,
@@ -43,7 +42,7 @@ from absorb.ppform import Atom, Registry, is_simplified
 from bruteforce import generated_subpower_oracle
 from conftest import record_line
 from fixtures import B0, aff2, corpus2, neq2, ord2, triv1
-from reference import generator_columns
+from reference import generator_columns, reference_power_structure
 
 
 def report(name, ok, detail=""):
@@ -236,7 +235,7 @@ def _section_pool(a, b):
         ((bs[0], 0, 0), (o[0], 0, 1), (o[0], 1, 0)),
     )
     # the subpowers of all three generator sets, off one fixpoint of power(A,3)
-    base = fixpoint(power_structure(a, 3), a)
+    base = fixpoint(reference_power_structure(a, 3), a)
     pool = {Relation(3, base.project(generator_columns(gens, a.size))) for gens in gen_sets}
     return sorted(pool, key=lambda r: sorted(r.tuples))
 

@@ -30,7 +30,6 @@ from absorb import (
     is_jonsson_chain,
     oracle_chain_search,
     power_fixpoint,
-    power_structure,
     projection_table,
     relation,
     structure,
@@ -41,7 +40,7 @@ from absorb import (
 from absorb.decide import _coverage_tables, _quintuples, _swapped_coverage
 from bruteforce import generated_subpower_oracle
 from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
-from reference import jonsson_digraph, reference_decide
+from reference import jonsson_digraph, reference_decide, reference_power_structure
 
 BA = subset([0, 1])
 
@@ -62,7 +61,7 @@ class TestQuintuples:
 class TestJonssonDigraph:
     def test_matches_bruteforce_subpower(self):
         a = expand(aff2())
-        base = fixpoint(power_structure(a, 3), a)
+        base = fixpoint(reference_power_structure(a, 3), a)
         for q in (Quintuple(0, 1, 0, 0, 0), Quintuple(0, 1, 1, 0, 0)):
             graph, r = jonsson_digraph(base, B0, q)
             oracle = generated_subpower_oracle(a, q.generators())
@@ -73,7 +72,7 @@ class TestJonssonDigraph:
 
     def test_aff2_passing_and_failing_quintuples(self):
         a = expand(aff2())
-        base = fixpoint(power_structure(a, 3), a)
+        base = fixpoint(reference_power_structure(a, 3), a)
         passing, _ = jonsson_digraph(base, B0, Quintuple(0, 1, 0, 0, 0))
         assert (0, 1) in passing.edges
         failing, _ = jonsson_digraph(base, B0, Quintuple(0, 1, 1, 0, 0))

@@ -97,6 +97,13 @@ class TestEvaluate:
             arity = a.rel(name).arity
             scope = data.draw(st.lists(st.sampled_from(names), min_size=arity, max_size=arity))
             atoms.append(Atom(name, tuple(scope)))
+        # sometimes a second atom on an n-ary atom's variables, its scope
+        # permuted: aff(v0, v1, v2) beside aff(v1, v0, v2)
+        nary = [atom for atom in atoms if len(atom.scope) > 2]
+        if nary and data.draw(st.booleans()):
+            atom = data.draw(st.sampled_from(nary))
+            order = data.draw(st.permutations(range(len(atom.scope))))
+            atoms.append(Atom(atom.rel, tuple(atom.scope[i] for i in order)))
         extra = data.draw(st.lists(st.sampled_from(names + ["e"]), max_size=2, unique=True))
         known = PPFormula((), tuple(atoms), tuple(extra)).variables or ("v0",)
         free = data.draw(st.lists(st.sampled_from(known), min_size=1, unique=True))
