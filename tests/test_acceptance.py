@@ -10,8 +10,6 @@ import random
 import time
 from itertools import product
 
-import pytest
-
 from absorb import (
     Certificate,
     CertEntry,

@@ -13,7 +13,6 @@ from absorb import (
     PPFormula,
     Quintuple,
     Relation,
-    RelationalStructure,
     decide_jonsson,
     projection_table,
     relation,

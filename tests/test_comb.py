@@ -12,7 +12,6 @@ from absorb import (
     generate_subpower,
     is_b_essential,
     relation,
-    subset,
 )
 from absorb.comb import CombFormula, comb_analyze, comb_extract, surgery_step
 from absorb.ppform import Atom, analyze_formula

@@ -25,7 +25,6 @@ from absorb import (
     decide_jonsson,
     essential_witness_search,
     fixpoint,
-    generate_subpower,
     is_absorption_term,
     is_jonsson_chain,
     oracle_chain_search,
@@ -35,7 +34,6 @@ from absorb import (
     structure,
     subset,
     verify_np_certificate,
-    with_singletons,
 )
 from absorb.decide import _coverage_tables, _quintuples, _swapped_coverage
 from bruteforce import generated_subpower_oracle

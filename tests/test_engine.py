@@ -38,7 +38,7 @@ from bruteforce import (
     generated_subpower_oracle,
     polymorphisms,
 )
-from fixtures import AFF, B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2
+from fixtures import B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2
 from reference import (
     is_member,
     reference_cover,
@@ -759,6 +759,91 @@ def neighbour_lists(fp):
     return [[(rows, sorted(out)) for _, rows, out in entries] for entries in fp.net.adj]
 
 
+def is_preorder(rel, size):
+    """Reflexive on range(size) and transitive, by the definitions."""
+    pairs = rel.tuples
+    return all((x, x) in pairs for x in range(size)) and all(
+        (x, z) in pairs for x, y in pairs for w, z in pairs if y == w
+    )
+
+
+def arcs_by_rows(fp):
+    """{rows: the arcs (v, w), w in v's neighbour list, of the entries of
+    fp's network with those rows}."""
+    arcs = {}
+    for v, entries in enumerate(fp.net.adj):
+        for _, rows, out in entries:
+            arcs.setdefault(rows, set()).update((v, w) for w in out)
+    return arcs
+
+
+def transitive_closure(arcs):
+    """The pairs (v, w) joined by a path of one or more arcs."""
+    after = {}
+    for v, w in arcs:
+        after.setdefault(v, set()).add(w)
+    closure = set()
+    for v in after:
+        reached, stack = set(), [v]
+        while stack:
+            for w in after.get(stack.pop(), ()):
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        closure.update((v, w) for w in reached)
+    return closure
+
+
+def check_binary_arcs(new, old, a, k):
+    """new, power_fixpoint(a, k), against old, the fixpoint of the
+    materialised power, which keeps every scope, for a of one binary
+    relation R.  If R is not a preorder, new keeps old's neighbour lists.
+    If it is, each arc new keeps is an arc of old that changes exactly one
+    coordinate, and the paths of those arcs join exactly old's arcs, loops
+    aside."""
+    (rel,) = [rel for _, rel in a.relations if rel.arity == 2]
+    if not is_preorder(rel, a.size):
+        assert neighbour_lists(new) == neighbour_lists(old)
+        return
+    new_arcs, old_arcs = arcs_by_rows(new), arcs_by_rows(old)
+    assert new_arcs.keys() <= old_arcs.keys()
+    loops = {(v, v) for v in range(a.size ** k)}
+    for rows, arcs in old_arcs.items():
+        kept = new_arcs.get(rows, set())
+        assert kept <= arcs
+        for v, w in kept:
+            x, y = unrank_tuple(v, a.size, k), unrank_tuple(w, a.size, k)
+            assert sum(map(int.__ne__, x, y)) == 1
+        assert transitive_closure(kept) - loops == arcs - loops
+
+
+def leq_order(n):
+    return structure(n, {"leq": [(x, y) for x in range(n) for y in range(n) if x <= y]})
+
+
+def draw_order_instance(data):
+    """A relation on 2 to 4 elements beside a random unary relation, and an
+    exponent of 1 to 3.  The relation is either the reflexive-transitive
+    closure of random pairs, a preorder, or random pairs with the diagonal
+    and a path x -> y -> z but not (x, z) on 3 or 4 elements, reflexive
+    and not transitive."""
+    preorder = data.draw(st.booleans())
+    size = data.draw(st.integers(2 if preorder else 3, 4))
+    value = st.integers(0, size - 1)
+    pairs = data.draw(st.sets(st.tuples(value, value), max_size=6))
+    pairs |= {(x, x) for x in range(size)}
+    if preorder:
+        pairs |= transitive_closure(pairs)
+    else:
+        x, y, z = data.draw(st.permutations(range(size)))[:3]
+        pairs = (pairs | {(x, y), (y, z)}) - {(x, z)}
+    unary = data.draw(st.sets(st.tuples(value), min_size=1))
+    a = structure(size, {"r": sorted(pairs), "u": sorted(unary)})
+    assert is_preorder(a.rel("r"), size) == preorder
+    # drawn highest first, so that most powers have arcs of two coordinates
+    return a, data.draw(st.sampled_from((3, 2, 1)))
+
+
 class TestPowerFixpoint:
     """power_fixpoint, built from A's rows, against the fixpoint of the
     power that reference_power_structure materialises, which keeps every
@@ -772,7 +857,7 @@ class TestPowerFixpoint:
         new, old = power_fixpoint(a, k), fixpoint(power, a)
         assert new.source == Power(a, k) and new.source.size == power.size
         assert new.net.start == old.net.start
-        assert neighbour_lists(new) == neighbour_lists(old)
+        check_binary_arcs(new, old, a, k)
         assert new.net.pick is old.net.pick
         assert new.masks == old.masks
         new_kept, old_kept = kept_scopes(new, a), kept_scopes(old, a)
@@ -800,6 +885,49 @@ class TestPowerFixpoint:
         assert new.cover(vertices, mask) == old.cover(vertices, mask) == reference_cover(old, vertices, mask)
         pair = data.draw(st.tuples(vertex, vertex))
         assert new.project(pair) == old.project(pair) == reference_project(old, pair)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_orders_match_the_materialised_power(self, data):
+        # a preorder keeps the arcs that change one coordinate, a reflexive
+        # relation that is not transitive every arc; both must answer as
+        # the power that keeps every scope
+        a, k = draw_order_instance(data)
+        power = reference_power_structure(a, k)
+        new, old = power_fixpoint(a, k), fixpoint(power, a)
+        check_binary_arcs(new, old, a, k)
+        assert new.net.pick is old.net.pick
+        assert new.masks == old.masks
+        full = (1 << a.size) - 1
+        vertex = st.integers(0, power.size - 1)
+        for _ in range(2):
+            pairs = data.draw(st.lists(st.tuples(vertex, st.integers(0, full)), max_size=3))
+            new, old = new.restrict(pairs), old.restrict(pairs)
+            assert new.masks == old.masks
+        v, mask = data.draw(vertex), data.draw(st.integers(0, full))
+        assert new.solve() == old.solve()
+        assert new.solve_at(v, mask) == old.solve_at(v, mask)
+        vertices = range(power.size)
+        assert new.cover(vertices, mask) == old.cover(vertices, mask)
+        pair = data.draw(st.tuples(vertex, vertex))
+        assert new.project(pair) == old.project(pair)
+
+    def test_arc_counts_of_the_benchmark_orders(self):
+        # leq8^3 and leq5^4 have 46,656 and 50,625 product arcs per direction
+        for a, k, kept in ((leq_order(8), 3, 5_376), (leq_order(5), 4, 5_000)):
+            counts = {}
+            for entries in power_fixpoint(a, k).net.adj:
+                for memo, _, out in entries:
+                    counts[id(memo)] = counts.get(id(memo), 0) + len(out)
+            assert list(counts.values()) == [kept, kept]
+        # r3 (all pairs but (1, 2)) is not transitive and swap11 not
+        # reflexive: both keep every product arc
+        r3 = structure(3, {"r": [p for p in product(range(3), repeat=2) if p != (1, 2)]})
+        swap11 = structure(11, {"r": [(0, 1), (1, 0)]})
+        for a, arcs in ((r3, 512), (swap11, 8)):
+            fp = power_fixpoint(a, 3)
+            assert sum(len(out) for entries in fp.net.adj for _, _, out in entries) == 2 * arcs
+            assert neighbour_lists(fp) == neighbour_lists(fixpoint(reference_power_structure(a, 3), a))
 
     def test_kept_counts_of_the_benchmark_powers(self):
         for a, n, kept in ((AFF3W, 3, 2_835), (AFF3W, 2, 135), (min_graph(3), 3, 378), (min_graph(5), 3, 7_875)):

@@ -20,7 +20,7 @@ from absorb import (
 )
 from absorb.ppform import Atom, Registry
 from bruteforce import evaluate_pp_oracle
-from fixtures import B0, LEQ, NEQ, aff2, neq2, ord2
+from fixtures import LEQ, NEQ, aff2, neq2, ord2
 
 
 def three_element():
