@@ -44,7 +44,6 @@ _EXPORTS = {
     ),
     "engine": (
         "DEFAULT_VERTEX_CAP",
-        "EssentialWitness",
         "Fixpoint",
         "Power",
         "absorption_term_search",

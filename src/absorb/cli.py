@@ -134,7 +134,7 @@ def cmd_verify(args):
 def cmd_search(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
-    expanded, _ = with_singletons(a)
+    expanded = with_singletons(a)
     if args.what in ("term", "essential") and args.arity is None:
         raise InputError("--arity is required for --what %s" % args.what)
     if args.what == "term":
@@ -145,11 +145,11 @@ def cmd_search(args):
             {"holds": True, "what": "term", "table": codec.table_to_obj(table)}, EXIT_HOLDS
         )
     if args.what == "essential":
-        witness = essential_witness_search(expanded, b, args.arity, cap)
-        if witness is None:
+        gens = essential_witness_search(expanded, b, args.arity, cap)
+        if gens is None:
             return _emit({"holds": False, "what": "essential"}, EXIT_FAILS)
         return _emit(
-            {"holds": True, "what": "essential", "witness": codec.witness_to_obj(witness)},
+            {"holds": True, "what": "essential", "witness": codec.witness_to_obj(gens)},
             EXIT_HOLDS,
         )
     chain = oracle_chain_search(a, b)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 
 from .decide import Certificate, CertEntry, CertStep, ChainWitness, Decision, Quintuple
-from .engine import EssentialWitness
 from .errors import InputError, ParseError
 from .model import (
     OperationTable,
@@ -261,8 +260,9 @@ def chain_to_obj(chain: ChainWitness):
 
 # --- essential witnesses ------------------------------------------------------
 
-def witness_to_obj(w: EssentialWitness):
-    return {"arity": w.arity, "generators": [list(g) for g in w.generators]}
+def witness_to_obj(generators):
+    """An `essential_witness_search` answer: its generators and their arity."""
+    return {"arity": len(generators), "generators": [list(g) for g in generators]}
 
 
 # --- formulas ------------------------------------------------------------------

@@ -68,7 +68,7 @@ def enumerate_structures(size: int, max_arity: int):
     for arity, mask, rel in relation_choices(size, max_arity):
         raw += 1
         base = RelationalStructure(size, (("r", rel),))
-        expanded, _ = with_singletons(base)
+        expanded = with_singletons(base)
         key = frozenset(
             ((r.arity, r.tuples), sum(1 for _, o in expanded.relations if o == r))
             for _, r in expanded.relations

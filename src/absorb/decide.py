@@ -57,6 +57,7 @@ from .model import (
     Subset,
     digraph_reach,
     is_polymorphism,
+    product_ranks,
     projection_table,
     tuple_rank,
     with_singletons,
@@ -128,9 +129,8 @@ def _quintuples(size: int, b: Subset):
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
     b.check_bounds(a.size)
     check_power_vertices(a.size, 3, cap)
-    expanded, _ = with_singletons(a)
-    _, is_sub = closure_unary(expanded, b, cap)
-    if not is_sub:
+    expanded = with_singletons(a)
+    if closure_unary(expanded, b, cap) != b:
         raise NotSubuniverseError(
             "B=%r is not a subuniverse of the polymorphism algebra" % (b.sorted_elements(),)
         )
@@ -155,11 +155,8 @@ def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
     quintuple for some color b in B.
     """
     size = base.target.size
-    pending = [
-        tuple_rank((b1, b2, d), size)
-        for b1, b2 in product(b.sorted_elements(), repeat=2)
-        for d in range(size)
-    ]
+    bs = b.sorted_elements()
+    pending = product_ranks((bs, bs, range(size)), size)
     bmask = sum(1 << e for e in b.elements)
     tables = {}
     covered = {}
@@ -190,14 +187,14 @@ def _swapped_coverage(covered: dict, size: int) -> dict:
 
 
 def _cert_step(table: Fixpoint, col: int, u: int, v: int, bmask: int) -> CertStep:
-    """The least color b in the mask bmask of B with (b,u,v) generated, and
-    the first solution of table with col also restricted to b, as an
-    operation table."""
-    found = table.solve_at(col, bmask)
-    if found is None:
+    """The step (b, u, v, phi): phi is table's first solution with col
+    restricted to b (`Fixpoint.solve_at`), as an operation table, and b,
+    its value at col, the least color in the mask bmask of B with (b,u,v)
+    generated."""
+    values = table.solve_at(col, bmask)
+    if values is None:
         raise AssertionError("covered edge has no generating polymorphism")
-    color, values = found
-    return CertStep(color, u, v, OperationTable(3, table.target.size, values))
+    return CertStep(values[col], u, v, OperationTable(3, table.target.size, values))
 
 
 def decide_jonsson(
@@ -254,7 +251,7 @@ def decide_jonsson(
 def is_absorption_term(a: RelationalStructure, b: Subset, t: OperationTable):
     """t is an idempotent polymorphism with t(B,..,B,A,B,..,B) <= B at every position."""
     b.check_bounds(a.size)
-    expanded, _ = with_singletons(a)
+    expanded = with_singletons(a)
     if not t.is_idempotent():
         return False
     ok, _ = is_polymorphism(expanded, t)
@@ -292,7 +289,7 @@ def is_jonsson_chain(a: RelationalStructure, b: Subset, chain: ChainWitness):
         for x, y in pairs:
             if tables[i].apply((x, y, y)) != tables[i + 1].apply((x, x, y)):
                 return False, "link d_%d(x,y,y) != d_%d(x,x,y) at x=%d y=%d" % (i, i + 1, x, y)
-    expanded, _ = with_singletons(a)
+    expanded = with_singletons(a)
     for i, t in enumerate(tables):
         ok, _ = is_polymorphism(expanded, t)
         if not ok:
@@ -345,7 +342,7 @@ def oracle_chain_search(a: RelationalStructure, b: Subset) -> Optional[ChainWitn
             "oracle chain search enumerates %d^%d tables; domain too large"
             % (a.size, a.size ** 3)
         )
-    expanded, _ = with_singletons(a)
+    expanded = with_singletons(a)
     size = a.size
     candidates = []
     for t in _all_tables(size, 3):
@@ -406,7 +403,7 @@ def verify_np_certificate(
         raise CapExceeded(
             "verify would check %d vertices of the cube per table, cap is %d" % (size ** 3, cap)
         )
-    expanded, _ = with_singletons(a)
+    expanded = with_singletons(a)
     scopes = sum(len(rel) ** 3 for _, rel in expanded.relations)
     if scopes > cap:
         raise CapExceeded(

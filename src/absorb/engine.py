@@ -119,7 +119,7 @@ one part of every vertex, with no memo.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from operator import itemgetter
 
 from .errors import CapExceeded, InputError
@@ -129,6 +129,7 @@ from .model import (
     Relation,
     RelationalStructure,
     Subset,
+    product_ranks,
     subset,
     tuple_rank,
 )
@@ -147,15 +148,6 @@ DEFAULT_VERTEX_CAP = 10 ** 6
 # (min4 decide with certificate), so only far larger instances reach the
 # bound.
 _REVISION_MEMO_SIZE = 1 << 16
-
-
-class EssentialWitness(Record):
-    """Generators of a B-essential subpower in the canonical one-per-row form:
-    the i-th generator lies in B^(i-1) x (A\\B) x B^(n-i)."""
-
-    arity: int
-    generators: tuple
-    generated: Relation
 
 
 # --- low-level bitmask CSP core ----------------------------------------------
@@ -708,9 +700,9 @@ class Fixpoint:
     far and-ed in.  The search is deterministic, so every answer derived
     from the two is the same too.
 
-    The answers are `solve` (the first solution), `solve_at` (the least
-    value in a mask that some solution gives one vertex, with the first
-    solution that does), `cover` and `project`.  On a min-closed target
+    The answers are `solve` (the first solution), `solve_at` (the first
+    solution that gives one vertex the least value of a mask that some
+    solution gives it), `cover` and `project`.  On a min-closed target
     `solve` reads the domain minima and `solve_at` does too when the
     vertex's minimum lies in the mask, with no search and no restrict.
 
@@ -790,29 +782,30 @@ class Fixpoint:
         return tuple(_lowest(m).bit_length() - 1 for m in masks)
 
     def solve_at(self, vertex: int, mask: int) -> Optional[tuple]:
-        """(x, the first solution with vertex restricted to x) for the least
-        value x in the value bitmask that some solution gives vertex, or None.
+        """The first solution with vertex restricted to x, for the least
+        value x in the value bitmask that some solution gives vertex, or
+        None; x is the solution's value at vertex.
 
         The answer is that of restricting vertex to each value of mask in
         ascending order and solving, at the first value with a solution.  A
         value outside the vertex's mask wipes out there, so only the values
-        of both masks are tried.  On a min-closed target whose minimum m at vertex lies in
-        mask, the answer is (m, the minima), with no restrict: the minima
-        are a solution with vertex = m, so restricting vertex to m keeps
-        them, and as propagation removes no value of a solution, the minima
-        of the restricted fixpoint are the old ones, which `solve` returns.
+        of both masks are tried.  On a min-closed target whose minimum m at
+        vertex lies in mask, the answer is the minima, with no restrict:
+        they are a solution with vertex = m, so restricting vertex to m
+        keeps them, and as propagation removes no value of a solution, the
+        minima of the restricted fixpoint are the old ones, which `solve`
+        returns.
         """
         self._check_vertices((vertex,))
         masks = self.masks
         if masks is None:
             return None
-        least = _lowest(masks[vertex])
-        if self.net.pick is _lowest and least & mask:
-            return least.bit_length() - 1, self.solve()
+        if self.net.pick is _lowest and _lowest(masks[vertex]) & mask:
+            return self.solve()
         for x in _bits(masks[vertex] & mask):
             values = self.restrict(((vertex, 1 << x),)).solve()
             if values is not None:
-                return x, values
+                return values
         return None
 
     def cover(self, pending, mask: int) -> frozenset:
@@ -965,11 +958,7 @@ def _power_scopes(a: RelationalStructure, k: int):
         if not rows:
             continue
         if rel.arity == 1:
-            elements = [e for (e,) in rows]
-            ranks = [0]
-            for _ in range(k):
-                ranks = [r + e for r in [r * size for r in ranks] for e in elements]
-            yield name, 1, ranks
+            yield name, 1, product_ranks([[e for (e,) in rows]] * k, size)
         elif rel.arity == 2:
             build = _step_neighbours if _is_preorder(rel, size) else _power_neighbours
             yield name, 2, [build(rows, size, k, i) for i in (0, 1)]
@@ -1059,7 +1048,7 @@ def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
     y and the generators g generate the stabiliser of x (Seress,
     Permutation Group Algorithms, CUP 2003, section 4.1); the last depth
     needs none.  Once a stabiliser acts trivially, every tail is its own
-    orbit, and the scopes of all tails come from rank arithmetic as in
+    orbit, and the scopes of all tails come from `product_ranks`, as in
     `power_blocks`.  G itself is never enumerated.
     """
     n = len(rows)
@@ -1072,18 +1061,15 @@ def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
     cols = [[row[j] for row in rows] for j in range(rel.arity)]
     # tails[m][j]: the ranks, at position j, of the scopes of every m-tuple
     # of rows, in product order
-    tails = [[[0]] * rel.arity]
+    tails = {}
     kept = []
     stack = [((0,) * rel.arity, 0, gens)]
     while stack:
         prefix, depth, gens = stack.pop()
         if not gens:
             m = k - depth
-            while len(tails) <= m:
-                tails.append([
-                    [r + v for r in [p * size for p in tail] for v in col]
-                    for tail, col in zip(tails[-1], cols)
-                ])
+            if m not in tails:
+                tails[m] = [product_ranks([col] * m, size) for col in cols]
             shift = size ** m
             kept.extend(zip(*[map((p * shift).__add__, tail) for p, tail in zip(prefix, tails[m])]))
             continue
@@ -1136,12 +1122,12 @@ def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERT
     return Relation(n, power_fixpoint(a, len(s), cap).project(_columns(s, a.size)))
 
 
-def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP):
-    """Smallest subuniverse containing b, plus a flag: closure == b."""
+def closure_unary(a: RelationalStructure, b: Subset, cap: int = DEFAULT_VERTEX_CAP) -> Subset:
+    """The smallest subuniverse containing b; b is one exactly when the two
+    are equal."""
     b.check_bounds(a.size)
     gens = [(e,) for e in b.sorted_elements()]
-    closed = subset(t[0] for t in generate_subpower(a, gens, 1, cap).tuples)
-    return closed, closed.elements == b.elements
+    return subset(t[0] for t in generate_subpower(a, gens, 1, cap).tuples)
 
 
 # --- B-essential relations and absorption terms -------------------------------
@@ -1174,26 +1160,27 @@ def _essential_generator_choices(a: RelationalStructure, b: Subset, n: int):
 
 def essential_witness_search(
     a: RelationalStructure, b: Subset, n: int, cap: int = DEFAULT_VERTEX_CAP
-) -> Optional[EssentialWitness]:
-    """First (lexicographic) generator list whose subpower avoids B^n, or None.
+) -> Optional[tuple]:
+    """The first (lexicographic) generator list whose subpower avoids B^n,
+    or None: n generators, the i-th in B^(i-1) x (A\\B) x B^(n-i).  The
+    subpower they generate is B-essential; `generate_subpower(a, gens, n)`
+    computes it.
 
-    Avoidance is certified by a single CSP: the power(A,n) -> A instance with
-    every generator column restricted to B has no homomorphism.  Each
-    candidate restricts one fixpoint of power(A,n), and the witness's
-    relation is that fixpoint projected onto its generator columns.
+    Avoidance is certified by a single CSP: the power(A,n) -> A instance
+    with every generator column restricted to B has no homomorphism.  Each
+    candidate restricts one fixpoint of power(A,n), which is built, and its
+    caps checked, before any candidate list.
     """
     b.check_bounds(a.size)
     if n < 2:
         raise InputError("essential witnesses require arity >= 2")
     if len(b) == a.size:
         return None
-    choices = list(_essential_generator_choices(a, b, n))
     base = power_fixpoint(a, n, cap)
     bmask = sum(1 << e for e in b.elements)
-    for gens in product(*choices):
-        cols = _columns(gens, a.size)
-        if base.restrict((c, bmask) for c in cols).solve() is None:
-            return EssentialWitness(n, gens, Relation(n, base.project(cols)))
+    for gens in product(*_essential_generator_choices(a, b, n)):
+        if base.restrict((c, bmask) for c in _columns(gens, a.size)).solve() is None:
+            return gens
     return None
 
 
@@ -1220,20 +1207,13 @@ def _term_pairs(size: int, b: Subset, n: int) -> list:
     (rank of (e, ..., e), the mask of e) for each element e, then (rank,
     mask of B) for each n-tuple with at most one coordinate outside B.
 
-    The ranks come from rank arithmetic, one coordinate at a time: a tuple
-    of rank r extended by e has rank r * size + e.  inside holds the
-    tuples over B, and one_out those with exactly one coordinate outside.
+    The ranks come from `product_ranks`: those of B^n, then those of
+    B^i x (A\\B) x B^(n-1-i) for each position i.
     """
     bs = b.sorted_elements()
     outside = [e for e in range(size) if e not in b.elements]
     pairs = [(tuple_rank((e,) * n, size), 1 << e) for e in range(size)]
-    inside, one_out = [0], []
-    for _ in range(n):
-        inside, one_out = (
-            [r + e for r in [r * size for r in inside] for e in bs],
-            [r + e for r in [r * size for r in one_out] for e in bs]
-            + [r + e for r in [r * size for r in inside] for e in outside],
-        )
+    pools = [[bs] * n] + [[bs] * i + [outside] + [bs] * (n - 1 - i) for i in range(n)]
     bmask = sum(1 << e for e in bs)
-    pairs.extend((rank, bmask) for rank in chain(inside, one_out))
+    pairs.extend((rank, bmask) for p in pools for rank in product_ranks(p, size))
     return pairs

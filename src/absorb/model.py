@@ -340,12 +340,9 @@ class Digraph(Record):
                 raise InputError("edge (%d,%d) out of bounds for %d vertices" % (u, v, self.n))
 
 
-def with_singletons(a: RelationalStructure):
-    """Add the missing singleton unary relations _s<a> = {(a,)}.
-
-    Returns (structure, added_names); added_names is empty when every
-    singleton was already present under some name.
-    """
+def with_singletons(a: RelationalStructure) -> RelationalStructure:
+    """a with the missing singleton unary relations _s<e> = {(e,)} added;
+    a itself when every singleton is already present under some name."""
     present = set()
     for name, rel in a.relations:
         if rel.arity == 1 and len(rel.tuples) == 1:
@@ -361,8 +358,18 @@ def with_singletons(a: RelationalStructure):
             )
         new.append((name, relation(1, [(e,)])))
     if not new:
-        return a, ()
-    return RelationalStructure(a.size, a.relations + tuple(new)), tuple(n for n, _ in new)
+        return a
+    return RelationalStructure(a.size, a.relations + tuple(new))
+
+
+def product_ranks(pools, size: int) -> list:
+    """The ranks (`tuple_rank`) of the tuples of `product(*pools)`, in
+    product order, by rank arithmetic: appending a value e to a tuple of
+    rank r gives rank r * size + e.  A pool may repeat a value."""
+    ranks = [0]
+    for pool in pools:
+        ranks = [r + e for r in [r * size for r in ranks] for e in pool]
+    return ranks
 
 
 def power_blocks(rows, arity: int, size: int, k: int):
@@ -370,19 +377,12 @@ def power_blocks(rows, arity: int, size: int, k: int):
     order, one block per leading row.
 
     A block holds one iterator per position j < arity over the ranks, in
-    power(A, k), of the j-th entries of the tuples that row leads.  Ranks
-    come from rank arithmetic: appending a row to a tuple turns each rank r
-    into r * size + value.  The ranks of the (k-1)-tuples are built once,
-    one list per position, and the block of row `lead` adds lead[j] *
-    size^(k-1) to them, so no list is longer than |rows|^(k-1).
+    power(A, k), of the j-th entries of the tuples that row leads.  The
+    ranks of the (k-1)-tuples are built once, one `product_ranks` list per
+    position, and the block of row `lead` adds lead[j] * size^(k-1) to
+    them, so no list is longer than |rows|^(k-1).
     """
-    base = [[row[j] for row in rows] for j in range(arity)]
-    tail = [[0]] * arity
-    for _ in range(k - 1):
-        tail = [
-            [r + v for r in [p * size for p in col] for v in b]
-            for col, b in zip(tail, base)
-        ]
+    tail = [product_ranks([[row[j] for row in rows]] * (k - 1), size) for j in range(arity)]
     shift = size ** (k - 1)
     for lead in rows:
         yield [map((e * shift).__add__, col) for e, col in zip(lead, tail)]

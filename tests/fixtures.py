@@ -46,4 +46,4 @@ def corpus2(max_arity=3):
 
 
 def expand(a):
-    return with_singletons(a)[0]
+    return with_singletons(a)

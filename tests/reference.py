@@ -43,8 +43,9 @@ included.
 
 `reference_essential_witness` walks the candidate generator lists of
 `essential_witness_search` in the same lexicographic order and keeps the
-first whose generated subpower has no tuple in B^n; the package decides
-each candidate with one restricted fixpoint instead.
+first whose generated subpower has no tuple in B^n, with that subpower;
+the package decides each candidate with one restricted fixpoint instead,
+and returns the generators alone.
 """
 
 from collections import deque
@@ -57,7 +58,6 @@ from absorb import (
     CertStep,
     Decision,
     Digraph,
-    EssentialWitness,
     OperationTable,
     Relation,
     RelationalStructure,
@@ -288,7 +288,8 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
 def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
     """essential_witness_search by generating the subpower of every
     candidate: the i-th generator ranges over B^(i-1) x (A\\B) x B^(n-i),
-    and the lists are walked in lexicographic order."""
+    and the lists are walked in lexicographic order.  Returns (generators,
+    the subpower they generate) for the first that avoids B^n, or None."""
     inside = b.sorted_elements()
     outside = [e for e in range(a.size) if e not in b]
     choices = [
@@ -298,5 +299,5 @@ def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
     for gens in product(*choices):
         r = generate_subpower(a, gens, n, cap)
         if not any(all(e in b for e in t) for t in r.tuples):
-            return EssentialWitness(n, gens, r)
+            return gens, r
     return None

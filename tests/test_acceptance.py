@@ -292,11 +292,11 @@ def _essential_fixtures(limit=25):
     for e, _ in holding_instances():
         if len(fixtures) >= limit:
             break
-        witness = essential_witness_search(e.structure, e.b, 2)
-        if witness is None:
+        gens = essential_witness_search(e.structure, e.b, 2)
+        if gens is None:
             continue
         reg = Registry(e.structure)
-        ename = reg.ensure(witness.generated, "essential witness")
+        ename = reg.ensure(generate_subpower(e.structure, gens, 2), "essential witness")
         dname = reg.ensure(
             generate_subpower(e.structure, ((0, 0), (1, 1)), 2), "diagonal"
         )

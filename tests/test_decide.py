@@ -401,7 +401,7 @@ class TestTermsAndChains:
             rels["t"] = sorted(ternary)
         a = structure(3, rels)
         # absorption presupposes a subuniverse, so B is replaced by its closure
-        b, _ = closure_unary(expand(a), subset(sorted(elements)))
+        b = closure_unary(expand(a), subset(sorted(elements)))
         for n in (2, 3):
             term = absorption_term_search(a, b, n)
             if term is not None:

@@ -219,13 +219,13 @@ def restrict_and_solve(fp, vertex, mask):
         if (mask >> x) & 1:
             values = reference_solve(fp.restrict(((vertex, 1 << x),)))
             if values is not None:
-                return x, values
+                return values
     return None
 
 
 class TestSolveAt:
-    """The least value in a mask that some solution gives a vertex, with the
-    first solution that gives it, against one restricted solve per value."""
+    """The first solution that gives a vertex the least value in a mask that
+    some solution gives it, against one restricted solve per value."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), op=st.sampled_from((min, max, None)))
@@ -253,7 +253,7 @@ class TestSolveAt:
         assert fp.net.pick is engine._lowest
         assert fp.masks == (0b011, 0b110, 0b110)
         expected = restrict_and_solve(fp, 2, 0b110)
-        assert expected == (1, (0, 1, 1))
+        assert expected == (0, 1, 1)
 
         def no_restrict(self, pairs):
             raise AssertionError("restricted")
@@ -479,15 +479,15 @@ class TestRevisionMemo:
             # shared entries are immutable
             assert all(r is None or type(r) is tuple for r in memo.values())
 
-    MIN3, _ = with_singletons(
+    MIN3 = with_singletons(
         structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
     )
-    LEQ3, _ = with_singletons(
+    LEQ3 = with_singletons(
         structure(3, {"leq": [(x, y) for x in range(3) for y in range(3) if x <= y]})
     )
     # power(PERM3, 3) falls apart into 9 cycles of 3 vertices, and the
     # target is closed under neither min nor max, so it searches part by part
-    PERM3, _ = with_singletons(structure(3, {"r": [(x, (x + 1) % 3) for x in range(3)]}))
+    PERM3 = with_singletons(structure(3, {"r": [(x, (x + 1) % 3) for x in range(3)]}))
 
     def _results(self):
         """The answers of some queries on power(A, 3) for MIN3, LEQ3 and
@@ -1237,20 +1237,17 @@ class TestGenerateAgainstMembership:
 
 class TestClosureUnary:
     def test_aff2_singleton_closed(self):
-        closed, flag = closure_unary(aff2(), B0)
-        assert flag and closed == B0
+        assert closure_unary(aff2(), B0) == B0
         assert closure_unary_oracle(aff2(), B0) == {0}
 
     def test_neq_without_singletons_not_closed(self):
         bare = structure(2, {"neq": NEQ})
-        closed, flag = closure_unary(bare, B0)
-        assert not flag and closed.elements == frozenset({0, 1})
+        assert closure_unary(bare, B0).elements == frozenset({0, 1})
         assert closure_unary_oracle(bare, B0) == {0, 1}
 
     def test_singletons_force_closure(self):
         for b in (B0, B1):
-            _, flag = closure_unary(ord2(), b)
-            assert flag
+            assert closure_unary(ord2(), b) == b
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -1274,10 +1271,11 @@ class TestBEssential:
 
 class TestWitnessSearch:
     def test_aff2_witness(self):
-        w = essential_witness_search(aff2(), B0, 2)
-        assert w.generators == ((1, 0), (0, 1))
-        assert w.generated.tuples == frozenset(NEQ)
-        assert is_b_essential(aff2(), w.generated, B0)
+        gens = essential_witness_search(aff2(), B0, 2)
+        assert gens == ((1, 0), (0, 1))
+        generated = generate_subpower(aff2(), gens, 2)
+        assert generated.tuples == frozenset(NEQ)
+        assert is_b_essential(aff2(), generated, B0)
 
     def test_ord2_has_none(self):
         assert essential_witness_search(ord2(), B0, 2) is None
@@ -1290,9 +1288,9 @@ class TestWitnessSearch:
         assert essential_witness_search(ord2(), subset([0, 1]), 2) is None
 
     def test_generator_shape(self):
-        w = essential_witness_search(aff2(), B0, 3)
-        assert w is not None
-        for i, g in enumerate(w.generators):
+        gens = essential_witness_search(aff2(), B0, 3)
+        assert gens is not None
+        for i, g in enumerate(gens):
             assert g[i] not in B0
             assert all(e in B0 for j, e in enumerate(g) if j != i)
 
@@ -1308,7 +1306,42 @@ class TestWitnessSearch:
         if ternary:
             rels["t"] = sorted(ternary)
         a, b = structure(3, rels), subset(elements)
-        assert essential_witness_search(a, b, n) == reference_essential_witness(a, b, n)
+        gens, expected = essential_witness_search(a, b, n), reference_essential_witness(a, b, n)
+        if expected is None:
+            assert gens is None
+        else:
+            assert gens == expected[0]
+            generated = generate_subpower(a, gens, n)
+            assert generated == expected[1]
+            assert is_b_essential(a, generated, b)
+
+    def test_no_projection(self, monkeypatch):
+        # the search decides each candidate by one restricted solve and
+        # returns the generators alone
+        def unprojected(self, vertices):
+            raise AssertionError("projected")
+
+        monkeypatch.setattr(Fixpoint, "project", unprojected)
+        aff3w = with_singletons(AFF3W)
+        assert essential_witness_search(aff2(), B0, 2) == ((1, 0), (0, 1))
+        assert essential_witness_search(aff3w, B0, 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert essential_witness_search(aff3w, B1, 3) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert essential_witness_search(ord2(), B0, 2) is None
+
+    def test_caps_are_checked_before_the_candidates_are_built(self, monkeypatch):
+        # n * |B|^(n-1) * |A\B| candidate generators: 16 * 2^15 at arity 16
+        def unbuilt(*args):
+            raise AssertionError("candidates built before the caps were checked")
+
+        monkeypatch.setattr(engine, "_essential_generator_choices", unbuilt)
+        cycle3 = structure(3, {"r": [(0, 1), (1, 2), (2, 0)]})
+        b = subset([0, 1])
+        with pytest.raises(CapExceeded, match="^power structure would have 43046721 vertices, cap is 1000000$"):
+            essential_witness_search(cycle3, b, 16)
+        with pytest.raises(CapExceeded, match="^power structure would have 27 vertices, cap is 26$"):
+            essential_witness_search(cycle3, b, 3, cap=26)
+        with pytest.raises(AssertionError, match="candidates built"):
+            essential_witness_search(cycle3, b, 3, cap=27)
 
 
 class TestTermSearch:
