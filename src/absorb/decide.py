@@ -391,11 +391,13 @@ def verify_np_certificate(
     """Polynomial-time certificate check; returns (ok, first_defect_or_None).
 
     Each ternary table has one entry per vertex of the cube A^3, and its
-    polymorphism check visits |R|^3 tuples of every relation R, the
-    constraint scopes of power(A, 3).  When either count is over cap, the
-    check is refused before any replay, as `power_fixpoint` refuses the
-    fixpoint of that power before building anything; the vertices are
-    counted first, before any work that grows with the domain.
+    polymorphism check visits at most |R|^3 tuples of every relation R, the
+    constraint scopes of power(A, 3): `is_polymorphism` tests the tuples of
+    each distinct key of prefix slices once, so a table whose slices repeat
+    visits far fewer.  The cap bounds that worst case: when either count is
+    over cap, the check is refused before any replay, as `power_fixpoint`
+    refuses the fixpoint of that power before building anything; the
+    vertices are counted first, before any work that grows with the domain.
     """
     b.check_bounds(a.size)
     size = a.size

@@ -1048,8 +1048,8 @@ def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
     y and the generators g generate the stabiliser of x (Seress,
     Permutation Group Algorithms, CUP 2003, section 4.1); the last depth
     needs none.  Once a stabiliser acts trivially, every tail is its own
-    orbit, and the scopes of all tails come from `product_ranks`, as in
-    `power_blocks`.  G itself is never enumerated.
+    orbit, and the scopes of all tails come from `product_ranks`.  G itself
+    is never enumerated.
     """
     n = len(rows)
     identity = tuple(range(n))

@@ -372,22 +372,6 @@ def product_ranks(pools, size: int) -> list:
     return ranks
 
 
-def power_blocks(rows, arity: int, size: int, k: int):
-    """The vertex ranks of the k-tuples of rows, in `product(rows, repeat=k)`
-    order, one block per leading row.
-
-    A block holds one iterator per position j < arity over the ranks, in
-    power(A, k), of the j-th entries of the tuples that row leads.  The
-    ranks of the (k-1)-tuples are built once, one `product_ranks` list per
-    position, and the block of row `lead` adds lead[j] * size^(k-1) to
-    them, so no list is longer than |rows|^(k-1).
-    """
-    tail = [product_ranks([[row[j] for row in rows]] * (k - 1), size) for j in range(arity)]
-    shift = size ** (k - 1)
-    for lead in rows:
-        yield [map((e * shift).__add__, col) for e, col in zip(lead, tail)]
-
-
 def is_polymorphism(a: RelationalStructure, f: OperationTable):
     """Check that f preserves every relation of a.
 
@@ -395,23 +379,35 @@ def is_polymorphism(a: RelationalStructure, f: OperationTable):
     tuple of arity(f) tuples of the relation witnessing the violation: the
     first violating one in `product(sorted rows, repeat=arity(f))` order.
 
-    f is a homomorphism from the arity(f)-th power: the images of a
-    relation's tuples of rows are f's values at their ranks in that power
-    (`power_blocks`), tested against the relation in one pass per block.
+    Fix the first m-1 of a relation's m rows, the prefix.  The image at
+    position j is then the unary map x -> f(prefix column j, x), the slice
+    values[p*size:(p+1)*size] at the column's rank p in A^(m-1)
+    (`product_ranks`).  So the images of all tuples one prefix leads depend
+    only on its key, the tuple of its slices, and each distinct key is
+    tested once, in one set pass over the last row.  Prefixes are walked
+    in product order and a key is remembered only after it passes, so the
+    first failing key is met at the first failing prefix.
     """
     if f.size != a.size:
         raise InputError("operation is over size %d, structure has size %d" % (f.size, a.size))
     m = f.arity
-    value = f.values.__getitem__
+    size = a.size
+    slices = [f.values[p:p + size] for p in range(0, len(f.values), size)]
     for name, rel in a.relations:
         rows = rel.sorted_tuples()
-        for lead, block in zip(rows, power_blocks(rows, rel.arity, a.size, m)):
-            images = list(zip(*[map(value, ranks) for ranks in block]))
-            if rel.tuples.issuperset(images):
+        cols = list(zip(*rows))
+        ranks = [product_ranks([col] * (m - 1), size) for col in cols]
+        passed = set()
+        for i, key in enumerate(zip(*[map(slices.__getitem__, r) for r in ranks])):
+            if key in passed:
                 continue
-            i = next(i for i, image in enumerate(images) if image not in rel.tuples)
-            rest = unrank_tuple(i, len(rows), m - 1)
-            return False, (name, (lead,) + tuple(rows[d] for d in rest))
+            images = list(zip(*[map(s.__getitem__, col) for s, col in zip(key, cols)]))
+            if rel.tuples.issuperset(images):
+                passed.add(key)
+                continue
+            last = next(j for j, image in enumerate(images) if image not in rel.tuples)
+            lead = tuple(rows[d] for d in unrank_tuple(i, len(rows), m - 1))
+            return False, (name, lead + (rows[last],))
     return True, None
 
 

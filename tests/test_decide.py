@@ -27,18 +27,25 @@ from absorb import (
     fixpoint,
     is_absorption_term,
     is_jonsson_chain,
+    is_polymorphism,
     oracle_chain_search,
     power_fixpoint,
     projection_table,
     relation,
     structure,
     subset,
+    tuple_rank,
     verify_np_certificate,
 )
 from absorb.decide import _coverage_tables, _quintuples, _swapped_coverage
 from bruteforce import generated_subpower_oracle
 from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
-from reference import jonsson_digraph, reference_decide, reference_power_structure
+from reference import (
+    jonsson_digraph,
+    reference_decide,
+    reference_is_polymorphism,
+    reference_power_structure,
+)
 
 BA = subset([0, 1])
 
@@ -304,27 +311,42 @@ class TestCertificateVerification:
         assert not ok
 
     def test_non_polymorphism_table(self):
-        entries = list(self._holding().entries)
-        idx = next(i for i, e in enumerate(entries) if e.steps)
-        s = entries[idx].steps[0]
-        bad_values = list(s.phi.values)
-        # break the table away from the generator columns so the image
-        # check alone cannot catch it
-        q = entries[idx].q
-        gens = q.generators()
-        from absorb import tuple_rank
-
-        cols = {tuple_rank([g[j] for g in gens], 2) for j in range(3)}
-        target = next(r for r in range(8) if r not in cols)
-        bad_values[target] ^= 1
-        bad = OperationTable(3, 2, tuple(bad_values))
-        entries[idx] = CertEntry(q, (CertStep(s.b, s.u, s.v, bad),) + entries[idx].steps[1:])
+        # the broken table first fails leq at its sixth prefix of rows, after
+        # two prefixes whose keys of slices were skipped as already passed
+        entries, bad = _break_off_the_generators(self._holding(), 2)
         ok, defect = verify_np_certificate(ord2(), B0, Certificate(entries))
-        # either the mutated table stopped being a polymorphism or it no
-        # longer witnesses the step; both must reject unless it happens to
-        # remain a valid alternative witness table
-        if not ok:
-            assert defect
+        assert ok is False and defect.endswith("not a polymorphism"), defect
+        a = expand(ord2())
+        assert is_polymorphism(a, bad) == reference_is_polymorphism(a, bad)
+
+    def test_non_polymorphism_table_on_min3(self):
+        # with B={0,1}, e is 2: the singletons _s0 and _s1 pass their keys
+        # first, and _s2 catches the broken (2,2,2)
+        a, b = min3(), BA
+        entries, bad = _break_off_the_generators(decide_jonsson(a, b).certificate, 3)
+        ok, defect = verify_np_certificate(a, b, Certificate(entries))
+        assert ok is False and defect.endswith("not a polymorphism"), defect
+        a = expand(a)
+        assert is_polymorphism(a, bad) == reference_is_polymorphism(a, bad)
+
+
+def _break_off_the_generators(cert, size):
+    """The entries of cert with the first step of its first entry with steps
+    and a != c given a table broken at the largest diagonal (e,e,e) that is
+    none of the step's generator columns: phi(e,e,e) becomes (e+1) mod size.
+    The table still generates the step, and it no longer preserves {e}, so
+    only the polymorphism check can reject it.  When a != c, only (b1,b2,d)
+    among the columns can be diagonal, so such an e exists."""
+    entries = list(cert.entries)
+    idx = next(i for i, e in enumerate(entries) if e.steps and e.q.a != e.q.c)
+    q, (s, *rest) = entries[idx].q, entries[idx].steps
+    columns = set(zip(*q.generators()))
+    e = max(e for e in range(size) if (e, e, e) not in columns)
+    values = list(s.phi.values)
+    values[tuple_rank((e, e, e), size)] = (e + 1) % size
+    bad = OperationTable(3, size, tuple(values))
+    entries[idx] = CertEntry(q, (CertStep(s.b, s.u, s.v, bad), *rest))
+    return entries, bad
 
 
 MIN2 = OperationTable(2, 2, (0, 0, 0, 1))
