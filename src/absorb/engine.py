@@ -56,7 +56,18 @@ n-ary R^k is a k-tuple of R's rows, and a symmetry of R acts on all k
 rows at once, so the orbits of the scopes are those of the group G that
 the symmetries generate, acting on k-tuples of rows.  A stabiliser
 chain over R's sorted rows keeps one tuple of each, by Schreier's lemma
-and without enumerating G (`_orbit_scopes`).
+and without enumerating G (`_orbit_scopes`).  The chain's nodes are
+prefixes of rows, but a prefix's stabiliser depends only on a partition
+of R's positions: an element acts through a permutation p of the
+positions, and it fixes rows x_1..x_j exactly when p maps each class of
+positions at which the prefix's columns are equal into itself, since it
+fixes x_l exactly when x_l[p[i]] = x_l[i] at every position i.  So each
+partition's stabiliser, its orbits on the rows and their least rows are
+computed once, however many prefixes share it: power(aff3w, 3) has 27
+rows of arity 4, and at most Bell(4) = 15 partitions.  Each generating
+set is cut to at most n(n-1)/2 elements on n rows by Sims's filter
+(Seress, Permutation Group Algorithms, CUP 2003), which generates the
+same group and so leaves every orbit, and every kept scope, as it was.
 
 When a binary R is a preorder, reflexive on all of A and transitive, its
 R^k keeps only the arcs that change one coordinate, and no loop
@@ -1041,31 +1052,50 @@ def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
     (x_1, ..., x_k) in which each x_j is the least of its orbit under the
     stabiliser in G of x_1, ..., x_(j-1); every orbit has exactly one.
 
-    A stabiliser chain finds them.  At each depth, each orbit of the
-    prefix's stabiliser on the rows is walked from its least row x,
-    recording for each row y reached an element u_y that maps x to y.  By
-    Schreier's lemma, the elements u_(g(y))^-1 g u_y over the orbit's rows
-    y and the generators g generate the stabiliser of x (Seress,
-    Permutation Group Algorithms, CUP 2003, section 4.1); the last depth
-    needs none.  Once a stabiliser acts trivially, every tail is its own
-    orbit, and the scopes of all tails come from `product_ranks`.  G itself
-    is never enumerated.
+    A stabiliser chain finds them, walked depth first from the empty
+    prefix: a node's children are the least rows of the orbits of its
+    prefix's stabiliser, in ascending order.  By Schreier's lemma, with
+    u_y an element that maps x to y for each row y of x's orbit, the
+    elements u_(g(y))^-1 g u_y over those rows and the generators g
+    generate the stabiliser of x (Seress, Permutation Group Algorithms,
+    CUP 2003, section 4.1; `_stabiliser`).  Once a stabiliser acts
+    trivially, every tail is its own orbit, and the scopes of all tails
+    come from `product_ranks`; those of the last row come from the least
+    rows at once, in the same way.  G itself is never enumerated.
+
+    The stabiliser of a prefix depends only on a partition of R's
+    positions, its key: i and i' share a class when the prefix's columns
+    at them are equal, (x_1[i], ..., x_j[i]) = (x_1[i'], ..., x_j[i']).
+    An element acts through a permutation p of the positions, sending row
+    r to the row whose entry at i is r[p[i]].  It fixes x_l exactly when
+    x_l[p[i]] = x_l[i] at every i, so it fixes the whole prefix exactly
+    when p maps each class into itself.  So the stabiliser, its orbits on
+    the rows and their least rows are functions of the key, which is
+    written with class ids in order of first occurrence: the empty
+    prefix's key puts every position in class 0, and row x refines a key
+    by the pairs (key[i], x[i]).  Each key's generators and its list of
+    (least row, child key) are computed once and shared by every node of
+    that key, and a child key's generators only when a deeper node needs
+    them and no earlier node has computed them.  Each generating set goes
+    through `_sims_filter`, which keeps at most n(n-1)/2 of them on n rows.
     """
     n = len(rows)
-    identity = tuple(range(n))
-    gens = set()
-    if n > 1:
-        index = {row: x for x, row in enumerate(rows)}
-        gens = {tuple(map(index.__getitem__, map(g, rows))) for g in _symmetries(rel)}
-        gens.discard(identity)
+    root = (0,) * rel.arity
+    index = {row: x for x, row in enumerate(rows)}
+    # the generators of each key's stabiliser
+    groups = {root: _sims_filter({tuple(map(index.__getitem__, map(g, rows))) for g in _symmetries(rel)}, n)}
     cols = [[row[j] for row in rows] for j in range(rel.arity)]
+    # orbits[key]: the least rows of the key's orbits, their child keys,
+    # and per position the least rows' entries
+    orbits = {}
     # tails[m][j]: the ranks, at position j, of the scopes of every m-tuple
     # of rows, in product order
     tails = {}
     kept = []
-    stack = [((0,) * rel.arity, 0, gens)]
+    stack = [(root, 0, root)]
     while stack:
-        prefix, depth, gens = stack.pop()
+        prefix, depth, key = stack.pop()
+        gens = groups[key]
         if not gens:
             m = k - depth
             if m not in tails:
@@ -1073,33 +1103,95 @@ def _orbit_scopes(rel: Relation, rows: list, size: int, k: int) -> list:
             shift = size ** m
             kept.extend(zip(*[map((p * shift).__add__, tail) for p, tail in zip(prefix, tails[m])]))
             continue
-        placed = [False] * n
-        for x in range(n):
-            if placed[x]:
-                continue
-            moved = {x: identity}
-            orbit = [x]
-            for y in orbit:
-                for g in gens:
-                    z = g[y]
-                    if z not in moved:
-                        moved[z] = tuple(map(g.__getitem__, moved[y]))
-                        orbit.append(z)
-            for y in orbit:
-                placed[y] = True
-            child = tuple(p * size + col[x] for p, col in zip(prefix, cols))
-            if depth + 1 == k:
-                kept.append(child)
-                continue
-            back = {y: _inverse(u) for y, u in moved.items()}
-            stabiliser = {
-                tuple(map(back[g[y]].__getitem__, map(g.__getitem__, moved[y])))
-                for y in orbit
-                for g in gens
-            }
-            stabiliser.discard(identity)
-            stack.append((child, depth + 1, stabiliser))
+        if key not in orbits:
+            least = _orbit_minima(gens, n)
+            orbits[key] = (least, [_refine(key, rows[x]) for x in least], [[col[x] for x in least] for col in cols])
+        least, child_keys, least_cols = orbits[key]
+        children = zip(*[map((p * size).__add__, entries) for p, entries in zip(prefix, least_cols)])
+        if depth + 1 == k:
+            kept.extend(children)
+            continue
+        for x, child_key in zip(least, child_keys):
+            if child_key not in groups:
+                groups[child_key] = _stabiliser(gens, x, n)
+        stack.extend((child, depth + 1, child_key) for child, child_key in zip(children, child_keys))
     return kept
+
+
+def _refine(key: tuple, row: tuple) -> tuple:
+    """The partition key of a prefix extended by row, key being the
+    prefix's: positions share a class when they shared one and row is
+    equal at them, class ids in order of first occurrence."""
+    ids = {}
+    return tuple([ids.setdefault(pair, len(ids)) for pair in zip(key, row)])
+
+
+def _orbit_minima(gens, n: int) -> list:
+    """The least point of each orbit of the group that gens generates on
+    range(n), in ascending order."""
+    placed = [False] * n
+    least = []
+    for x in range(n):
+        if placed[x]:
+            continue
+        least.append(x)
+        placed[x] = True
+        orbit = [x]
+        for y in orbit:
+            for g in gens:
+                z = g[y]
+                if not placed[z]:
+                    placed[z] = True
+                    orbit.append(z)
+    return least
+
+
+def _stabiliser(gens, x: int, n: int) -> list:
+    """Generators of the stabiliser of x in the group that gens generates
+    on range(n): its Schreier generators u_(g(y))^-1 g u_y, u_y an element
+    that maps x to y, found by walking x's orbit, through `_sims_filter`."""
+    moved = {x: tuple(range(n))}
+    orbit = [x]
+    for y in orbit:
+        for g in gens:
+            z = g[y]
+            if z not in moved:
+                moved[z] = tuple(map(g.__getitem__, moved[y]))
+                orbit.append(z)
+    back = {y: _inverse(u) for y, u in moved.items()}
+    return _sims_filter(
+        {tuple(map(back[g[y]].__getitem__, map(g.__getitem__, moved[y]))) for y in orbit for g in gens}, n
+    )
+
+
+def _sims_filter(perms, n: int) -> list:
+    """A set of at most n(n-1)/2 permutations of range(n) that generates
+    the group that perms generate, by Sims's filter (Seress, Permutation
+    Group Algorithms, CUP 2003).
+
+    The table holds at most one element under each key (i, j), i < j, and
+    that element fixes every point below i and maps i to j.  Each
+    permutation g is sifted: while g moves some point, with i the first
+    and j = g[i], g goes under (i, j) if that key is free; otherwise g is
+    replaced by h^-1 g, h being the element there, and h^-1 g fixes i and
+    every point below it.  Each step writes g as h times the new g, so the table's
+    elements generate every input, and each of them is a product of
+    inputs: both sets generate one group.  An identity sifts to nothing.
+    """
+    table = {}
+    for g in perms:
+        i = 0
+        while True:
+            while i < n and g[i] == i:
+                i += 1
+            if i == n:
+                break
+            entry = table.get((i, g[i]))
+            if entry is None:
+                table[i, g[i]] = (g, _inverse(g))
+                break
+            g = tuple(map(entry[1].__getitem__, g))
+    return [g for g, _ in table.values()]
 
 
 def _columns(generators, size):
@@ -1170,6 +1262,15 @@ def essential_witness_search(
     with every generator column restricted to B has no homomorphism.  Each
     candidate restricts one fixpoint of power(A,n), which is built, and its
     caps checked, before any candidate list.
+
+    Before the candidates, the fixpoint is restricted as
+    `absorption_term_search` restricts it, and a solution answers None at
+    once.  Such a solution is an n-ary polymorphism t with
+    t(B,...,B,A,B,...,B) in B at every position.  Every candidate g_1..g_n
+    has g_i's one entry outside B at position i, so at each coordinate j
+    all of t's arguments but the j-th lie in B, and t(g_1, ..., g_n) lies
+    in both the generated subpower and B^n: no candidate avoids B^n.
+    Without such a solution, the candidates are tried as before.
     """
     b.check_bounds(a.size)
     if n < 2:
@@ -1177,6 +1278,8 @@ def essential_witness_search(
     if len(b) == a.size:
         return None
     base = power_fixpoint(a, n, cap)
+    if base.restrict(_term_pairs(a.size, b, n)).solve() is not None:
+        return None
     bmask = sum(1 << e for e in b.elements)
     for gens in product(*_essential_generator_choices(a, b, n)):
         if base.restrict((c, bmask) for c in _columns(gens, a.size)).solve() is None:

@@ -41,6 +41,11 @@ from scratch.  The package's `decide_jonsson` answers from per-(a,c,u,v)
 coverage tables instead and must return the same `Decision`, every table
 included.
 
+`reference_orbit_scopes` is the scopes that `engine._orbit_scopes` keeps of
+an n-ary R^k, by their definition: it enumerates the group that R's
+position symmetries generate and tests every k-tuple of rows against the
+stabilisers of its prefixes, with no stabiliser chain and no memo.
+
 `reference_essential_witness` walks the candidate generator lists of
 `essential_witness_search` in the same lexicographic order and keeps the
 first whose generated subpower has no tuple in B^n, with that subpower;
@@ -68,6 +73,7 @@ from absorb import (
     tuple_rank,
 )
 from absorb.decide import _quintuples, _validate_inputs
+from absorb.engine import _symmetries
 
 
 def reference_gac(source, target, masks, vertices=None):
@@ -301,3 +307,40 @@ def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
         if not any(all(e in b for e in t) for t in r.tuples):
             return gens, r
     return None
+
+
+def reference_orbit_scopes(rel, k, size):
+    """The scopes of power(R, k) that `engine._orbit_scopes` keeps, R being
+    rel, of arity at most 4, over a domain of size elements.
+
+    G is enumerated as the closure of the position permutations that
+    `_symmetries(rel)` finds, at most 4! of them.  A k-tuple of R's rows
+    (x_1, ..., x_k) is kept when each x_j is the least of its orbit under
+    the elements of G that fix x_1, ..., x_(j-1); its scope holds at
+    position i the rank of (x_1[i], ..., x_k[i]).  Tuples come in product
+    order of the sorted rows.
+    """
+    arity = rel.arity
+    assert arity <= 4
+    identity = tuple(range(arity))
+    gens = [g(identity) for g in _symmetries(rel)]
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            r = tuple(p[q[i]] for i in range(arity))
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    kept = []
+    for xs in product(rel.sorted_tuples(), repeat=k):
+        fixing = group
+        for x in xs:
+            images = [tuple(x[p[i]] for i in range(arity)) for p in fixing]
+            if min(images) < x:
+                break
+            fixing = [p for p, image in zip(fixing, images) if image == x]
+        else:
+            kept.append(tuple(tuple_rank([x[i] for x in xs], size) for i in range(arity)))
+    return kept

@@ -44,6 +44,7 @@ from reference import (
     reference_cover,
     reference_essential_witness,
     reference_gac,
+    reference_orbit_scopes,
     reference_power_structure,
     reference_project,
     reference_solve,
@@ -936,13 +937,25 @@ class TestPowerFixpoint:
             assert len(scopes) == kept
             assert set(scopes) <= reference_power_structure(a, n).rel(name).tuples
 
-    def test_a_large_group_is_not_enumerated(self):
+    def test_a_large_group_is_not_enumerated(self, monkeypatch):
         # the ten unit vectors of arity 10 are permuted by all 10! position
         # permutations; the orbits of their k-tuples are the set partitions
         # of k positions, Bell(k) of them
+        sizes = []
+        sims_filter = engine._sims_filter
+
+        def counted(perms, n):
+            kept = sims_filter(perms, n)
+            sizes.append(len(kept))
+            return kept
+
+        monkeypatch.setattr(engine, "_sims_filter", counted)
         a = structure(2, {"e": [tuple(int(i == j) for i in range(10)) for j in range(10)]})
         for k, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
             assert len(power_fixpoint(a, k).net.cons) == bell
+        # all 675 candidate swaps are symmetries; every generating set the
+        # chain keeps on the ten rows is within Sims's bound
+        assert sizes and max(sizes) <= 10 * 9 // 2
 
     def test_the_source_is_a_power(self):
         fp = power_fixpoint(ord2(), 2)
@@ -975,6 +988,71 @@ class TestPowerFixpoint:
             power_fixpoint(full3, 2, cap=8)
         with pytest.raises(AssertionError, match="built before"):
             power_fixpoint(full3, 2, cap=81)
+
+class TestOrbitScopes:
+    """engine._orbit_scopes, the stabiliser chain memoised by the partition
+    of R's positions, against `reference_orbit_scopes`, which enumerates G;
+    and the Sims filter that bounds each generating set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference(self, data):
+        a, _ = draw_power_instance(data)
+        for _, rel in a.relations:
+            if rel.arity < 3 or not rel.tuples:
+                continue
+            for k in (1, 2, 3):
+                kept = engine._orbit_scopes(rel, rel.sorted_tuples(), a.size, k)
+                expected = reference_orbit_scopes(rel, k, a.size)
+                assert set(kept) == set(expected)
+                assert len(kept) == len(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sims_filter_keeps_the_group(self, data):
+        n = data.draw(st.integers(1, 6))
+        perms = data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=5))
+        perms += [tuple(range(n))] * data.draw(st.integers(0, 1))
+        kept = engine._sims_filter(perms, n)
+        assert len(kept) <= n * (n - 1) // 2
+        assert tuple(range(n)) not in kept
+
+        def acting(gens):
+            return [lambda t, g=g: tuple(g[x] for x in t) for g in gens]
+
+        # the orbit of the identity under left multiplication is the group
+        identity = [tuple(range(n))]
+        assert orbit_closure(identity, acting(kept)) == orbit_closure(identity, acting(perms))
+
+    def test_one_stabiliser_per_partition(self, monkeypatch):
+        # power(aff3w, k) scopes are 4-tuples of rows: its prefixes fall into
+        # at most Bell(4) = 15 partitions of the four positions, and each
+        # partition's stabiliser and orbits are computed once
+        calls = {"stabiliser": 0, "orbits": 0}
+        stabiliser, orbit_minima = engine._stabiliser, engine._orbit_minima
+
+        def counted_stabiliser(*args):
+            calls["stabiliser"] += 1
+            return stabiliser(*args)
+
+        def counted_orbits(*args):
+            calls["orbits"] += 1
+            return orbit_minima(*args)
+
+        monkeypatch.setattr(engine, "_stabiliser", counted_stabiliser)
+        monkeypatch.setattr(engine, "_orbit_minima", counted_orbits)
+        (_, rel), = AFF3W.relations
+        for k, kept in ((3, 2_835), (4, 69_741)):
+            calls.update(stabiliser=0, orbits=0)
+            assert len(engine._orbit_scopes(rel, rel.sorted_tuples(), 3, k)) == kept
+            assert 0 < calls["stabiliser"] <= 15 and 0 < calls["orbits"] <= 15
+
+    def test_partition_keys(self):
+        # class ids in order of first occurrence; a row refines by its entries
+        assert engine._refine((0, 0, 0, 0), (2, 1, 2, 0)) == (0, 1, 0, 2)
+        assert engine._refine((0, 1, 0, 2), (1, 1, 0, 0)) == (0, 1, 2, 3)
+        assert engine._refine((0, 0, 1, 1), (2, 2, 2, 2)) == (0, 0, 1, 1)
+
 
 class TestCover:
     """Fixpoint.cover and .restrict against an enumeration of all ternary
@@ -1327,6 +1405,31 @@ class TestWitnessSearch:
         assert essential_witness_search(aff3w, B0, 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert essential_witness_search(aff3w, B1, 3) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
         assert essential_witness_search(ord2(), B0, 2) is None
+
+    def test_a_term_answers_none_before_the_candidates(self, monkeypatch):
+        # min is a term of min4 for B = {0, 1}: no candidate list is built,
+        # though n = 4 has 65,536 of them
+        def unbuilt(*args):
+            raise AssertionError("candidates built")
+
+        monkeypatch.setattr(engine, "_essential_generator_choices", unbuilt)
+        b = subset([0, 1])
+        for a in (min_graph(4), with_singletons(min_graph(4))):
+            assert absorption_term_search(a, b, 3) is not None
+            assert essential_witness_search(a, b, 3) is None
+            assert essential_witness_search(a, b, 4) is None
+
+    def test_min4_against_the_reference(self):
+        # the reference generates every candidate's subpower, so the none
+        # answer of a term is checked without the term: B = {0} has one at
+        # n = 3, B = {1} none, and no candidate avoids B^3 in either; the
+        # 512 candidates of B = {0, 1} at n = 3 are compared at n = 2
+        a = min_graph(4)
+        for elements, n, term in (([0], 3, True), ([1], 3, False), ([0, 1], 2, True)):
+            b = subset(elements)
+            assert (absorption_term_search(a, b, n) is not None) == term
+            assert essential_witness_search(a, b, n) is None
+            assert reference_essential_witness(a, b, n) is None
 
     def test_caps_are_checked_before_the_candidates_are_built(self, monkeypatch):
         # n * |B|^(n-1) * |A\B| candidate generators: 16 * 2^15 at arity 16
