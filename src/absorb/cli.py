@@ -16,7 +16,6 @@ usage line and `absorb[ CMD]: error: ...` to stderr and exits 2.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -41,11 +40,14 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
+def _document(obj):
+    """The canonical JSON line of an output object, tagged with the schema."""
+    return codec.dumps(dict(obj, schema=SCHEMA)) + "\n"
+
+
 def _emit(payload, code):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
     try:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_document(payload))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped reading, which is no error of ours: keep the
@@ -187,12 +189,7 @@ def cmd_corpus(args):
             raise InputError("cannot create %s: %s" % (args.out, exc)) from None
         for label, a in manifest.structures:
             _write_file(os.path.join(args.out, "%s.json" % label), codec.dump_structure(a) + "\n")
-        obj_with_schema = dict(obj)
-        obj_with_schema["schema"] = SCHEMA
-        _write_file(
-            os.path.join(args.out, "manifest.json"),
-            json.dumps(obj_with_schema, sort_keys=True, separators=(",", ":")) + "\n",
-        )
+        _write_file(os.path.join(args.out, "manifest.json"), _document(obj))
         print("wrote %d structures to %s" % (len(manifest.structures), args.out), file=sys.stderr)
     return _emit(obj, EXIT_HOLDS)
 

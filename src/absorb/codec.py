@@ -2,6 +2,15 @@
 
 Serialization is canonical: tuples and keys are sorted, so
 parse(serialize(v)) == v and serialize(parse(text)) is byte-stable.
+
+This is the one module that knows JSON.  It checks only what a document's
+JSON can get wrong: missing keys, wrong types (true and false are not
+numbers), quintuples of other than five entries, table lengths that are no
+power of the arity.  The semantic rules (arities, tuple lengths, ranges,
+distinct names and free variables, ternary comb sections) belong to the
+value types and run once, when `_build` builds one; it raises their
+`InputError` as a `ParseError` prefixed by the location in the document,
+so every `parse_*` raises `ParseError` and says where.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from .model import (
     Relation,
     RelationalStructure,
     Subset,
-    relation,
     subset,
 )
 
@@ -33,8 +41,18 @@ def _loads(text: str):
         raise ParseError("malformed JSON: %s" % exc) from None
 
 
-def _dumps(obj) -> str:
+def dumps(obj) -> str:
+    """The canonical text of a JSON object: sorted keys, no spaces."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _build(where, make, *args):
+    """make(*args), a value type's InputError raised as a ParseError that
+    starts with `where`, the location in the document."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise ParseError("%s: %s" % (where, exc)) from None
 
 
 def _expect(obj, key, types, where):
@@ -58,36 +76,14 @@ def _int_list(val, where):
 def parse_structure(text: str) -> RelationalStructure:
     obj = _loads(text)
     size = _expect(obj, "size", int, "structure")
-    rels_obj = _expect(obj, "relations", dict, "structure")
-    items = []
-    for name in rels_obj:
-        where = "relation %r" % name
-        rel_obj = rels_obj[name]
-        arity = _expect(rel_obj, "arity", int, where)
-        tuples_obj = _expect(rel_obj, "tuples", list, where)
-        tuples = set()
-        for t in tuples_obj:
-            t = tuple(_int_list(t, where))
-            if len(t) != arity:
-                raise ParseError("%s: tuple %r does not match arity %d" % (where, t, arity))
-            for e in t:
-                if not 0 <= e < size:
-                    raise ParseError("%s: entry %d out of range" % (where, e))
-            tuples.add(t)
-        items.append((name, Relation(arity, frozenset(tuples))))
-    items.sort(key=lambda kv: kv[0])
-    try:
-        return RelationalStructure(size, tuple(items))
-    except InputError as exc:
-        raise ParseError(str(exc)) from None
+    rels = _expect(obj, "relations", dict, "structure")
+    items = tuple((name, relation_from_obj(r, "relation %r" % name)) for name, r in rels.items())
+    return _build("structure", RelationalStructure, size, items)
 
 
 def dump_structure(a: RelationalStructure) -> str:
-    rels = {
-        name: {"arity": rel.arity, "tuples": [list(t) for t in rel.sorted_tuples()]}
-        for name, rel in a.relations
-    }
-    return _dumps({"size": a.size, "relations": rels})
+    rels = {name: relation_to_obj(rel) for name, rel in a.relations}
+    return dumps({"size": a.size, "relations": rels})
 
 
 # --- subsets ----------------------------------------------------------------
@@ -95,51 +91,40 @@ def dump_structure(a: RelationalStructure) -> str:
 def parse_subset(text: str) -> Subset:
     obj = _loads(text)
     elems = _int_list(_expect(obj, "elements", list, "subset"), "subset")
-    for e in elems:
-        if e < 0:
-            raise ParseError("subset: element %d out of range" % e)
-    return subset(elems)
+    return _build("subset", subset, elems)
 
 
 def dump_subset(b: Subset) -> str:
-    return _dumps({"elements": b.sorted_elements()})
+    return dumps({"elements": b.sorted_elements()})
 
 
 # --- operation tables -------------------------------------------------------
-
-def _derive_size(arity: int, length: int) -> int:
-    if arity == 1:
-        return length
-    size = round(length ** (1.0 / arity))
-    for cand in (size - 1, size, size + 1):
-        if cand >= 1 and cand ** arity == length:
-            return cand
-    raise ParseError("table: length %d is not a perfect %d-th power" % (length, arity))
-
 
 def parse_table(text: str) -> OperationTable:
     return table_from_obj(_loads(text))
 
 
 def table_from_obj(obj) -> OperationTable:
-    return _table(*_table_fields(obj))
+    return _table(*_table_fields(obj, "table"), "table")
 
 
-def _table_fields(obj):
+def _table_fields(obj, where):
     """A table object's arity and values, type-checked: (int, tuple of ints)."""
-    arity = _expect(obj, "arity", int, "table")
-    return arity, tuple(_int_list(_expect(obj, "values", list, "table"), "table"))
+    arity = _expect(obj, "arity", int, where)
+    return arity, tuple(_int_list(_expect(obj, "values", list, where), where))
 
 
-def _table(arity, values) -> OperationTable:
-    """The table of type-checked fields, its size derived and values range-checked."""
-    if arity < 1 or not values:
-        raise ParseError("table: arity and values must be nonempty")
-    size = _derive_size(arity, len(values))
-    for v in values:
-        if not 0 <= v < size:
-            raise ParseError("table: value %d out of range for size %d" % (v, size))
-    return OperationTable(arity, size, values)
+def _table(arity, values, where) -> OperationTable:
+    """The table of type-checked fields.  Its size, which the JSON leaves
+    out, is the n with n ** arity == len(values); below arity 2 it is the
+    length (OperationTable refuses an arity below 1)."""
+    length = size = len(values)
+    if arity > 1:
+        root = round(length ** (1.0 / arity))
+        size = next((n for n in (root - 1, root, root + 1) if n >= 1 and n ** arity == length), 0)
+        if not size:
+            raise ParseError("%s: length %d is not a perfect %d-th power" % (where, length, arity))
+    return _build(where, OperationTable, arity, size, values)
 
 
 def table_to_obj(t: OperationTable):
@@ -147,21 +132,15 @@ def table_to_obj(t: OperationTable):
 
 
 def dump_table(t: OperationTable) -> str:
-    return _dumps(table_to_obj(t))
+    return dumps(table_to_obj(t))
 
 
 # --- relations (shared by witnesses and comb sections) ----------------------
 
 def relation_from_obj(obj, where="relation") -> Relation:
     arity = _expect(obj, "arity", int, where)
-    tuples_obj = _expect(obj, "tuples", list, where)
-    tuples = set()
-    for t in tuples_obj:
-        t = tuple(_int_list(t, where))
-        if len(t) != arity:
-            raise ParseError("%s: tuple %r does not match arity %d" % (where, t, arity))
-        tuples.add(t)
-    return Relation(arity, frozenset(tuples))
+    tuples = frozenset(tuple(_int_list(t, where)) for t in _expect(obj, "tuples", list, where))
+    return _build(where, Relation, arity, tuples)
 
 
 def relation_to_obj(r: Relation):
@@ -209,17 +188,17 @@ def certificate_from_obj(obj) -> Certificate:
         for j, step_obj in enumerate(_expect(entry_obj, "steps", list, where)):
             sw = "%s step %d" % (where, j)
             b, u, v = (_expect(step_obj, key, int, sw) for key in "buv")
-            fields = _table_fields(_expect(step_obj, "phi", dict, sw))
+            fields = _table_fields(_expect(step_obj, "phi", dict, sw), sw)
             phi = tables.get(fields)
             if phi is None:
-                phi = tables[fields] = _table(*fields)
+                phi = tables[fields] = _table(*fields, sw)
             steps.append(CertStep(b, u, v, phi))
         entries.append(CertEntry(q, tuple(steps)))
     return Certificate(tuple(entries))
 
 
 def dump_certificate(cert: Certificate) -> str:
-    return _dumps(certificate_to_obj(cert))
+    return dumps(certificate_to_obj(cert))
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -247,7 +226,7 @@ def decision_from_obj(obj) -> Decision:
 
 
 def dump_decision(d: Decision) -> str:
-    return _dumps(decision_to_obj(d))
+    return dumps(decision_to_obj(d))
 
 
 def parse_decision(text: str) -> Decision:
@@ -289,11 +268,11 @@ def formula_from_obj(obj) -> PPFormula:
         if not all(isinstance(v, str) for v in scope):
             raise ParseError("%s: scope entries must be strings" % where)
         atoms.append(Atom(rel, tuple(scope)))
-    return PPFormula(tuple(free), tuple(atoms))
+    return _build("formula", PPFormula, tuple(free), tuple(atoms))
 
 
 def dump_formula(phi: PPFormula) -> str:
-    return _dumps(formula_to_obj(phi))
+    return dumps(formula_to_obj(phi))
 
 
 def parse_formula(text: str) -> PPFormula:
@@ -309,11 +288,11 @@ def comb_from_obj(obj) -> CombFormula:
 
     sections = _expect(obj, "sections", list, "comb")
     rels = tuple(relation_from_obj(s, "comb section %d" % i) for i, s in enumerate(sections))
-    return CombFormula(len(rels), rels)
+    return _build("comb", CombFormula, len(rels), rels)
 
 
 def dump_comb(comb: CombFormula) -> str:
-    return _dumps(comb_to_obj(comb))
+    return dumps(comb_to_obj(comb))
 
 
 def parse_comb(text: str) -> CombFormula:

@@ -50,9 +50,9 @@ class CombFormula(Record):
         object.__setattr__(self, "sections", tuple(self.sections))
         if self.lam != len(self.sections) or self.lam < 1:
             raise InputError("comb needs lam >= 1 sections")
-        for s in self.sections:
+        for i, s in enumerate(self.sections):
             if s.arity != 3:
-                raise InputError("comb sections must be ternary")
+                raise InputError("comb section %d is not ternary" % i)
 
     def as_formula(self, a: RelationalStructure):
         """Materialize as a PPFormula over a structure extended with the sections."""

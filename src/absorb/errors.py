@@ -3,6 +3,10 @@
 Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3, and
 any other exception -> 4 (an internal error: the traceback, then
 "internal error: <type>: <message>", on stderr).
+
+The value types check the semantic rules of an input and raise InputError;
+each `codec.parse_*` checks a document's JSON and raises ParseError, a
+value type's InputError included, with the location (see `absorb.codec`).
 """
 
 

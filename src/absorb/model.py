@@ -304,6 +304,8 @@ class OperationTable(Record):
         object.__setattr__(self, "values", tuple(self.values))
         if self.arity < 1:
             raise InputError("operation arity must be positive")
+        if self.size < 1:
+            raise InputError("domain size must be positive, got %d" % self.size)
         if len(self.values) != self.size ** self.arity:
             raise InputError(
                 "value table has length %d, expected %d"

@@ -19,6 +19,7 @@ from .model import (
     RelationalStructure,
     diagonal,
     relation,
+    relation_project,
 )
 
 # annotations stay strings, so typing is read by type checkers only
@@ -421,7 +422,7 @@ def _project_bound_leaf(free, atoms, registry, struct, var_cap):
         at = atoms[i]
         rel = struct.rel(at.rel)
         p = at.scope.index(v)
-        projected = Relation(rel.arity - 1, frozenset(t[:p] + t[p + 1:] for t in rel.tuples))
+        projected = relation_project(rel, p + 1)
         name = registry.ensure(projected, "projected bound leaf %r out of %s" % (v, at.rel))
         atoms[i] = Atom(name, at.scope[:p] + at.scope[p + 1:])
         return "projected a bound leaf"

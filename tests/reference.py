@@ -41,6 +41,12 @@ from scratch.  The package's `decide_jonsson` answers from per-(a,c,u,v)
 coverage tables instead and must return the same `Decision`, every table
 included.
 
+`reference_verdict` is `decide_jonsson`'s verdict with no engine code at
+all: power(A,3) -> A is solved by `reference_gac` and `reference_search`
+alone, one search per edge of a quintuple's digraph.  It checks a failing
+verdict, which no certificate backs, against a route that shares nothing
+with the engine.
+
 `reference_orbit_scopes` is the scopes that `engine._orbit_scopes` keeps of
 an n-ary R^k, by their definition: it enumerates the group that R's
 position symmetries generate and tests every k-tuple of rows against the
@@ -64,6 +70,7 @@ from absorb import (
     Decision,
     Digraph,
     OperationTable,
+    Quintuple,
     Relation,
     RelationalStructure,
     digraph_reach,
@@ -71,6 +78,7 @@ from absorb import (
     generate_subpower,
     projection_table,
     tuple_rank,
+    with_singletons,
 )
 from absorb.decide import _quintuples, _validate_inputs
 from absorb.engine import _symmetries
@@ -86,8 +94,9 @@ def reference_gac(source, target, masks, vertices=None):
     the listed vertices.
     """
     cons = [
-        (scope, target.rel(name).sorted_tuples())
+        (scope, allowed)
         for name, rel in source.relations
+        for allowed in [target.rel(name).sorted_tuples()]
         for scope in rel.sorted_tuples()
     ]
     var_cons = [[] for _ in range(source.size)]
@@ -289,6 +298,57 @@ def reference_decide(a, b, cap=DEFAULT_VERTEX_CAP):
             steps.append(CertStep(color, u, v, _recover_table(base, q, (color, u, v))))
         entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, certificate=Certificate(tuple(entries)))
+
+
+def reference_verdict(a, b):
+    """decide_jonsson's (holds, least failing quintuple or None), B being a
+    subuniverse, from `reference_power_structure`, `reference_gac` and
+    `reference_search` alone.
+
+    (u,v) is an edge of quintuple (a,c,d,b1,b2) when some b in B lets the
+    generator columns (b1,b2,d), (a,c,a), (a,c,c) of power(A,3) take
+    (b,u,v) in a solution: the first column is restricted to B, the others
+    to u and v, and the masks are searched.  A solution found for one
+    quintuple of the pair (a,c) is tried first for the others, since it
+    witnesses their edges too.  The walk from a tests the edges out of
+    each vertex it reaches, breadth first, until it reaches c.
+    """
+    expanded = with_singletons(a)
+    size = a.size
+    power = reference_power_structure(expanded, 3)
+    base = [(1 << size) - 1] * power.size
+    reference_gac(power, expanded, base)
+    in_b = sum(1 << e for e in b)
+    found = {}
+
+    def edge(cols, u, v):
+        targets = (in_b, 1 << u, 1 << v)
+        solutions = found.setdefault(cols[1:], [])
+        if any(all(s[col] & m for col, m in zip(cols, targets)) for s in solutions):
+            return True
+        masks = list(base)
+        for col, m in zip(cols, targets):
+            masks[col] &= m
+        if 0 in masks or not reference_gac(power, expanded, masks, cols):
+            return False
+        solution = reference_search(power, expanded, masks)
+        if solution is not None:
+            solutions.append(solution)
+        return solution is not None
+
+    for x, y, d in product(range(size), repeat=3):
+        for b1, b2 in product(b.sorted_elements(), repeat=2):
+            cols = tuple(tuple_rank(col, size) for col in ((b1, b2, d), (x, y, x), (x, y, y)))
+            reached, queue = {x}, deque([x])
+            while queue and y not in reached:
+                u = queue.popleft()
+                for v in range(size):
+                    if v not in reached and edge(cols, u, v):
+                        reached.add(v)
+                        queue.append(v)
+            if y not in reached:
+                return False, Quintuple(x, y, d, b1, b2)
+    return True, None
 
 
 def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):

@@ -171,6 +171,50 @@ class TestBooleansAreNotNumbers:
             parse(text)
 
 
+# a certificate whose entry 1 step 1 holds a table with a value out of range
+BAD_STEP_CERT = (
+    '{"quintuples":[{"q":[0,0,0,0,0],"steps":[]},{"q":[0,1,0,0,0],"steps":['
+    '{"b":0,"u":0,"v":1,"phi":{"arity":1,"values":[0,1]}},'
+    '{"b":0,"u":0,"v":1,"phi":{"arity":1,"values":[0,5]}}]}]}'
+)
+
+
+class TestParseErrorsNameTheirLocation:
+    """A document that breaks a value type's rule fails its `parse_*` with a
+    ParseError, not a bare InputError, whose message names where."""
+
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            (codec.parse_structure, '{"size":2,"relations":{"r":{"arity":0,"tuples":[]}}}',
+             "relation 'r'"),
+            (codec.parse_structure, '{"size":2,"relations":{"r":{"arity":2,"tuples":[[0,2]]}}}',
+             "relation 'r'"),
+            (codec.parse_structure,
+             '{"size":2,"relations":{"r":{"arity":2,"tuples":[[0,1],[0,1,1]]}}}',
+             "relation 'r'"),
+            (codec.parse_subset, '{"elements":[0,-1]}', "subset"),
+            (codec.parse_table, '{"arity":1,"values":[0,5]}', "table"),
+            (codec.parse_certificate, BAD_STEP_CERT, "certificate entry 1 step 1"),
+            (codec.parse_formula, '{"free":["x","x"],"atoms":[]}', "formula"),
+            (codec.parse_comb,
+             '{"sections":[{"arity":3,"tuples":[]},{"arity":2,"tuples":[[0,1]]}]}',
+             "comb section 1"),
+            (codec.parse_comb, '{"sections":[{"arity":0,"tuples":[]}]}', "comb section 0"),
+            (codec.parse_comb, '{"sections":[]}', "comb"),
+        ],
+        ids=[
+            "arity-0 relation", "entry out of range", "tuple length", "negative element",
+            "table value", "certificate table value", "duplicate free variables",
+            "non-ternary section", "arity-0 section", "no sections",
+        ],
+    )
+    def test_rejected_with_location(self, parse, text, where):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert where in str(excinfo.value)
+
+
 class TestFormulaCodec:
     def test_roundtrip(self):
         phi = PPFormula(("x1", "x2"), (Atom("leq", ("x1", "y")), Atom("leq", ("y", "x2"))))

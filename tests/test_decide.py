@@ -45,6 +45,7 @@ from reference import (
     reference_decide,
     reference_is_polymorphism,
     reference_power_structure,
+    reference_verdict,
 )
 
 BA = subset([0, 1])
@@ -166,7 +167,11 @@ def aff3():
 
 
 class TestAgainstReferenceRoute:
-    """The coverage-table route returns the per-quintuple route's Decision."""
+    """The coverage-table route returns the per-quintuple route's Decision,
+    and on 3-element structures the verdict and failing quintuple of
+    `reference_verdict`, which solves power(A,3) with no engine code: a
+    missed edge turns "holds" into "fails", and no certificate backs a
+    failing verdict."""
 
     def test_two_element_corpus(self):
         for e in corpus2().entries:
@@ -179,7 +184,9 @@ class TestAgainstReferenceRoute:
     )
     def test_three_element_instances(self, make, elements):
         a, b = make(), subset(elements)
-        assert decide_jonsson(a, b) == reference_decide(a, b)
+        got = decide_jonsson(a, b)
+        assert got == reference_decide(a, b)
+        assert (got.holds, got.failing) == reference_verdict(a, b)
 
     def test_refuting_instance_fails_at_its_first_quintuple(self):
         d = decide_jonsson(aff3(), B0)
@@ -204,6 +211,7 @@ class TestAgainstReferenceRoute:
             return
         got = decide_jonsson(a, b)
         assert got == expected
+        assert (got.holds, got.failing) == reference_verdict(a, b)
         if got.holds:
             ok, defect = verify_np_certificate(a, b, got.certificate)
             assert ok, defect
