@@ -40,14 +40,15 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-def _document(obj):
-    """The canonical JSON line of an output object, tagged with the schema."""
-    return codec.dumps(dict(obj, schema=SCHEMA)) + "\n"
+def _document(obj, encoded=None):
+    """The canonical JSON line of an output object, tagged with the schema;
+    encoded holds members already encoded (see `codec.dumps`)."""
+    return codec.dumps(dict(obj, schema=SCHEMA), encoded) + "\n"
 
 
-def _emit(payload, code):
+def _emit(payload, code, encoded=None):
     try:
-        sys.stdout.write(_document(payload))
+        sys.stdout.write(_document(payload, encoded))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped reading, which is no error of ours: keep the
@@ -109,17 +110,22 @@ def cmd_decide(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
     decision = decide_jonsson(a, b, cap, certificate=bool(args.certificate))
+    # the certificate is encoded once: the file holds the text of stdout's
+    # "certificate" member
+    encoded = {}
+    if decision.certificate is not None:
+        encoded["certificate"] = codec.dump_certificate(decision.certificate)
     if args.certificate:
         if decision.holds:
-            _write_file(args.certificate, codec.dump_certificate(decision.certificate) + "\n")
+            _write_file(args.certificate, encoded["certificate"] + "\n")
         else:
             # a file left there would pass for a certificate of this verdict
             _remove_file(args.certificate)
-    payload = codec.decision_to_obj(decision)
+    payload = codec.decision_to_obj(decision, certificate=False)
     # the two modes are one computation (decide adds the singletons either
     # way); the flag only labels the output
     payload["mode"] = args.mode
-    return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS)
+    return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS, encoded)
 
 
 def cmd_verify(args):

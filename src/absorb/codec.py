@@ -41,9 +41,17 @@ def _loads(text: str):
         raise ParseError("malformed JSON: %s" % exc) from None
 
 
-def dumps(obj) -> str:
-    """The canonical text of a JSON object: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def dumps(obj, encoded=None) -> str:
+    """The canonical text of a JSON object: sorted keys, no spaces.
+
+    encoded maps further keys to the canonical text of their values, which
+    goes in as it is: a value written elsewhere too is encoded once.
+    """
+    if not encoded:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    members = {key: dumps(val) for key, val in obj.items()}
+    members.update(encoded)
+    return "{%s}" % ",".join("%s:%s" % (json.dumps(key), members[key]) for key in sorted(members))
 
 
 def _build(where, make, *args):
@@ -121,7 +129,10 @@ def _table(arity, values, where) -> OperationTable:
     length = size = len(values)
     if arity > 1:
         root = round(length ** (1.0 / arity))
-        size = next((n for n in (root - 1, root, root + 1) if n >= 1 and n ** arity == length), 0)
+        # once 2 ** arity > length, only n = 1 can match: n ** arity is
+        # not computed for a huge arity
+        candidates = (1,) if arity >= length.bit_length() else (root - 1, root, root + 1)
+        size = next((n for n in candidates if n >= 1 and n ** arity == length), 0)
         if not size:
             raise ParseError("%s: length %d is not a perfect %d-th power" % (where, length, arity))
     return _build(where, OperationTable, arity, size, values)
@@ -205,11 +216,13 @@ def parse_certificate(text: str) -> Certificate:
     return certificate_from_obj(_loads(text))
 
 
-def decision_to_obj(d: Decision):
+def decision_to_obj(d: Decision, certificate=True):
+    """The decision as a JSON object; certificate=False leaves the
+    certificate out, for a caller that encodes it itself."""
     obj = {"holds": d.holds}
     if d.failing is not None:
         obj["failing"] = d.failing.as_list()
-    if d.certificate is not None:
+    if certificate and d.certificate is not None:
         obj["certificate"] = certificate_to_obj(d.certificate)
     return obj
 

@@ -17,9 +17,11 @@ least value of a mask that any solution gives it (the decider's
 certificate steps); `project` returns the distinct value tuples that
 solutions take at chosen vertices (generated subpowers and the relations
 of pp-formulas); `cover` returns the vertices that some solution sends
-into a value set (the decider's coverage tables).  `restrict`, the
-search, `project` and `cover` all narrow by `_narrow`, which resumes
-`_gac` from the vertices that narrowed; `_gac` has no other entry.
+into a value set (the decider's coverage tables).  `restrict`, `project`
+and `cover` narrow by `_narrow`, which resumes `_gac` from the vertices
+that narrowed on a copy of the masks, since a `Fixpoint` holds an
+immutable tuple.  The search narrows one list in place and undoes its
+branches from a trail that `_gac` keeps (`_search_part`).
 
 Binary constraints, nearly all the constraints of a power of a graph or
 order, propagate along vertices.  Each binary target relation gives, per
@@ -382,7 +384,7 @@ def _support(rows, mask):
     return out
 
 
-def _gac(masks, net, queue):
+def _gac(masks, net, queue, trail=None):
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
     masks must be a fixpoint but for the vertices listed in queue, which
@@ -400,6 +402,11 @@ def _gac(masks, net, queue):
     runs _revise and stores its result.  The greatest arc-consistent
     domains do not depend on the order of revisions, so the fixpoint is
     that of revising every scope position against the allowed tuples.
+
+    trail, when given, is the search's undo trail: a (vertex, old mask)
+    pair is appended to it before each narrowing, so restoring the pairs
+    popped from its end undoes this call, a wipeout included (the pair of
+    the vertex that wiped out holds the mask it still has).
     """
     adj, cons, var_cons, full = net.adj, net.cons, net.var_cons, net.full
     queue = deque(dict.fromkeys(queue))
@@ -431,6 +438,8 @@ def _gac(masks, net, queue):
                 for w in neighbours:
                     mw = masks[w]
                     if mw & s != mw:
+                        if trail is not None:
+                            trail.append((w, mw))
                         mw &= s
                         if mw == 0:
                             return False
@@ -462,6 +471,8 @@ def _gac(masks, net, queue):
         for v, s in zip(scope, supported):
             m = masks[v]
             if m & s != m:
+                if trail is not None:
+                    trail.append((v, m))
                 m &= s
                 if m == 0:
                     return False
@@ -507,25 +518,33 @@ def _bits(mask):
 def _mrv_vertex(masks):
     """The unassigned vertex with fewest candidates (lowest index on ties), or -1.
 
-    The candidate counts are one byte string, scanned in C.  Deleting the
-    counts 0 and 1 tells whether any vertex is open; if one is, the answer
-    is the first byte equal to 2, else to 3, and so on.  `bytes.find`
-    gives the lowest index, and the loop stops at the least open count,
-    which is at most the target's size.  A count over 255 does not fit in
-    a byte (only a target of more than 255 elements allows one), and then
-    the loop of `_mrv_scan` runs instead.
+    The candidate counts are one byte string, read by `_mrv_count` in C.  A
+    count over 255 does not fit in a byte (only a target of more than 255
+    elements allows one), and then the loop of `_mrv_scan` runs instead.
     """
     try:
         raw = bytes(map(int.bit_count, masks))
     except ValueError:
         return _mrv_scan(masks)
-    if not raw.translate(None, b"\0\1"):
+    return _mrv_count(raw)
+
+
+def _mrv_count(counts):
+    """The index of the least count above 1 in a byte string of candidate
+    counts (lowest index on ties), or -1 when there is none.
+
+    Deleting the counts 0 and 1 tells whether any vertex is open; if one
+    is, the answer is the first byte equal to 2, else to 3, and so on.
+    `bytes.find` gives the lowest index, and the loop stops at the least
+    open count, which is at most the target's size.
+    """
+    if not counts.translate(None, b"\0\1"):
         return -1
     count = 2
-    found = raw.find(count)
+    found = counts.find(count)
     while found < 0:
         count += 1
-        found = raw.find(count)
+        found = counts.find(count)
     return found
 
 
@@ -586,52 +605,98 @@ def _components(net) -> _Components:
 
 
 def _search_part(masks, net, part):
-    """The first solution of one part under MRV + lexicographic value order,
-    as the masks of all vertices, or None.
+    """Whether one part has a solution; masks is left holding the first one
+    under MRV + lexicographic value order.
 
-    masks must be a fixpoint; it is not modified.  part lists the part's
-    vertices in ascending order, or is None for every vertex.  MRV reads
-    only the part's masks, so only the part's vertices are branched on,
-    and the vertices outside it keep their masks (propagation from a
-    vertex stays in its part).  The search is depth-first with an explicit
-    stack of (masks, vertex, remaining values) frames, so the depth is
-    bounded by the vertex count, not by Python's recursion limit; each
-    frame keeps the masks before its branch, and each value is tried by
-    `_narrow` on them.
+    masks is a list that is a fixpoint.  part lists the part's vertices in
+    ascending order, or is None for every vertex.  Only the part's vertices
+    are branched on, and the vertices outside it keep their masks
+    (propagation from a vertex stays in its part).  On success the part's
+    masks are the solution's one-bit masks; on failure masks is restored.
+
+    The search is depth-first on that one list with an undo trail, the
+    (vertex, old mask) pairs that `_gac` appends before each narrowing
+    (Schulte, "Comparing Trailing and Copying for Constraint Programming",
+    ICLP 1999), so no node copies the masks.  A frame on the explicit stack
+    is (trail mark, vertex, remaining values): each value pins the vertex
+    and resumes `_gac` from it, and before the next value, or once the
+    frame has none left, the trail is undone to the frame's mark, which
+    restores the masks the frame branched from.  The depth is bounded by
+    the vertex count, not by Python's recursion limit.
+
+    MRV reads a bytearray of candidate counts, one per vertex, through
+    `_mrv_count`, the scan of `_mrv_vertex`; a vertex outside part is
+    pinned at 1, so it is never picked.  Only the vertices on the trail
+    are recounted, after each propagation and each undo.  On a target of
+    more than 255 elements a count may not fit in a byte, and `_mrv_scan`
+    reads the part's masks at each node instead.
     """
+    trail = []
     stack = []
+    if net.full.bit_length() > 255:
+        counts = None
+    elif part is None:
+        counts = bytearray(map(int.bit_count, masks))
+    else:
+        counts = bytearray(b"\1") * len(masks)
+        for v in part:
+            counts[v] = masks[v].bit_count()
     while True:
-        if part is None:
-            best = _mrv_vertex(masks)
+        if counts is not None:
+            best = _mrv_count(counts)
+        elif part is None:
+            best = _mrv_scan(masks)
         else:
-            best = _mrv_vertex(tuple(map(masks.__getitem__, part)))
+            best = _mrv_scan([masks[v] for v in part])
             if best >= 0:
                 best = part[best]
         if best < 0:
-            return masks
-        stack.append((masks, best, iter(_bits(masks[best]))))
-        masks = None
-        while masks is None:
+            return True
+        stack.append((len(trail), best, iter(_bits(masks[best]))))
+        while True:
             if not stack:
-                return None
-            parent, v, values = stack[-1]
+                return False
+            mark, v, values = stack[-1]
             for val in values:
-                masks = _narrow(parent, net, ((v, 1 << val),))
-                if masks is not None:
+                _undo(masks, trail, mark, counts)
+                trail.append((v, masks[v]))
+                masks[v] = 1 << val
+                if _gac(masks, net, (v,), trail):
                     break
             else:
+                _undo(masks, trail, mark, counts)
                 stack.pop()
+                continue
+            break
+        if counts is not None:
+            for i in range(mark, len(trail)):
+                w = trail[i][0]
+                counts[w] = masks[w].bit_count()
+
+
+def _undo(masks, trail, mark, counts):
+    """Pop the trail down to mark, restoring each pair's mask and, unless
+    counts is None, its candidate count."""
+    while len(trail) > mark:
+        v, m = trail.pop()
+        masks[v] = m
+        if counts is not None:
+            counts[v] = m.bit_count()
 
 
 def _search(masks, net):
     """First solution under MRV + lexicographic value order, or None.
 
-    masks must be a fixpoint.  The rule: branch on the vertex of fewest
+    masks must be a fixpoint; it is not modified.  The answer is masks
+    itself when no vertex is open, else one copy of it, the only one the
+    search makes: `_search_part` narrows that list in place and undoes its
+    failed branches from a trail.  The rule: branch on the vertex of fewest
     candidates above one, the lowest index on ties, try its values in
     ascending order, and propagate after each.  On a source of one
     component, `_search_part` does that over every vertex.  Otherwise each
-    part is searched on its own in turn, the answer is None as soon as one
-    part has no solution, and each free vertex takes its lowest value.
+    part is searched on its own in turn on the same list, the answer is
+    None as soon as one part has no solution, and each free vertex takes
+    its lowest value.
 
     A part's first solution depends on the part's masks alone, so it is
     memoised in net.solved by (part index, those masks).  The memo is
@@ -672,19 +737,19 @@ def _search(masks, net):
     if _mrv_vertex(masks) < 0:
         return masks
     comps = _components(net)
+    work = list(masks)
     if len(comps.parts) == 1 and not comps.free:
-        return _search_part(masks, net, None)
+        return work if _search_part(work, net, None) else None
     largest = max(map(len, comps.parts), default=0)
     solved = net.solved
-    work = list(masks)
     for i, part in enumerate(comps.parts):
         key = (i, tuple(map(work.__getitem__, part)))
         try:
             found = solved[key]
         except KeyError:
-            found = _search_part(work, net, part)
-            if found is not None:
-                found = tuple(map(found.__getitem__, part))
+            found = None
+            if _search_part(work, net, part):
+                found = tuple(map(work.__getitem__, part))
             if len(solved) * largest >= _REVISION_MEMO_SIZE:
                 solved.clear()
             solved[key] = found

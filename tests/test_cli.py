@@ -119,6 +119,24 @@ class TestDecideCommand:
             assert code == 1 and payload["holds"] is False
             assert not cert.exists()
 
+    def test_certificate_is_encoded_once(self, capsys, files, monkeypatch):
+        # stdout's "certificate" member is the file's text, byte for byte,
+        # and both come from one encoding of the certificate
+        tmp, ord2_path, _ = files
+        calls = []
+        encode = codec.certificate_to_obj
+        monkeypatch.setattr(codec, "certificate_to_obj", lambda cert: calls.append(cert) or encode(cert))
+        cert = tmp / "c.json"
+        code = main(["decide", "-s", ord2_path, "-b", B0, "--certificate", str(cert)])
+        out = capsys.readouterr().out
+        text = cert.read_text()
+        assert code == 0 and len(calls) == 1
+        assert text.endswith("\n") and out.startswith('{"certificate":%s,' % text[:-1])
+        # both are canonical: the whole payload reads back to the same line
+        payload = json.loads(out)
+        assert out == codec.dumps(payload) + "\n"
+        assert payload["certificate"] == json.loads(text) and payload["holds"] is True
+
     def test_no_certificate_unless_asked(self, capsys, files):
         _, ord2_path, _ = files
         code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)

@@ -1,5 +1,7 @@
 """Canonical JSON codecs: roundtrips, byte-stability, and error locations."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,20 @@ class TestSubsetAndTableCodec:
         with pytest.raises(ParseError, match="power"):
             codec.parse_table('{"arity":2,"values":[0,0,0]}')
 
+    def test_huge_arity_is_refused_without_its_powers(self):
+        # no n >= 2 has n ** arity == 2 once 2 ** arity > 2; 2 ** 10**8
+        # alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="^table: length 2 is not a perfect 100000000-th power$"):
+                codec.parse_table('{"arity": 100000000, "values": [0, 1]}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # one value is the table of size 1, at any arity
+        assert codec.parse_table('{"arity": 64, "values": [0]}').size == 1
+
     def test_table_value_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             codec.parse_table('{"arity":1,"values":[0,7]}')
@@ -130,6 +146,16 @@ class TestCertificateCodec:
         decision = decide_jonsson(ord2(), B0)
         again = codec.parse_decision(codec.dump_decision(decision))
         assert again == decision
+
+    def test_an_encoded_certificate_goes_in_as_it_is(self):
+        decision = decide_jonsson(ord2(), B0)
+        obj = codec.decision_to_obj(decision, certificate=False)
+        assert obj == {"holds": True}
+        encoded = {"certificate": codec.dump_certificate(decision.certificate)}
+        assert codec.dumps(obj, encoded) == codec.dump_decision(decision)
+        assert codec.dumps(dict(obj, mode="x"), encoded) == codec.dumps(
+            dict(codec.decision_to_obj(decision), mode="x")
+        )
 
     def test_bad_quintuple_length(self):
         with pytest.raises(ParseError, match="5 entries"):

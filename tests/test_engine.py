@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from itertools import combinations, groupby, product
 from math import comb, factorial
@@ -23,6 +24,7 @@ from absorb import (
     fixpoint,
     full_relation,
     generate_subpower,
+    is_absorption_term,
     is_b_essential,
     power_fixpoint,
     relation,
@@ -1209,6 +1211,74 @@ class TestMrvVertex:
         ]
         for masks in cases:
             assert engine._mrv_vertex(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
+
+
+class TestTrailSearch:
+    """The search on one mask list with an undo trail."""
+
+    def counting_gac(self, monkeypatch):
+        """engine._gac wrapped to record each call's result, in a list."""
+        results = []
+        gac = engine._gac
+
+        def counting(*args):
+            ok = gac(*args)
+            results.append(ok)
+            return ok
+
+        monkeypatch.setattr(engine, "_gac", counting)
+        return results
+
+    def test_a_target_of_more_than_255_elements(self, monkeypatch):
+        # a count may not fit in a byte, so MRV scans the masks; n is "not
+        # equal" on {0, 1, 2}, and t adds any third entry to one of its pairs
+        size = 260
+        neq = [(x, y) for x in range(3) for y in range(3) if x != y]
+        target = structure(size, {"n": neq, "t": [(x, y, z) for x, y in neq for z in range(size)]})
+        edges = [(0, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (5, 6)]
+        # vertex 7 shares only t's scope (0, 1, 7) and keeps all 260 values;
+        # the second source is two copies, searched part by part
+        one = structure(8, {"n": edges, "t": [(0, 1, 7)]})
+        two = structure(16, {
+            "n": edges + [(x + 8, y + 8) for x, y in edges], "t": [(0, 1, 7), (8, 9, 15)],
+        })
+        results = self.counting_gac(monkeypatch)
+        for source, parts in ((one, 1), (two, 2)):
+            fp = fixpoint(source, target)
+            assert fp.masks[7] == (1 << size) - 1
+            del results[:]
+            assert fp.solve() == reference_solve(fp) == (0, 1, 0, 1, 2, 2, 0, 0) * parts
+            # the search backtracks: some branches wipe out
+            assert results.count(False) >= 3
+            assert len(engine._components(fp.net).parts) == parts
+            for mask in (0b1, 0b10, 0b100, 0b110, 1 << 259 | 1 << 3):
+                pending = range(source.size)
+                assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
+
+    def test_a_branching_power_search_keeps_no_mask_copies(self, monkeypatch):
+        # the term CSP of leq5 with 1 and 4 swapped, B={0}, n=4: not
+        # min-closed in the natural order, so it branches at 182 nodes over
+        # power(A, 4)'s 625 vertices.  A search that copies the 625 masks at
+        # each node holds about 0.75 MB of copies at its deepest node.
+        p = [0, 4, 2, 3, 1]
+        a = with_singletons(structure(5, {
+            "leq": [(p[x], p[y]) for x in range(5) for y in range(5) if x <= y],
+        }))
+        b = subset([0])
+        results = self.counting_gac(monkeypatch)
+        fp = power_fixpoint(a, 4).restrict(engine._term_pairs(5, b, 4))
+        assert fp.net.pick is None
+        tracemalloc.start()
+        try:
+            values = fp.solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 1024
+        # one call builds the fixpoint, one restricts it, 182 search
+        assert len(results) == 184
+        assert OperationTable(4, 5, values) == absorption_term_search(a, b, 4)
+        assert is_absorption_term(a, b, OperationTable(4, 5, values))
 
 
 class TestSubpowers:
