@@ -122,9 +122,6 @@ def cmd_decide(args):
             # a file left there would pass for a certificate of this verdict
             _remove_file(args.certificate)
     payload = codec.decision_to_obj(decision, certificate=False)
-    # the two modes are one computation (decide adds the singletons either
-    # way); the flag only labels the output
-    payload["mode"] = args.mode
     return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS, encoded)
 
 
@@ -206,17 +203,17 @@ def cmd_corpus(args):
 class Option:
     """One option of the command table: its flags, the attribute its value
     is stored under (`dest`, from the last flag), `type` (`str`, `int`, or
-    None for -h, which takes no value), required or a default, and the
-    values it may take (`choices`, or None for any)."""
+    None for -h, which takes no value), whether it is required (an optional
+    one left out reads None), and the values it may take (`choices`, or None
+    for any)."""
 
-    __slots__ = ("flags", "dest", "type", "required", "default", "choices", "help")
+    __slots__ = ("flags", "dest", "type", "required", "choices", "help")
 
-    def __init__(self, flags, help, type=str, required=False, default=None, choices=None):
+    def __init__(self, flags, help, type=str, required=False, choices=None):
         self.flags = flags
         self.dest = flags[-1].lstrip("-").replace("-", "_")
         self.type = type
         self.required = required
-        self.default = default
         self.choices = choices
         self.help = help
 
@@ -251,8 +248,6 @@ COMMANDS = {
         (
             STRUCTURE,
             SUBSET,
-            Option(("--mode",), "label of the payload; both modes run one computation",
-                   default="absorb", choices=("absorb", "jonsson")),
             Option(("--certificate",), "write the certificate JSON here when the property "
                    "holds; when it fails, remove any file here"),
         ),
@@ -384,7 +379,7 @@ def parse_args(argv):
             command, "the following arguments are required: %s" % ", ".join(missing)
         )
     for opt in GLOBAL_OPTIONS + COMMANDS[command][1]:
-        values.setdefault(opt.dest, opt.default)
+        values.setdefault(opt.dest, None)
     return command, SimpleNamespace(**values)
 
 

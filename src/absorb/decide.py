@@ -13,25 +13,30 @@ object.  So decide_jonsson is the one decision entry point for both.
 The digraphs are not generated one quintuple at a time.  A ternary
 polymorphism phi puts (b,u,v) in a quintuple's subpower when phi(b1,b2,d)=b,
 phi(a,c,a)=u and phi(a,c,c)=v, and only the first column depends on
-(d,b1,b2).  So when the quintuples of a pair a != c come up, the decider
-restricts (a,c,a) to u and (a,c,c) to v in the GAC fixpoint of power(A,3)
-for each (u,v) and covers the columns (b1,b2,d) in B x B x A with B
-(engine.Fixpoint.restrict and .cover).  The edges of a quintuple are then
-the (u,v) whose table covers its column.  A walk step takes the least color
-in B for which the (u,v) fixpoint with (b1,b2,d) also restricted has a
-solution, and that solution's table (engine.Fixpoint.solve_at); a
-restricted fixpoint equals the one computed from scratch (see
-engine.Fixpoint), so that table does not depend on the order of the
-restrictions.  On a min-closed power the step is read off the (u,v)
-fixpoint's minima whenever the minimum at (b1,b2,d) lies in B.
+(d,b1,b2).  So the table of a pair a != c at (u,v) restricts (a,c,a) to u
+and (a,c,c) to v in the GAC fixpoint of power(A,3), and covers the columns
+(b1,b2,d) in B x B x A with B (engine.Fixpoint.restrict and .cover).  The
+edges of a quintuple are then the (u,v) whose table covers its column.  A
+walk step takes the least color in B for which the (u,v) fixpoint with
+(b1,b2,d) also restricted has a solution, and that solution's table
+(engine.Fixpoint.solve_at); a restricted fixpoint equals the one computed
+from scratch (see engine.Fixpoint), so that table does not depend on the
+order of the restrictions.  On a min-closed power the step is read off the
+(u,v) fixpoint's minima whenever the minimum at (b1,b2,d) lies in B.
 
-Only the pairs with a < c are covered; they come first in quintuple order.
+Tables are built lazily, within one decide.  A quintuple's walk is [a,c]
+when table (a,c) covers its column: that is `digraph_reach`'s walk, since c
+is its only vertex at distance 0 and a, at distance 1, is the only source.
+Only otherwise are the covered sets of every (u,v) read, and the walk taken
+by `digraph_reach` on those edges.  A table lives until the quintuple loop
+moves to the next pair, so at most one pair's tables are alive; the covered
+sets are kept for the whole decide.  A pair a < c covers its own tables.
 The swap pi(x,y,z) = (y,x,z) is an automorphism of power(A,3), so pair
-(c,a)'s covered columns are read off pair (a,c)'s (`_swapped_coverage`),
-which are kept until (c,a) comes up.  A walk step of (c,a) restricts its
-own (u,v) fixpoint, once per pair, and takes the first solution from it
-as above: the MRV search's first solution depends on vertex indices, so
-mapping (a,c)'s solutions through pi would give other tables.
+(c,a)'s covered set at (u,v) is read off pair (a,c)'s at (v,u)
+(`_swapped`), one table at a time.  A walk step of (c,a) restricts its own
+(u,v) fixpoint and takes the first solution from it as above: the MRV
+search's first solution depends on vertex indices, so mapping (a,c)'s
+solutions through pi would give other tables.
 """
 
 from __future__ import annotations
@@ -146,28 +151,9 @@ def _pair_table(base: Fixpoint, x: int, y: int, u: int, v: int) -> Fixpoint:
     )
 
 
-def _coverage_tables(b: Subset, x: int, y: int, base: Fixpoint):
-    """({(u, v): table}, {(u, v): covered columns}) for the pair a=x, c=y.
-
-    Each table is `_pair_table(base, x, y, u, v)`, whose cover of the
-    generator columns (b1,b2,d) in B x B x A with mask B gives the covered
-    columns: a covered column means (b,u,v) lies in the subpower of that
-    quintuple for some color b in B.
-    """
-    size = base.target.size
-    bs = b.sorted_elements()
-    pending = product_ranks((bs, bs, range(size)), size)
-    bmask = sum(1 << e for e in b.elements)
-    tables = {}
-    covered = {}
-    for u, v in product(range(size), repeat=2):
-        table = tables[u, v] = _pair_table(base, x, y, u, v)
-        covered[u, v] = table.cover(pending, bmask)
-    return tables, covered
-
-
-def _swapped_coverage(covered: dict, size: int) -> dict:
-    """The covered columns of pair (c, a), read off those of pair (a, c).
+def _swapped(cols: frozenset, size: int) -> frozenset:
+    """The columns that pair (c, a)'s table at (u, v) covers, from those
+    that pair (a, c)'s table at (v, u) covers.
 
     pi(x,y,z) = (y,x,z) is an automorphism of power(A,3): it permutes the
     scopes of every relation and fixes the singleton scopes (e,e,e), so
@@ -176,14 +162,9 @@ def _swapped_coverage(covered: dict, size: int) -> dict:
     (b1,b2,d) exactly when (a,c)'s set at (v,u) holds (b2,b1,d).
     """
     square = size * size
-    swap = [
-        b2 * square + b1 * size + d
-        for b1, b2, d in product(range(size), repeat=3)
-    ]
-    return {
-        (u, v): frozenset(map(swap.__getitem__, covered[v, u]))
-        for u, v in product(range(size), repeat=2)
-    }
+    return frozenset(
+        col // size % size * square + col // square * size + col % size for col in cols
+    )
 
 
 def _cert_step(table: Fixpoint, col: int, u: int, v: int, bmask: int) -> CertStep:
@@ -219,31 +200,45 @@ def decide_jonsson(
         return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
     base = power_fixpoint(expanded, 3, cap)
     bmask = sum(1 << e for e in b.elements)
-    # the covered sets of each pair (a, c) with a < c, until (c, a) comes up
-    kept = {}
-    pair = tables = covered = None
+    bs = b.sorted_elements()
+    pending = product_ranks((bs, bs, range(size)), size)
+    # keyed by (x, y, u, v): the current pair's tables, and every covered set
+    tables, covers, pair = {}, {}, None
+
+    def table(*key):
+        if key not in tables:
+            tables[key] = _pair_table(base, *key)
+        return tables[key]
+
+    def covered(x, y, u, v):
+        key = (x, y, u, v)
+        if key not in covers:
+            if y < x:
+                covers[key] = _swapped(covered(y, x, v, u), size)
+            else:
+                # while pair (y,x) is current, (x,y)'s table is built, covered and dropped
+                made = table(*key) if (x, y) == pair else _pair_table(base, *key)
+                covers[key] = made.cover(pending, bmask)
+        return covers[key]
+
     for q in _quintuples(size, b):
         if q.a == q.c:
             entries.append(CertEntry(q, ()))
             continue
         if pair != (q.a, q.c):
             pair = (q.a, q.c)
-            if q.a < q.c:
-                tables, covered = _coverage_tables(b, q.a, q.c, base)
-                kept[pair] = covered
-            else:
-                tables, covered = {}, _swapped_coverage(kept.pop((q.c, q.a)), size)
+            tables.clear()
         col = tuple_rank((q.b1, q.b2, q.d), size)
-        edges = frozenset(uv for uv, cols in covered.items() if col in cols)
-        walk = digraph_reach(Digraph(size, edges), {q.a}, {q.c})
-        if walk is None:
-            return Decision(False, failing=q)
+        if col in covered(q.a, q.c, q.a, q.c):
+            walk = [q.a, q.c]
+        else:
+            edges = [uv for uv in product(range(size), repeat=2) if col in covered(*pair, *uv)]
+            walk = digraph_reach(Digraph(size, edges), {q.a}, {q.c})
+            if walk is None:
+                return Decision(False, failing=q)
         if certificate:
-            steps = []
-            for u, v in zip(walk, walk[1:]):
-                if (u, v) not in tables:
-                    tables[u, v] = _pair_table(base, q.a, q.c, u, v)
-                steps.append(_cert_step(tables[u, v], col, u, v, bmask))
+            hops = zip(walk, walk[1:])
+            steps = (_cert_step(table(*pair, u, v), col, u, v, bmask) for u, v in hops)
             entries.append(CertEntry(q, tuple(steps)))
     return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
 

@@ -142,22 +142,21 @@ class TestDecideCommand:
         code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
         assert code == 0 and "certificate" not in payload
 
-    def test_modes_differ_only_in_the_label(self, capsys, files):
+    def test_payload_has_no_mode(self, capsys, files):
+        # decide has one computation, and --mode, which only labelled the
+        # payload, is a usage error
         tmp, ord2_path, aff2_path = files
-        for path, holds in ((ord2_path, True), (aff2_path, False)):
-            runs = []
-            for mode in ("absorb", "jonsson"):
-                cert = tmp / ("%s-%s.cert.json" % (holds, mode))
-                code, payload = run(
-                    capsys, "decide", "-s", path, "-b", B0, "--mode", mode,
-                    "--certificate", str(cert),
-                )
-                assert payload.pop("mode") == mode
-                runs.append((code, payload, cert.read_bytes() if cert.exists() else None))
-            assert runs[0] == runs[1]
-            code, payload, cert_bytes = runs[0]
-            assert payload["holds"] is holds and code == (0 if holds else 1)
-            assert (cert_bytes is not None) == holds
+        cert = tmp / "mode.cert.json"
+        argv = ["decide", "-s", ord2_path, "-b", B0, "--mode", "absorb", "--certificate", str(cert)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "--mode" in captured.err
+        assert not cert.exists()
+        code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
+        assert code == 0 and payload == {"holds": True, "schema": "absorb/1"}
+        code, payload = run(capsys, "decide", "-s", aff2_path, "-b", B0)
+        assert code == 1
+        assert payload == {"failing": [0, 1, 1, 0, 0], "holds": False, "schema": "absorb/1"}
 
     def test_boolean_is_not_a_number(self, capsys, files):
         tmp, ord2_path, _ = files
@@ -210,7 +209,7 @@ class TestUsage:
 
     HELP = {
         None: ("decide", "verify", "search", "bounds", "corpus", "--max-power-vertices"),
-        "decide": ("-s", "--structure", "-b", "--subset", "--mode", "--certificate"),
+        "decide": ("-s", "--structure", "-b", "--subset", "--certificate"),
         "verify": ("-s", "--structure", "-b", "--subset", "--certificate"),
         "search": ("-s", "--structure", "-b", "--subset", "--what", "--arity"),
         "bounds": ("--theta", "--size"),
@@ -236,7 +235,7 @@ class TestUsage:
             (["--max-power-vertices", "lots", "bounds", "--theta", "2", "--size", "2"],
              ("--max-power-vertices", "'lots'")),
             (["search", "-s", "ORD2", "-b", B0, "--what", "frob"], ("--what", "'frob'")),
-            (["decide", "-s", "ORD2", "-b", B0, "--mode", "strict"], ("--mode", "'strict'")),
+            (["decide", "-s", "ORD2", "-b", B0, "--mode", "jonsson"], ("--mode",)),
             (["bounds", "--theta", "2", "--size", "2", "--frob"], ("--frob",)),
             (["--frob", "bounds", "--theta", "2", "--size", "2"], ("--frob",)),
             (["decide", "--s", "ORD2", "-b", B0], ("--s",)),
@@ -249,7 +248,7 @@ class TestUsage:
         ids=[
             "no-command", "unknown-command", "missing-required", "missing-one-required",
             "missing-both-ints", "bad-int", "bad-global-int", "bad-choice-what",
-            "bad-choice-mode", "unknown-option", "unknown-global-option", "ambiguous-prefix",
+            "removed-mode", "unknown-option", "unknown-global-option", "ambiguous-prefix",
             "missing-int-value", "missing-str-value", "global-option-after-command",
             "stray-word",
         ],
@@ -281,9 +280,8 @@ class TestUsage:
         cert = tmp / "prefix.cert.json"
         code, payload = run(
             capsys, "decide", "-s" + ord2_path, "--sub=" + B0, "--cert=" + str(cert),
-            "--mo", "jonsson",
         )
-        assert code == 0 and payload["holds"] is True and payload["mode"] == "jonsson"
+        assert code == 0 and payload["holds"] is True
         assert cert.exists()
         code, payload = run(
             capsys, "--max=100000", "verify", "--struct", ord2_path, "-b", B0, "--cert", str(cert)
@@ -296,19 +294,24 @@ class TestUsage:
         assert code == 3
 
     def test_last_repeat_wins(self, capsys, files):
-        _, ord2_path, _ = files
+        tmp, ord2_path, _ = files
         code, payload = run(capsys, "bounds", "--theta", "3", "--size", "2", "--theta", "2")
         assert code == 0 and payload["theta"] == 2 and payload["kappa"] == 257
+        first, last = tmp / "first.cert.json", tmp / "last.cert.json"
         code, payload = run(
             capsys, "decide", "-s", "/nonexistent.json", "-s", ord2_path, "-b", B0,
-            "--mode", "jonsson", "--mode", "absorb",
+            "--certificate", str(first), "--certificate", str(last),
         )
-        assert code == 0 and payload["mode"] == "absorb"
+        assert code == 0 and payload["holds"] is True
+        assert last.exists() and not first.exists()
 
     def test_defaults(self, capsys, files):
+        # an optional option left out reads None
         _, ord2_path, _ = files
-        code, payload = run(capsys, "decide", "-s", ord2_path, "-b", B0)
-        assert code == 0 and payload["mode"] == "absorb"
+        command, args = cli.parse_args(["decide", "-s", ord2_path, "-b", B0])
+        assert (command, args.certificate, args.max_power_vertices) == ("decide", None, None)
+        command, args = cli.parse_args(["search", "-s", ord2_path, "-b", B0, "--what", "chain"])
+        assert (command, args.arity) == ("search", None)
 
     @pytest.mark.parametrize("command", [None, "decide", "verify", "search", "bounds", "corpus"])
     @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -390,10 +393,7 @@ class TestVerifyCommand:
     def test_roundtrip(self, capsys, files):
         tmp, ord2_path, _ = files
         cert = str(tmp / "cert.json")
-        code, _ = run(
-            capsys, "decide", "-s", ord2_path, "-b", B0, "--mode", "jonsson",
-            "--certificate", cert,
-        )
+        code, _ = run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
         assert code == 0
         code, payload = run(capsys, "verify", "-s", ord2_path, "-b", B0, "--certificate", cert)
         assert code == 0 and payload["holds"] is True

@@ -37,7 +37,8 @@ from absorb import (
     tuple_rank,
     verify_np_certificate,
 )
-from absorb.decide import _coverage_tables, _quintuples, _swapped_coverage
+from absorb.decide import _pair_table, _quintuples, _swapped
+from absorb.model import product_ranks
 from bruteforce import generated_subpower_oracle
 from fixtures import B0, LEQ, aff2, corpus2, expand, neq2, ord2, triv1
 from reference import (
@@ -167,7 +168,7 @@ def aff3():
 
 
 class TestAgainstReferenceRoute:
-    """The coverage-table route returns the per-quintuple route's Decision,
+    """The lazy coverage route returns the per-quintuple route's Decision,
     and on 3-element structures the verdict and failing quintuple of
     `reference_verdict`, which solves power(A,3) with no engine code: a
     missed edge turns "holds" into "fails", and no certificate backs a
@@ -187,6 +188,16 @@ class TestAgainstReferenceRoute:
         got = decide_jonsson(a, b)
         assert got == reference_decide(a, b)
         assert (got.holds, got.failing) == reference_verdict(a, b)
+
+    def test_walks_longer_than_one_edge(self):
+        # 8 quintuples have columns that table (a,c) does not cover: their
+        # walks are read off the covered sets of every (u,v) of the pair
+        r = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 3), (3, 0), (3, 2), (3, 3)]
+        a = structure(4, {"r": r})
+        b = subset([0, 1, 3])
+        decision = decide_jonsson(a, b)
+        assert decision == reference_decide(a, b)
+        assert sum(len(e.steps) == 2 for e in decision.certificate.entries) == 8
 
     def test_refuting_instance_fails_at_its_first_quintuple(self):
         d = decide_jonsson(aff3(), B0)
@@ -236,10 +247,21 @@ def perm_graph(n):
     return structure(n, {"p": [(x, (x + 1) % n) for x in range(n)]})
 
 
+def _aff4():
+    """x - y + z = w (mod 4): B={0} fails at the first quintuple of (0,1)."""
+    return structure(4, {
+        "aff": [t for t in product(range(4), repeat=4) if (t[0] - t[1] + t[2] - t[3]) % 4 == 0]
+    })
+
+
+_PAIRS4 = list(product(range(4), repeat=2))
+
+
 class TestDerivedPairs:
-    """decide computes the coverage tables of each pair (a, c) with a < c and
-    reads those of (c, a) off them; a certificate step of (c, a) restricts
-    its table lazily, and a min-closed one is read off the table's minima."""
+    """decide covers the tables of each pair (a, c) with a < c and reads the
+    covered sets of (c, a) off them through the swap; tables are built only
+    when a quintuple asks for them, a certificate step of (c, a) restricts
+    its own table, and a min-closed one is read off the table's minima."""
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -252,12 +274,41 @@ class TestDerivedPairs:
         if ternary:
             rels["t"] = sorted(ternary)
         a = expand(structure(3, rels))
-        b = subset(sorted(elements))
+        bs = sorted(elements)
         base = power_fixpoint(a, 3)
-        for x, y in [(0, 1), (0, 2), (1, 2)]:
-            _, covered = _coverage_tables(b, x, y, base)
-            _, expected = _coverage_tables(b, y, x, base)
-            assert _swapped_coverage(covered, 3) == expected
+        columns = product_ranks((bs, bs, range(3)), 3)
+        bmask = sum(1 << e for e in bs)
+
+        def covered(x, y, u, v):
+            return _pair_table(base, x, y, u, v).cover(columns, bmask)
+
+        for x, y, u, v in product(range(3), repeat=4):
+            if x != y:
+                assert _swapped(covered(y, x, v, u), 3) == covered(x, y, u, v)
+
+    @pytest.mark.parametrize(
+        "a, elements, certificate, built",
+        [
+            # every walk of min4 is [a,c]: table (a,c) of each pair a < c,
+            # whose covered set pair (c,a) reads through the swap, and, for
+            # the certificate, table (c,a) of each pair (c,a)
+            (_min_graph(4), [0, 1], False, [(x, y, x, y) for x, y in _PAIRS4 if x < y]),
+            (_min_graph(4), [0, 1], True, [(x, y, x, y) for x, y in _PAIRS4 if x != y]),
+            # the first quintuple of pair (0,1) fails, after all its 16 tables
+            (_aff4(), [0], False, [(0, 1, u, v) for u, v in _PAIRS4]),
+        ],
+        ids=["min4", "min4-certificate", "aff4"],
+    )
+    def test_tables_built(self, monkeypatch, a, elements, certificate, built):
+        calls = []
+
+        def counting(base, *key):
+            calls.append(key)
+            return _pair_table(base, *key)
+
+        monkeypatch.setattr("absorb.decide._pair_table", counting)
+        decide_jonsson(a, subset(elements), certificate=certificate)
+        assert sorted(calls) == built
 
     @pytest.mark.parametrize(
         "a, elements",
