@@ -132,10 +132,14 @@ def _quintuples(size: int, b: Subset):
 
 
 def _validate_inputs(a: RelationalStructure, b: Subset, cap: int):
+    """a with its singletons, once b's bounds, the cube's vertices, the
+    singleton names and b's closure are checked, in that order.  B = A is
+    a subuniverse of every structure, so its closure, which would build
+    power(A,|A|), is not computed."""
     b.check_bounds(a.size)
     check_power_vertices(a.size, 3, cap)
     expanded = with_singletons(a)
-    if closure_unary(expanded, b, cap) != b:
+    if len(b) < a.size and closure_unary(expanded, b, cap) != b:
         raise NotSubuniverseError(
             "B=%r is not a subuniverse of the polymorphism algebra" % (b.sorted_elements(),)
         )
@@ -193,11 +197,13 @@ def decide_jonsson(
     entries = []
     if len(b) == size:
         # B = A: every quintuple passes via the third-projection witness.
+        if not certificate:
+            return Decision(True)
         proj3 = projection_table(size, 3, 2)
         for q in _quintuples(size, b):
             steps = () if q.a == q.c else (CertStep(q.d, q.a, q.c, proj3),)
             entries.append(CertEntry(q, steps))
-        return Decision(True, certificate=Certificate(tuple(entries)) if certificate else None)
+        return Decision(True, certificate=Certificate(tuple(entries)))
     base = power_fixpoint(expanded, 3, cap)
     bmask = sum(1 << e for e in b.elements)
     bs = b.sorted_elements()

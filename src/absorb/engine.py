@@ -17,11 +17,14 @@ least value of a mask that any solution gives it (the decider's
 certificate steps); `project` returns the distinct value tuples that
 solutions take at chosen vertices (generated subpowers and the relations
 of pp-formulas); `cover` returns the vertices that some solution sends
-into a value set (the decider's coverage tables).  `restrict`, `project`
-and `cover` narrow by `_narrow`, which resumes `_gac` from the vertices
-that narrowed on a copy of the masks, since a `Fixpoint` holds an
-immutable tuple.  The search narrows one list in place and undoes its
-branches from a trail that `_gac` keeps (`_search_part`).
+into a value set (the decider's coverage tables).  Every narrowing goes
+through one primitive, `_narrow`: it ands value masks into a list of
+masks in place and resumes `_gac` from the vertices that narrowed,
+recording each old mask on an undo trail when given one.  A `Fixpoint`
+holds an immutable tuple, so `restrict` narrows one copy of it and
+`project` one copy per child; `cover` runs every trial on one working
+list, and the search every branch (`_search_part`), each undone from the
+trail.
 
 Binary constraints, nearly all the constraints of a power of a graph or
 order, propagate along vertices.  Each binary target relation gives, per
@@ -102,10 +105,10 @@ relation's allowed tuples and the domain masks of its scope, so every
 target relation carries one memo, shared by all constraints on it, from
 the tuple of scope masks to the revision's result (the supported mask of
 each position, or a wipeout).  Only a miss scans the allowed tuples.
-Every memo holds at most `_REVISION_MEMO_SIZE` entries (it is cleared
-when full) and lives on the instance's network, which `fixpoint` (or
-`power_fixpoint`) builds and `restrict` passes on: it is freed with the
-last fixpoint of the query that built it.
+Every memo holds at most `_REVISION_MEMO_SIZE` entries (`_remember`
+clears it when full) and lives on the instance's network, which
+`fixpoint` (or `power_fixpoint`) builds and `restrict` passes on: it is
+freed with the last fixpoint of the query that built it.
 
 When every relation of the target that the source uses is closed under
 coordinatewise min (or max), arc consistency decides the instance (Jeavons & Cooper, "Tractable
@@ -125,8 +128,8 @@ value; the answer is the whole-instance search's first solution (see
 `_search`).  Each part's first solution is memoised on the network by the
 part's masks, bounded like the revision memos, so a `cover` trial or a
 solve after a `restrict` searches only the parts that the restriction
-touched and reads the others back.  A source of one part is searched as
-one part of every vertex, with no memo.
+touched and reads the others back.  A connected source is one part, and
+is memoised like any other.
 """
 
 from __future__ import annotations
@@ -154,8 +157,9 @@ if TYPE_CHECKING:
 
 DEFAULT_VERTEX_CAP = 10 ** 6
 
-# Entries per support or revision memo of one instance's network; a full
-# memo is cleared before the next insert.  A support memo has one key per
+# Entries per support or revision memo of one instance's network, and
+# entries times the largest part for its component memo; `_remember` clears
+# a full memo before the next insert.  A support memo has one key per
 # mask of target values, and the benchmark queries miss on at most 72 of
 # 3,592 support lookups (leq8 term 3) and 524 of 203,185 n-ary revisions
 # (min4 decide with certificate), so only far larger instances reach the
@@ -384,6 +388,18 @@ def _support(rows, mask):
     return out
 
 
+def _remember(memo, key, value, weight=1):
+    """Store value in memo under key and return it, clearing memo first
+    when its entries times weight reach `_REVISION_MEMO_SIZE`.  Every memo
+    of a network is bounded here: the support and revision memos of `_gac`
+    with weight 1, the component memo of `_search` with the size of the
+    largest part."""
+    if len(memo) * weight >= _REVISION_MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def _gac(masks, net, queue, trail=None):
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
@@ -403,7 +419,7 @@ def _gac(masks, net, queue, trail=None):
     domains do not depend on the order of revisions, so the fixpoint is
     that of revising every scope position against the allowed tuples.
 
-    trail, when given, is the search's undo trail: a (vertex, old mask)
+    trail, when given, is `_narrow`'s undo trail: a (vertex, old mask)
     pair is appended to it before each narrowing, so restoring the pairs
     popped from its end undoes this call, a wipeout included (the pair of
     the vertex that wiped out holds the mask it still has).
@@ -428,10 +444,7 @@ def _gac(masks, net, queue, trail=None):
                 try:
                     s = memo[m]
                 except KeyError:
-                    s = _support(rows, m)
-                    if len(memo) >= _REVISION_MEMO_SIZE:
-                        memo.clear()
-                    memo[m] = s
+                    s = _remember(memo, m, _support(rows, m))
                 if s == full:
                     # masks hold only target values: no neighbour narrows
                     continue
@@ -460,10 +473,7 @@ def _gac(masks, net, queue, trail=None):
         try:
             supported = memo[key]
         except KeyError:
-            supported = _revise(allowed, key)
-            if len(memo) >= _REVISION_MEMO_SIZE:
-                memo.clear()
-            memo[key] = supported
+            supported = _remember(memo, key, _revise(allowed, key))
         if supported is None:
             return False
         if supported == key:
@@ -486,22 +496,28 @@ def _gac(masks, net, queue, trail=None):
                         in_cons[cj] = True
 
 
-def _narrow(masks, net, pairs):
-    """masks, a fixpoint left unmodified, with each (vertex, value bitmask)
-    pair and-ed in and propagated from the vertices that narrowed: a new
-    list, masks itself when none did, or None on a wipeout."""
-    narrowed = list(masks)
+def _narrow(masks, net, pairs, trail=None):
+    """And each (vertex, value bitmask) pair into the list masks, a
+    fixpoint, in place, and resume `_gac` from the vertices that narrowed;
+    False on a wipeout.
+
+    trail, when given, gets each (vertex, old mask) pair before the vertex
+    narrows, here and in `_gac`, so undoing it to its length at the call
+    restores masks, a wipeout included.  Without one, masks after a wipeout
+    are not a fixpoint of anything and are only to be thrown away.
+    """
     changed = []
     for v, mask in pairs:
-        m = narrowed[v] & mask
-        if m != narrowed[v]:
+        m = masks[v]
+        if m & mask != m:
+            if trail is not None:
+                trail.append((v, m))
+            m &= mask
             if m == 0:
-                return None
-            narrowed[v] = m
+                return False
+            masks[v] = m
             changed.append(v)
-    if not changed:
-        return masks
-    return narrowed if _gac(narrowed, net, changed) else None
+    return not changed or _gac(masks, net, changed, trail)
 
 
 def _bits(mask):
@@ -609,9 +625,8 @@ def _search_part(masks, net, part):
     under MRV + lexicographic value order.
 
     masks is a list that is a fixpoint.  part lists the part's vertices in
-    ascending order, or is None for every vertex.  Only the part's vertices
-    are branched on, and the vertices outside it keep their masks
-    (propagation from a vertex stays in its part).  On success the part's
+    ascending order.  Only they are branched on, and the vertices outside
+    it keep their masks (propagation from a vertex stays in its part).  On success the part's
     masks are the solution's one-bit masks; on failure masks is restored.
 
     The search is depth-first on that one list with an undo trail, the
@@ -619,8 +634,9 @@ def _search_part(masks, net, part):
     (Schulte, "Comparing Trailing and Copying for Constraint Programming",
     ICLP 1999), so no node copies the masks.  A frame on the explicit stack
     is (trail mark, vertex, remaining values): each value pins the vertex
-    and resumes `_gac` from it, and before the next value, or once the
-    frame has none left, the trail is undone to the frame's mark, which
+    through `_narrow`, which puts the old mask on the trail and resumes
+    `_gac` from the vertex, and before the next value, or once the frame
+    has none left, the trail is undone to the frame's mark, which
     restores the masks the frame branched from.  The depth is bounded by
     the vertex count, not by Python's recursion limit.
 
@@ -635,8 +651,6 @@ def _search_part(masks, net, part):
     stack = []
     if net.full.bit_length() > 255:
         counts = None
-    elif part is None:
-        counts = bytearray(map(int.bit_count, masks))
     else:
         counts = bytearray(b"\1") * len(masks)
         for v in part:
@@ -644,8 +658,6 @@ def _search_part(masks, net, part):
     while True:
         if counts is not None:
             best = _mrv_count(counts)
-        elif part is None:
-            best = _mrv_scan(masks)
         else:
             best = _mrv_scan([masks[v] for v in part])
             if best >= 0:
@@ -659,9 +671,7 @@ def _search_part(masks, net, part):
             mark, v, values = stack[-1]
             for val in values:
                 _undo(masks, trail, mark, counts)
-                trail.append((v, masks[v]))
-                masks[v] = 1 << val
-                if _gac(masks, net, (v,), trail):
+                if _narrow(masks, net, ((v, 1 << val),), trail):
                     break
             else:
                 _undo(masks, trail, mark, counts)
@@ -692,18 +702,17 @@ def _search(masks, net):
     search makes: `_search_part` narrows that list in place and undoes its
     failed branches from a trail.  The rule: branch on the vertex of fewest
     candidates above one, the lowest index on ties, try its values in
-    ascending order, and propagate after each.  On a source of one
-    component, `_search_part` does that over every vertex.  Otherwise each
-    part is searched on its own in turn on the same list, the answer is
-    None as soon as one part has no solution, and each free vertex takes
-    its lowest value.
+    ascending order, and propagate after each.  Each part is searched on
+    its own in turn on the same list, a connected source as its one part,
+    the answer is None as soon as one part has no solution, and each free
+    vertex takes its lowest value.
 
     A part's first solution depends on the part's masks alone, so it is
-    memoised in net.solved by (part index, those masks).  The memo is
-    cleared before an insert once its entries times the largest part reach
-    `_REVISION_MEMO_SIZE`, which bounds the masks it holds.  A `cover`
-    trial or a solve after a `restrict` so searches only the parts that
-    the restriction changed, and reads the others back.
+    memoised in net.solved by (part index, those masks), through
+    `_remember` with the largest part as each entry's weight, which bounds
+    the masks the memo holds.  A `cover` trial or a solve after a
+    `restrict` so searches only the parts that the restriction changed, and
+    reads the others back; a second solve of equal masks searches nothing.
 
     The part-wise answer is the whole-instance search's:
 
@@ -738,8 +747,6 @@ def _search(masks, net):
         return masks
     comps = _components(net)
     work = list(masks)
-    if len(comps.parts) == 1 and not comps.free:
-        return work if _search_part(work, net, None) else None
     largest = max(map(len, comps.parts), default=0)
     solved = net.solved
     for i, part in enumerate(comps.parts):
@@ -750,9 +757,7 @@ def _search(masks, net):
             found = None
             if _search_part(work, net, part):
                 found = tuple(map(work.__getitem__, part))
-            if len(solved) * largest >= _REVISION_MEMO_SIZE:
-                solved.clear()
-            solved[key] = found
+            _remember(solved, key, found, largest)
         if found is None:
             return None
         for v, m in zip(part, found):
@@ -827,18 +832,21 @@ class Fixpoint:
     def restrict(self, pairs) -> "Fixpoint":
         """The fixpoint with each (vertex, value bitmask) pair and-ed in.
 
-        Propagation resumes from the constraints of the vertices that
-        narrowed, and nothing runs when none did; a vertex left with no
-        value is a wipeout.  Bits beyond the target domain are and-ed away.
+        `_narrow` ands the pairs into one copy of the masks and resumes
+        propagation from the constraints of the vertices that narrowed;
+        nothing runs when none did, and then the answer is self.  A vertex
+        left with no value is a wipeout.  Bits beyond the target domain are
+        and-ed away.
         """
         pairs = tuple(pairs)
         self._check_vertices(v for v, _ in pairs)
         if self.masks is None:
             return self
-        masks = _narrow(self.masks, self.net, pairs)
-        if masks is self.masks:
+        work = list(self.masks)
+        masks = tuple(work) if _narrow(work, self.net, pairs) else None
+        if masks == self.masks:
             return self
-        return Fixpoint(self.source, self.target, None if masks is None else tuple(masks), self.net)
+        return Fixpoint(self.source, self.target, masks, self.net)
 
     def solve(self) -> Optional[tuple]:
         """The first solution (tuple indexed by source vertex), or None.
@@ -896,6 +904,10 @@ class Fixpoint:
         minima or maxima (see `_closed_pick`), with no search.  Any solution
         gives the same set: a vertex is either covered by some solution or
         tried on its own.
+
+        Every trial narrows one working copy of the masks by `_narrow` with
+        a trail, and is undone from the trail before the next, so no trial
+        copies the masks; `_search` makes its own copy.
         """
         pending = self._check_vertices(pending)
         if self.masks is None:
@@ -904,25 +916,27 @@ class Fixpoint:
         pick = net.pick
         todo = sorted(v for v in set(pending) if self.masks[v] & mask)
         covered = set()
+        work = list(self.masks)
+        trail = []
         for v in todo:
             if v in covered:
                 continue
-            trial = _narrow(self.masks, net, ((v, mask),))
-            if trial is None:
-                continue
-            if pick is not None:
-                covered.update(w for w in todo if pick(trial[w]) & mask)
-                continue
-            solution = _search(trial, net)
-            if solution is not None:
-                covered.update(w for w in todo if solution[w] & mask)
+            if _narrow(work, net, ((v, mask),), trail):
+                if pick is not None:
+                    covered.update(w for w in todo if pick(work[w]) & mask)
+                else:
+                    solution = _search(work, net)
+                    if solution is not None:
+                        covered.update(w for w in todo if solution[w] & mask)
+            _undo(work, trail, 0, None)
         return frozenset(covered)
 
     def project(self, vertices) -> frozenset:
         """The distinct tuples of values that solutions take at vertices.
 
         Shared-prefix search: branch on the listed vertices in order, with
-        incremental GAC after each choice; each surviving leaf is kept when
+        incremental GAC after each choice, each child a copy of its parent's
+        masks that `_narrow` narrows; each surviving leaf is kept when
         one search extends it to the remaining vertices, or at once on a
         min- or max-closed target (see `_closed_pick`).  A repeated vertex
         takes the same value at each of its positions.
@@ -941,8 +955,8 @@ class Fixpoint:
                 continue
             v = vertices[depth]
             for val in _bits(masks[v]):
-                child = _narrow(masks, net, ((v, 1 << val),))
-                if child is not None:
+                child = list(masks)
+                if _narrow(child, net, ((v, 1 << val),)):
                     stack.append((child, depth + 1))
         return frozenset(out)
 

@@ -53,10 +53,14 @@ position symmetries generate and tests every k-tuple of rows against the
 stabilisers of its prefixes, with no stabiliser chain and no memo.
 
 `reference_essential_witness` walks the candidate generator lists of
-`essential_witness_search` in the same lexicographic order and keeps the
-first whose generated subpower has no tuple in B^n, with that subpower;
-the package decides each candidate with one restricted fixpoint instead,
-and returns the generators alone.
+`essential_witness_search` in the same lexicographic order
+(`essential_candidates`) and keeps the first whose generated subpower has
+no tuple in B^n, with that subpower; the package decides each candidate
+with one restricted fixpoint instead, and returns the generators alone.
+
+`reference_avoids` is that one restricted CSP, with no engine code:
+power(A,n) -> A with every generator column restricted to B, from
+`reference_power_structure`, `reference_gac` and `reference_search` alone.
 """
 
 from collections import deque
@@ -351,18 +355,38 @@ def reference_verdict(a, b):
     return True, None
 
 
-def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
-    """essential_witness_search by generating the subpower of every
-    candidate: the i-th generator ranges over B^(i-1) x (A\\B) x B^(n-i),
-    and the lists are walked in lexicographic order.  Returns (generators,
-    the subpower they generate) for the first that avoids B^n, or None."""
+def essential_candidates(a, b, n):
+    """The candidate generator lists of `essential_witness_search`, in its
+    lexicographic order: the i-th generator ranges over
+    B^(i-1) x (A\\B) x B^(n-i)."""
     inside = b.sorted_elements()
     outside = [e for e in range(a.size) if e not in b]
     choices = [
         list(product(*([inside] * i + [outside] + [inside] * (n - 1 - i))))
         for i in range(n)
     ]
-    for gens in product(*choices):
+    return product(*choices)
+
+
+def reference_avoids(a, b, gens):
+    """Whether the subpower of A^n generated by gens avoids B^n: the
+    instance power(A,|gens|) -> A with every generator column restricted
+    to B has no solution."""
+    power = reference_power_structure(a, len(gens))
+    masks = [(1 << a.size) - 1] * power.size
+    in_b = sum(1 << e for e in b)
+    for col in generator_columns(gens, a.size):
+        masks[col] &= in_b
+    if not reference_gac(power, a, masks):
+        return True
+    return reference_search(power, a, masks) is None
+
+
+def reference_essential_witness(a, b, n, cap=DEFAULT_VERTEX_CAP):
+    """essential_witness_search by generating the subpower of every
+    candidate of `essential_candidates`.  Returns (generators, the subpower
+    they generate) for the first that avoids B^n, or None."""
+    for gens in essential_candidates(a, b, n):
         r = generate_subpower(a, gens, n, cap)
         if not any(all(e in b for e in t) for t in r.tuples):
             return gens, r

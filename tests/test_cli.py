@@ -65,6 +65,14 @@ class TestDecideCommand:
         code, _ = run(capsys, "decide", "-s", aff2_path, "-b", '{"elements":[]}')
         assert code == 2
 
+    def test_b_equals_a_on_six_elements(self, capsys, tmp_path):
+        # B = A needs no closure, which would refuse power(leq6, 6) with exit 3
+        path = tmp_path / "leq6.json"
+        leq6 = structure(6, {"leq": [(x, y) for x in range(6) for y in range(6) if x <= y]})
+        path.write_text(codec.dump_structure(leq6))
+        code, payload = run(capsys, "decide", "-s", str(path), "-b", '{"elements":[0,1,2,3,4,5]}')
+        assert code == 0 and payload["holds"] is True
+
     def test_unreadable_file(self, capsys, files):
         code, _ = run(capsys, "decide", "-s", "/nonexistent.json", "-b", B0)
         assert code == 2

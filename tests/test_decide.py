@@ -14,6 +14,7 @@ from absorb import (
     CertEntry,
     CertStep,
     ChainWitness,
+    Decision,
     InputError,
     NotSubuniverseError,
     OperationTable,
@@ -37,6 +38,7 @@ from absorb import (
     tuple_rank,
     verify_np_certificate,
 )
+from absorb import decide as decide_module
 from absorb.decide import _pair_table, _quintuples, _swapped
 from absorb.model import product_ranks
 from bruteforce import generated_subpower_oracle
@@ -107,6 +109,26 @@ class TestDecide:
         assert d.holds
         ok, defect = verify_np_certificate(aff2(), BA, d.certificate)
         assert ok, defect
+
+    def test_b_equals_a_computes_no_closure(self, monkeypatch):
+        # B = A is a subuniverse of every structure: the closure would
+        # build power(leq6, 6), of 85,766,127 scopes, over the default cap
+        def unbuilt(*args):
+            raise AssertionError("closure computed")
+
+        monkeypatch.setattr(decide_module, "closure_unary", unbuilt)
+        a, b = _leq(6), subset(range(6))
+        assert decide_jonsson(a, b, certificate=False) == Decision(True)
+        d = decide_jonsson(a, b)
+        assert d.holds and len(d.certificate.entries) == 6 ** 5
+        ok, defect = verify_np_certificate(a, b, d.certificate)
+        assert ok, defect
+        # the cube's vertices and the singleton names are still checked first
+        with pytest.raises(CapExceeded, match="^power structure would have 216 vertices, cap is 215$"):
+            decide_jonsson(a, b, cap=215)
+        clash = structure(2, {"_s0": [(0, 1)]})
+        with pytest.raises(InputError, match="reserved singleton prefix"):
+            decide_jonsson(clash, BA, certificate=False)
 
     def test_empty_b_rejected(self):
         with pytest.raises(InputError):

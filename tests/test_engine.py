@@ -42,7 +42,9 @@ from bruteforce import (
 )
 from fixtures import B0, B1, LEQ, NEQ, aff2, corpus2, neq2, ord2
 from reference import (
+    essential_candidates,
     is_member,
+    reference_avoids,
     reference_cover,
     reference_essential_witness,
     reference_gac,
@@ -431,12 +433,44 @@ class TestComponents:
         assert engine._components(fp.net).parts == [list(range(size))]
         assert fp.solve() == tuple(v % 2 for v in range(size))
 
-    def test_one_component_leaves_the_memo_empty(self):
-        # a connected source searches the whole instance as before
-        fp = self.check(component_source(3, n=[(0, 1), (1, 2), (2, 0)]))
-        net = fp.net
-        assert engine._components(net) == engine._Components([[0, 1, 2]], [])
-        assert net.solved == {}
+    def test_a_one_part_source_is_memoised_like_any_part(self, monkeypatch):
+        # a connected source is one part of every vertex: its first
+        # solution is memoised, and a second solve of equal masks reads it
+        # back with no search
+        source = component_source(3, n=[(0, 1), (1, 2), (2, 0)])
+        self.check(source)
+        calls = []
+        search_part = engine._search_part
+
+        def counting(masks, net, part):
+            calls.append(part)
+            return search_part(masks, net, part)
+
+        monkeypatch.setattr(engine, "_search_part", counting)
+        fp = fixpoint(source, COMPONENT_TARGET)
+        assert engine._components(fp.net) == engine._Components([[0, 1, 2]], [])
+        assert fp.solve() == (0, 1, 2)
+        assert calls == [[0, 1, 2]]
+        assert fp.net.solved == {(0, fp.masks): (0b001, 0b010, 0b100)}
+        assert fp.solve() == (0, 1, 2)
+        assert calls == [[0, 1, 2]]
+
+    def test_cover_of_one_part_undoes_each_trial(self):
+        # n ("not equal") is closed under neither min nor max, so every
+        # trial narrows one working list, searches it and is undone
+        for source in (
+            component_source(4, n=[(0, 1), (1, 2), (2, 0), (2, 3)]),
+            component_source(5, n=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], u=[(0,), (1,)]),
+        ):
+            fp = fixpoint(source, COMPONENT_TARGET)
+            before = fp.masks
+            assert fp.net.pick is None
+            assert len(engine._components(fp.net).parts) == 1
+            for mask in range(1, 8):
+                pending = range(source.size)
+                assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
+                assert fp.masks == before
+            assert fp.solve() == reference_solve(fp)
 
 
 class TestRevisionMemo:
@@ -1255,6 +1289,31 @@ class TestTrailSearch:
                 pending = range(source.size)
                 assert fp.cover(pending, mask) == reference_cover(fp, pending, mask)
 
+    def test_narrow_is_undone_to_its_mark(self):
+        # n is "not equal" on the triangle 0, 1, 2 and on the edge 3, 4; the
+        # trail already holds one pair, which the undo keeps
+        fp = fixpoint(component_source(5, n=[(0, 1), (1, 2), (2, 0), (3, 4)]), COMPONENT_TARGET)
+        for pairs, ok in (
+            # narrows 0 and 3, and propagation narrows 1 and 2
+            ([(0, 0b001), (3, 0b011)], True),
+            # the later pair wipes out vertex 0 before any propagation
+            ([(0, 0b001), (3, 0b011), (0, 0b010)], False),
+            # both pairs narrow, and propagation wipes out
+            ([(0, 0b001), (1, 0b001)], False),
+        ):
+            masks = list(fp.masks)
+            trail = [(4, fp.masks[4])]
+            assert engine._narrow(masks, fp.net, pairs, trail) is ok
+            assert len(trail) > 2
+            if ok:
+                assert tuple(masks) == fp.restrict(pairs).masks
+            engine._undo(masks, trail, 1, None)
+            assert tuple(masks) == fp.masks
+            assert trail == [(4, fp.masks[4])]
+        masks = list(fp.masks)
+        assert engine._narrow(masks, fp.net, [(0, 0b111), (3, 0b1111)], []) is True
+        assert tuple(masks) == fp.masks
+
     def test_a_branching_power_search_keeps_no_mask_copies(self, monkeypatch):
         # the term CSP of leq5 with 1 and 4 swapped, B={0}, n=4: not
         # min-closed in the natural order, so it branches at 182 nodes over
@@ -1455,6 +1514,10 @@ class TestWitnessSearch:
             rels["t"] = sorted(ternary)
         a, b = structure(3, rels), subset(elements)
         gens, expected = essential_witness_search(a, b, n), reference_essential_witness(a, b, n)
+        if n == 2:
+            # the same answer from the restricted CSP alone, whether or not
+            # a term answered None before the candidates
+            assert gens == self.first_avoiding(a, b, n)
         if expected is None:
             assert gens is None
         else:
@@ -1462,6 +1525,18 @@ class TestWitnessSearch:
             generated = generate_subpower(a, gens, n)
             assert generated == expected[1]
             assert is_b_essential(a, generated, b)
+
+    @staticmethod
+    def first_avoiding(a, b, n):
+        """The first candidate, in the search's order, that
+        `reference_avoids` accepts, or None."""
+        return next((gens for gens in essential_candidates(a, b, n) if reference_avoids(a, b, gens)), None)
+
+    def test_aff3w_against_the_reference_csp(self):
+        aff3w = with_singletons(AFF3W)
+        assert self.first_avoiding(aff3w, B0, 2) == ((1, 0), (0, 1))
+        for b in (B0, B1, subset([0, 2])):
+            assert essential_witness_search(aff3w, b, 2) == self.first_avoiding(aff3w, b, 2)
 
     def test_no_projection(self, monkeypatch):
         # the search decides each candidate by one restricted solve and
