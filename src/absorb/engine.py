@@ -21,10 +21,13 @@ into a value set (the decider's coverage tables).  Every narrowing goes
 through one primitive, `_narrow`: it ands value masks into a list of
 masks in place and resumes `_gac` from the vertices that narrowed,
 recording each old mask on an undo trail when given one.  A `Fixpoint`
-holds an immutable tuple, so `restrict` narrows one copy of it and
-`project` one copy per child; `cover` runs every trial on one working
-list, and the search every branch (`_search_part`), each undone from the
-trail.
+holds an immutable tuple, so `restrict` narrows one copy of it, and
+`cover` runs every trial on one working list, each undone from the trail.
+The search and `project` share one depth-first loop, `_walk`: it branches
+in place on one list, undoes each branch from the trail and yields at
+each leaf.  The search (`_search_part`) stops at the first leaf of its
+MRV walk, and `project` visits every leaf of the walk over its listed
+vertices, on one copy of the masks per call.
 
 Binary constraints, nearly all the constraints of a power of a graph or
 order, propagate along vertices.  Each binary target relation gives, per
@@ -531,20 +534,6 @@ def _bits(mask):
     return out
 
 
-def _mrv_vertex(masks):
-    """The unassigned vertex with fewest candidates (lowest index on ties), or -1.
-
-    The candidate counts are one byte string, read by `_mrv_count` in C.  A
-    count over 255 does not fit in a byte (only a target of more than 255
-    elements allows one), and then the loop of `_mrv_scan` runs instead.
-    """
-    try:
-        raw = bytes(map(int.bit_count, masks))
-    except ValueError:
-        return _mrv_scan(masks)
-    return _mrv_count(raw)
-
-
 def _mrv_count(counts):
     """The index of the least count above 1 in a byte string of candidate
     counts (lowest index on ties), or -1 when there is none.
@@ -565,7 +554,9 @@ def _mrv_count(counts):
 
 
 def _mrv_scan(masks):
-    """`_mrv_vertex` by a loop over the vertices, for any count."""
+    """The index of the mask of fewest candidates above one (lowest index
+    on ties), or -1 when there is none: `_mrv_count` by a loop over the
+    masks, for any count."""
     best = -1
     best_count = 0
     for v, m in enumerate(masks):
@@ -620,54 +611,41 @@ def _components(net) -> _Components:
     return net.components
 
 
-def _search_part(masks, net, part):
-    """Whether one part has a solution; masks is left holding the first one
-    under MRV + lexicographic value order.
+def _walk(masks, net, choose, counts=None):
+    """Depth-first over the branchings that choose names, on the list masks
+    in place: yield True at each leaf, with masks holding it, and once
+    exhausted leave masks as it found them.
 
-    masks is a list that is a fixpoint.  part lists the part's vertices in
-    ascending order.  Only they are branched on, and the vertices outside
-    it keep their masks (propagation from a vertex stays in its part).  On success the part's
-    masks are the solution's one-bit masks; on failure masks is restored.
+    masks is a list that is a fixpoint.  choose(depth) names the vertex to
+    branch on at a node of that depth (the root's is 0), or -1 at a leaf.
+    The vertex's values are tried in ascending order, and each child is
+    its parent's masks with the vertex pinned to the value through
+    `_narrow`; a child that wipes out is skipped.  Every child is narrowed
+    on masks itself with one undo trail, the (vertex, old mask) pairs that
+    `_narrow` and `_gac` append before each narrowing (Schulte, "Comparing
+    Trailing and Copying for Constraint Programming", ICLP 1999), so no
+    node copies the masks.  A frame on the explicit stack is (trail mark,
+    vertex, remaining values): before the next value, or once the frame
+    has none left, the trail is undone to the frame's mark, which restores
+    the masks the frame branched from, and the trail is empty again once
+    the root's frame is done.  The depth is bounded by the vertex count,
+    not by Python's recursion limit.
 
-    The search is depth-first on that one list with an undo trail, the
-    (vertex, old mask) pairs that `_gac` appends before each narrowing
-    (Schulte, "Comparing Trailing and Copying for Constraint Programming",
-    ICLP 1999), so no node copies the masks.  A frame on the explicit stack
-    is (trail mark, vertex, remaining values): each value pins the vertex
-    through `_narrow`, which puts the old mask on the trail and resumes
-    `_gac` from the vertex, and before the next value, or once the frame
-    has none left, the trail is undone to the frame's mark, which
-    restores the masks the frame branched from.  The depth is bounded by
-    the vertex count, not by Python's recursion limit.
-
-    MRV reads a bytearray of candidate counts, one per vertex, through
-    `_mrv_count`, the scan of `_mrv_vertex`; a vertex outside part is
-    pinned at 1, so it is never picked.  Only the vertices on the trail
-    are recounted, after each propagation and each undo.  On a target of
-    more than 255 elements a count may not fit in a byte, and `_mrv_scan`
-    reads the part's masks at each node instead.
+    counts, when given, is a bytearray of candidate counts, one per
+    vertex: `_undo` restores the count of each vertex it restores, and the
+    vertices a surviving child put on the trail are recounted, so every
+    count stays its vertex's.
     """
     trail = []
     stack = []
-    if net.full.bit_length() > 255:
-        counts = None
-    else:
-        counts = bytearray(b"\1") * len(masks)
-        for v in part:
-            counts[v] = masks[v].bit_count()
     while True:
-        if counts is not None:
-            best = _mrv_count(counts)
+        v = choose(len(stack))
+        if v < 0:
+            yield True
         else:
-            best = _mrv_scan([masks[v] for v in part])
-            if best >= 0:
-                best = part[best]
-        if best < 0:
-            return True
-        stack.append((len(trail), best, iter(_bits(masks[best]))))
-        while True:
-            if not stack:
-                return False
+            stack.append((len(trail), v, iter(_bits(masks[v]))))
+        # step to the next surviving child of the deepest frame with values left
+        while stack:
             mark, v, values = stack[-1]
             for val in values:
                 _undo(masks, trail, mark, counts)
@@ -678,10 +656,47 @@ def _search_part(masks, net, part):
                 stack.pop()
                 continue
             break
+        else:
+            return
         if counts is not None:
             for i in range(mark, len(trail)):
                 w = trail[i][0]
                 counts[w] = masks[w].bit_count()
+
+
+def _search_part(masks, net, part):
+    """Whether one part has a solution; masks is left holding the first one
+    under MRV + lexicographic value order.
+
+    masks is a list that is a fixpoint.  part lists the part's vertices in
+    ascending order.  Only they are branched on, and the vertices outside
+    it keep their masks (propagation from a vertex stays in its part).  On
+    success the part's masks are the solution's one-bit masks; on failure
+    masks is restored.
+
+    The solution is the first leaf of the `_walk` whose choose is MRV: a
+    leaf is a node with no open vertex of the part, which is a solution.
+    MRV reads a bytearray of candidate counts, one per vertex, through
+    `_mrv_count`, and the walk keeps the counts of the vertices on its
+    trail; a vertex outside part is pinned at 1, so it is never picked.  On
+    a target of more than 255 elements a count may not fit in a byte, and
+    `_mrv_scan` reads the part's masks at each node instead.
+    """
+    if net.full.bit_length() > 255:
+        counts = None
+
+        def choose(depth):
+            best = _mrv_scan([masks[v] for v in part])
+            return part[best] if best >= 0 else -1
+    else:
+        counts = bytearray(b"\1") * len(masks)
+        for v in part:
+            counts[v] = masks[v].bit_count()
+
+        def choose(depth):
+            return _mrv_count(counts)
+    # any() stops at the first leaf and leaves masks holding it
+    return any(_walk(masks, net, choose, counts))
 
 
 def _undo(masks, trail, mark, counts):
@@ -698,9 +713,10 @@ def _search(masks, net):
     """First solution under MRV + lexicographic value order, or None.
 
     masks must be a fixpoint; it is not modified.  The answer is masks
-    itself when no vertex is open, else one copy of it, the only one the
-    search makes: `_search_part` narrows that list in place and undoes its
-    failed branches from a trail.  The rule: branch on the vertex of fewest
+    itself when no vertex is open (no mask holds two values, read in C for
+    any target size), else one copy of it, the only one the search makes:
+    `_search_part` narrows that list in place and undoes its failed
+    branches from a trail.  The rule: branch on the vertex of fewest
     candidates above one, the lowest index on ties, try its values in
     ascending order, and propagate after each.  Each part is searched on
     its own in turn on the same list, a connected source as its one part,
@@ -743,7 +759,7 @@ def _search(masks, net):
       fails the same way.  The whole search returns None, as does the
       part-wise one when it reaches that part.
     """
-    if _mrv_vertex(masks) < 0:
+    if max(map(int.bit_count, masks), default=0) < 2:
         return masks
     comps = _components(net)
     work = list(masks)
@@ -934,30 +950,23 @@ class Fixpoint:
     def project(self, vertices) -> frozenset:
         """The distinct tuples of values that solutions take at vertices.
 
-        Shared-prefix search: branch on the listed vertices in order, with
-        incremental GAC after each choice, each child a copy of its parent's
-        masks that `_narrow` narrows; each surviving leaf is kept when
-        one search extends it to the remaining vertices, or at once on a
-        min- or max-closed target (see `_closed_pick`).  A repeated vertex
-        takes the same value at each of its positions.
+        Shared-prefix search: the `_walk` that branches on the listed
+        vertices in order, on one working copy of the masks, narrowed by
+        incremental GAC after each choice.  Each leaf is kept when one
+        search extends it to the remaining vertices (`_search` copies the
+        masks, so the walk's list is left as it is), or at once on a min-
+        or max-closed target (see `_closed_pick`).  A repeated vertex takes
+        the same value at each of its positions.
         """
         vertices = self._check_vertices(vertices)
         if self.masks is None:
             return frozenset()
         net = self.net
+        work = list(self.masks)
         out = set()
-        stack = [(self.masks, 0)]
-        while stack:
-            masks, depth = stack.pop()
-            if depth == len(vertices):
-                if net.pick is not None or _search(masks, net) is not None:
-                    out.add(tuple(masks[v].bit_length() - 1 for v in vertices))
-                continue
-            v = vertices[depth]
-            for val in _bits(masks[v]):
-                child = list(masks)
-                if _narrow(child, net, ((v, 1 << val),)):
-                    stack.append((child, depth + 1))
+        for _ in _walk(work, net, lambda depth: vertices[depth] if depth < len(vertices) else -1):
+            if net.pick is not None or _search(work, net) is not None:
+                out.add(tuple(work[v].bit_length() - 1 for v in vertices))
         return frozenset(out)
 
 
@@ -1284,12 +1293,21 @@ def _columns(generators, size):
 
 def generate_subpower(a: RelationalStructure, s, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Relation:
     """The subpower of A^n generated by s: the values that the polymorphisms
-    of arity |s| take at the generator columns."""
+    of arity |s| take at the generator columns.
+
+    The generators are checked before the power is built: InputError
+    refuses an empty list and a generator whose length is not n, and names
+    the first generator and entry outside range(a.size), since such an
+    entry would rank as some other column.
+    """
     s = [tuple(g) for g in s]
     if not s:
         raise InputError("generator list must be nonempty")
     if any(len(g) != n for g in s):
         raise InputError("generator arity mismatch")
+    bad = [(g, e) for g in s for e in g if not 0 <= e < a.size]
+    if bad:
+        raise InputError("generator %r: entry %r out of range for size %d" % (bad[0] + (a.size,)))
     return Relation(n, power_fixpoint(a, len(s), cap).project(_columns(s, a.size)))
 
 

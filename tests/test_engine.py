@@ -1,6 +1,7 @@
 """CSP engine and the subpower layer, cross-checked against brute force."""
 
 import gc
+import re
 import sys
 import tracemalloc
 import weakref
@@ -1222,18 +1223,34 @@ def fewest_candidates(masks):
 
 
 class TestMrvVertex:
-    """The byte-string scan against the loop it replaced."""
+    """The two MRV scans, `_mrv_count` over a byte string of candidate
+    counts and `_mrv_scan` over the masks, against the rule's definition."""
+
+    @staticmethod
+    def counted(masks):
+        return engine._mrv_count(bytes(map(int.bit_count, masks)))
 
     @settings(max_examples=200, deadline=None)
     @given(masks=st.lists(st.integers(1, (1 << 12) - 1), max_size=40))
     def test_matches_the_loop(self, masks):
-        assert engine._mrv_vertex(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
+        assert self.counted(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
 
     def test_all_assigned(self):
-        assert engine._mrv_vertex([]) == -1
-        assert engine._mrv_vertex([1, 2, 4, 1 << 11]) == -1
+        for masks in ([], [1, 2, 4, 1 << 11]):
+            assert self.counted(masks) == engine._mrv_scan(masks) == -1
+        assert engine._mrv_scan([1 << 299, 1, 1 << 255]) == -1
+        # with no vertex open, _search answers with the masks object itself,
+        # whatever the width of its values: here a 300-element target
+        # leaves each vertex one value of 297..299
+        target = structure(300, {"r": [(299, 298), (298, 297)]})
+        fp = fixpoint(structure(3, {"r": [(0, 1), (1, 2)]}), target)
+        assert fp.masks == (1 << 299, 1 << 298, 1 << 297)
+        for masks in (fp.masks, list(fp.masks), [1, 2, 4]):
+            assert engine._search(masks, fp.net) is masks
 
     def test_more_than_254_candidates(self):
+        # a count over 255 does not fit in a byte, so only _mrv_scan reads
+        # the masks that hold one
         full = (1 << 300) - 1
         cases = [
             [1, full, (1 << 255) - 1, 1 << 299],  # 255 beats 300
@@ -1244,7 +1261,9 @@ class TestMrvVertex:
             [full, 0b110, full],
         ]
         for masks in cases:
-            assert engine._mrv_vertex(masks) == engine._mrv_scan(masks) == fewest_candidates(masks)
+            assert engine._mrv_scan(masks) == fewest_candidates(masks)
+            if max(map(int.bit_count, masks)) <= 255:
+                assert self.counted(masks) == fewest_candidates(masks)
 
 
 class TestTrailSearch:
@@ -1340,6 +1359,93 @@ class TestTrailSearch:
         assert is_absorption_term(a, b, OperationTable(4, 5, values))
 
 
+class TestWalk:
+    """engine._walk, the one depth-first loop of the search and of
+    `project`, on one mask list with an undo trail."""
+
+    # n ("not equal") on the triangle 0, 1, 2 and the edge 2, 3, and u
+    # leaves 1 and 2 the values {1, 2}: arc consistency keeps 1 at vertex
+    # 0, and the branch 0 = 1 pins 1 and 2 to 2, which wipes out
+    SOURCE = component_source(4, n=[(0, 1), (1, 2), (2, 0), (2, 3)], u=[(1,), (2,)])
+
+    def narrowings(self, monkeypatch):
+        """engine._narrow wrapped to record (masks, pairs, result) per
+        call, in a list."""
+        calls = []
+        narrow = engine._narrow
+
+        def recorder(masks, net, pairs, trail=None):
+            ok = narrow(masks, net, pairs, trail)
+            calls.append((masks, tuple(pairs), ok))
+            return ok
+
+        monkeypatch.setattr(engine, "_narrow", recorder)
+        return calls
+
+    def test_project_narrows_one_list(self, monkeypatch):
+        # min is min-closed, so no leaf searches: every narrowing of the
+        # projection is one of the walk's, on its one working list
+        min3 = structure(3, {"min": [(x, y, min(x, y)) for x in range(3) for y in range(3)]})
+        fp = fixpoint(reference_power_structure(min3, 2), min3)
+        assert fp.net.pick is engine._lowest
+        calls = self.narrowings(monkeypatch)
+        vertices = [1, 5, 1, 7]
+        assert fp.project(vertices) == reference_project(fp, vertices)
+        assert len(calls) > len(vertices)
+        # the lists are kept alive, so no two of them can share an id
+        assert len({id(masks) for masks, _, _ in calls}) == 1
+        assert calls[0][0] is not fp.masks
+
+    def test_project_of_an_unclosed_target(self, monkeypatch):
+        fp = fixpoint(self.SOURCE, COMPONENT_TARGET)
+        assert fp.net.pick is None
+        assert fp.masks == (0b111, 0b110, 0b110, 0b111)
+        calls = self.narrowings(monkeypatch)
+        for vertices in ([0, 3, 0], [3, 1, 3, 0], [2, 2]):
+            assert fp.project(vertices) == reference_project(fp, vertices)
+        # 0 takes the value that 1 and 2 leave, and 3 any but 2's
+        assert fp.project([0, 3, 0]) == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}
+        # the walk's branch 0 = 1 wiped out
+        assert any(not ok and pairs == ((0, 0b010),) for _, pairs, ok in calls)
+        assert fp.masks == (0b111, 0b110, 0b110, 0b111)
+
+    def test_an_exhausted_walk_leaves_its_masks(self, monkeypatch):
+        fp = fixpoint(self.SOURCE, COMPONENT_TARGET)
+        net = fp.net
+        trails = []
+        undo = engine._undo
+
+        def recorder(masks, trail, mark, counts):
+            trails.append(trail)
+            undo(masks, trail, mark, counts)
+
+        monkeypatch.setattr(engine, "_undo", recorder)
+        # the MRV walk of the search, exhausted: its leaves are every
+        # solution, each once, and the counts are restored with the masks
+        masks = list(fp.masks)
+        counts = bytearray(map(int.bit_count, masks))
+        leaves = [
+            tuple(m.bit_length() - 1 for m in masks)
+            for _ in engine._walk(masks, net, lambda depth: engine._mrv_count(counts), counts)
+        ]
+        assert len(leaves) == len(set(leaves))
+        assert set(leaves) == reference_project(fp, range(4))
+        assert masks == list(fp.masks)
+        assert counts == bytearray(map(int.bit_count, masks))
+        # the walk of project over listed vertices, one repeated
+        vertices = [0, 3, 0]
+        seen = []
+        for _ in engine._walk(masks, net, lambda depth: vertices[depth] if depth < len(vertices) else -1):
+            seen.append(tuple(masks))
+        # 0 = 1 and 0 = 2 wipe out; below 0 = 0, vertex 3 takes each value
+        # in ascending order, and a leaf need not assign every vertex
+        assert seen == [(0b001, 0b110, 0b110, 0b001), (0b001, 0b010, 0b100, 0b010), (0b001, 0b100, 0b010, 0b100)]
+        assert masks == list(fp.masks)
+        # each walk undid from one trail, left empty
+        assert len({id(trail) for trail in trails}) == 2
+        assert all(trail == [] for trail in trails)
+
+
 class TestSubpowers:
     def test_aff2_membership(self):
         a = aff2()
@@ -1370,6 +1476,19 @@ class TestSubpowers:
             generate_subpower(ord2(), [], 2)
         with pytest.raises(InputError, match="generator arity mismatch"):
             generate_subpower(ord2(), [(0, 1), (0,)], 2)
+
+    def test_generator_entries_out_of_range_rejected(self, monkeypatch):
+        # (2, 0) once ranked as column (1, 0) of power(ord2, 2), and the
+        # generated relation came out as the diagonal {(0, 0), (1, 1)}; an
+        # entry is refused before the power is built
+        def unbuilt(*args):
+            raise AssertionError("power built")
+
+        monkeypatch.setattr(engine, "power_fixpoint", unbuilt)
+        for gens, bad in (([(0, 1), (2, 0)], "(2, 0): entry 2"), ([(0, 2)], "(0, 2): entry 2"),
+                          ([(0, -1)], "(0, -1): entry -1")):
+            with pytest.raises(InputError, match=re.escape("generator %s out of range for size 2" % bad)):
+                generate_subpower(ord2(), gens, 2)
 
     def test_singleton_generator(self):
         got = generate_subpower(ord2(), [(0, 0)], 2).tuples
