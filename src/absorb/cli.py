@@ -41,14 +41,15 @@ EXIT_INTERNAL = 4
 
 
 def _document(obj, encoded=None):
-    """The canonical JSON line of an output object, tagged with the schema;
+    """The canonical JSON text of an output object, tagged with the schema;
     encoded holds members already encoded (see `codec.dumps`)."""
-    return codec.dumps(dict(obj, schema=SCHEMA), encoded) + "\n"
+    return codec.dumps(dict(obj, schema=SCHEMA), encoded)
 
 
 def _emit(payload, code, encoded=None):
     try:
-        sys.stdout.write(_document(payload, encoded))
+        # the newline is written after the text, not added to a copy of it
+        sys.stdout.writelines((_document(payload, encoded), "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped reading, which is no error of ours: keep the
@@ -68,9 +69,10 @@ def _read_file(path):
 
 
 def _write_file(path, text):
+    """Write text and a newline to path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines((text, "\n"))
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from None
 
@@ -117,11 +119,11 @@ def cmd_decide(args):
         encoded["certificate"] = codec.dump_certificate(decision.certificate)
     if args.certificate:
         if decision.holds:
-            _write_file(args.certificate, encoded["certificate"] + "\n")
+            _write_file(args.certificate, encoded["certificate"])
         else:
             # a file left there would pass for a certificate of this verdict
             _remove_file(args.certificate)
-    payload = codec.decision_to_obj(decision, certificate=False)
+    payload = codec.decision_to_obj(decision)
     return _emit(payload, EXIT_HOLDS if decision.holds else EXIT_FAILS, encoded)
 
 
@@ -191,7 +193,7 @@ def cmd_corpus(args):
         except OSError as exc:
             raise InputError("cannot create %s: %s" % (args.out, exc)) from None
         for label, a in manifest.structures:
-            _write_file(os.path.join(args.out, "%s.json" % label), codec.dump_structure(a) + "\n")
+            _write_file(os.path.join(args.out, "%s.json" % label), codec.dump_structure(a))
         _write_file(os.path.join(args.out, "manifest.json"), _document(obj))
         print("wrote %d structures to %s" % (len(manifest.structures), args.out), file=sys.stderr)
     return _emit(obj, EXIT_HOLDS)

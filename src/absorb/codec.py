@@ -51,7 +51,11 @@ def dumps(obj, encoded=None) -> str:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     members = {key: dumps(val) for key, val in obj.items()}
     members.update(encoded)
-    return "{%s}" % ",".join("%s:%s" % (json.dumps(key), members[key]) for key in sorted(members))
+    parts = ["{"]
+    for key in sorted(members):
+        parts += (json.dumps(key), ":", members[key], ",")
+    parts[-1] = "}"
+    return "".join(parts)
 
 
 def _build(where, make, *args):
@@ -73,8 +77,12 @@ def _expect(obj, key, types, where):
     return val
 
 
+# the one element type of an integer list: bool, a subclass of int, is not in it
+_INT = frozenset((int,))
+
+
 def _int_list(val, where):
-    if not isinstance(val, list) or not all(type(x) is int for x in val):
+    if not isinstance(val, list) or not _INT.issuperset(map(type, val)):
         raise ParseError("%s: expected a list of integers" % where)
     return val
 
@@ -167,21 +175,6 @@ def _quintuple_from_list(val, where):
     return Quintuple(*vals)
 
 
-def certificate_to_obj(cert: Certificate):
-    return {
-        "quintuples": [
-            {
-                "q": e.q.as_list(),
-                "steps": [
-                    {"b": s.b, "u": s.u, "v": s.v, "phi": table_to_obj(s.phi)}
-                    for s in e.steps
-                ],
-            }
-            for e in cert.entries
-        ]
-    }
-
-
 def certificate_from_obj(obj) -> Certificate:
     """The certificate of a JSON object, one table per distinct validated table.
 
@@ -209,21 +202,44 @@ def certificate_from_obj(obj) -> Certificate:
 
 
 def dump_certificate(cert: Certificate) -> str:
-    return dumps(certificate_to_obj(cert))
+    """The canonical text of a certificate, built in one pass.
+
+    Steps repeat a few tables many times (min6: 30 distinct in 720 steps),
+    so each distinct table is encoded once, by `dump_table`, and every step
+    that holds it refers to that one text.  The integers are formatted in
+    place, each object's keys in sorted order ("b","phi","u","v" and
+    "q","steps"), and the parts are joined once: the text is that of
+    `dumps` over the nested object, which is never built.
+    """
+    texts = {}
+    parts = ['{"quintuples":[']
+    entry_sep = ""
+    for entry in cert.entries:
+        q = entry.q
+        parts.append('%s{"q":[%d,%d,%d,%d,%d],"steps":[' % (entry_sep, *q.as_list()))
+        step_sep = ""
+        for s in entry.steps:
+            text = texts.get(s.phi)
+            if text is None:
+                text = texts[s.phi] = dump_table(s.phi)
+            parts += ('%s{"b":%d,"phi":' % (step_sep, s.b), text, ',"u":%d,"v":%d}' % (s.u, s.v))
+            step_sep = ","
+        parts.append("]}")
+        entry_sep = ","
+    parts.append("]}")
+    return "".join(parts)
 
 
 def parse_certificate(text: str) -> Certificate:
     return certificate_from_obj(_loads(text))
 
 
-def decision_to_obj(d: Decision, certificate=True):
-    """The decision as a JSON object; certificate=False leaves the
-    certificate out, for a caller that encodes it itself."""
+def decision_to_obj(d: Decision):
+    """The decision as a JSON object without its certificate, whose text
+    `dump_certificate` makes (see `dump_decision`)."""
     obj = {"holds": d.holds}
     if d.failing is not None:
         obj["failing"] = d.failing.as_list()
-    if certificate and d.certificate is not None:
-        obj["certificate"] = certificate_to_obj(d.certificate)
     return obj
 
 
@@ -239,7 +255,10 @@ def decision_from_obj(obj) -> Decision:
 
 
 def dump_decision(d: Decision) -> str:
-    return dumps(decision_to_obj(d))
+    encoded = {}
+    if d.certificate is not None:
+        encoded["certificate"] = dump_certificate(d.certificate)
+    return dumps(decision_to_obj(d), encoded)
 
 
 def parse_decision(text: str) -> Decision:

@@ -61,8 +61,15 @@ with one restricted fixpoint instead, and returns the generators alone.
 `reference_avoids` is that one restricted CSP, with no engine code:
 power(A,n) -> A with every generator column restricted to B, from
 `reference_power_structure`, `reference_gac` and `reference_search` alone.
+
+`reference_certificate_text` is a certificate's canonical text the way the
+package once made it: one nested object per step, with its own copy of the
+table's values, put through `json.dumps` with sorted keys.
+`codec.dump_certificate`, which encodes each distinct table once and
+formats the rest in place, must give the same text, byte for byte.
 """
 
+import json
 from collections import deque
 from itertools import product
 
@@ -428,3 +435,21 @@ def reference_orbit_scopes(rel, k, size):
         else:
             kept.append(tuple(tuple_rank([x[i] for x in xs], size) for i in range(arity)))
     return kept
+
+
+def reference_certificate_text(cert):
+    """The canonical text of a certificate, through its nested JSON object."""
+    obj = {
+        "quintuples": [
+            {
+                "q": e.q.as_list(),
+                "steps": [
+                    {"b": s.b, "u": s.u, "v": s.v,
+                     "phi": {"arity": s.phi.arity, "values": list(s.phi.values)}}
+                    for s in e.steps
+                ],
+            }
+            for e in cert.entries
+        ]
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -132,8 +132,8 @@ class TestDecideCommand:
         # and both come from one encoding of the certificate
         tmp, ord2_path, _ = files
         calls = []
-        encode = codec.certificate_to_obj
-        monkeypatch.setattr(codec, "certificate_to_obj", lambda cert: calls.append(cert) or encode(cert))
+        encode = codec.dump_certificate
+        monkeypatch.setattr(codec, "dump_certificate", lambda cert: calls.append(cert) or encode(cert))
         cert = tmp / "c.json"
         code = main(["decide", "-s", ord2_path, "-b", B0, "--certificate", str(cert)])
         out = capsys.readouterr().out

@@ -1,15 +1,18 @@
 """Canonical JSON codecs: roundtrips, byte-stability, and error locations."""
 
+import json
 import tracemalloc
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from absorb import codec
 from absorb import (
     Certificate,
     CertEntry,
     CertStep,
+    NotSubuniverseError,
     OperationTable,
     ParseError,
     PPFormula,
@@ -24,6 +27,7 @@ from absorb import (
 from absorb.comb import CombFormula
 from absorb.ppform import Atom
 from fixtures import B0, LEQ, ord2
+from reference import reference_certificate_text
 
 LEQ3 = [(x, y) for x in range(3) for y in range(3) if x <= y]
 
@@ -149,13 +153,19 @@ class TestCertificateCodec:
 
     def test_an_encoded_certificate_goes_in_as_it_is(self):
         decision = decide_jonsson(ord2(), B0)
-        obj = codec.decision_to_obj(decision, certificate=False)
+        obj = codec.decision_to_obj(decision)
         assert obj == {"holds": True}
+        text = reference_certificate_text(decision.certificate)
         encoded = {"certificate": codec.dump_certificate(decision.certificate)}
-        assert codec.dumps(obj, encoded) == codec.dump_decision(decision)
-        assert codec.dumps(dict(obj, mode="x"), encoded) == codec.dumps(
-            dict(codec.decision_to_obj(decision), mode="x")
-        )
+        assert encoded["certificate"] == text
+
+        def whole(extra):
+            # the whole object, certificate included, through json.dumps
+            full = dict(obj, certificate=json.loads(text), **extra)
+            return json.dumps(full, sort_keys=True, separators=(",", ":"))
+
+        assert codec.dumps(obj, encoded) == codec.dump_decision(decision) == whole({})
+        assert codec.dumps(dict(obj, mode="x"), encoded) == whole({"mode": "x"})
 
     def test_bad_quintuple_length(self):
         with pytest.raises(ParseError, match="5 entries"):
@@ -165,6 +175,94 @@ class TestCertificateCodec:
         assert codec.parse_decision('{"holds":false,"failing":[0,1,1,0,0]}').holds is False
         with pytest.raises(ParseError, match="wrong type"):
             codec.parse_decision('{"holds":1}')
+
+
+def _leq(n, perm=None):
+    p = perm or list(range(n))
+    return structure(n, {"leq": [(p[x], p[y]) for x, y in product(range(n), repeat=2) if x <= y]})
+
+
+def _min_graph(n):
+    return structure(n, {"min": [(x, y, min(x, y)) for x, y in product(range(n), repeat=2)]})
+
+
+# name -> (structure, B) of holding instances whose certificates are encoded
+HOLDING = {
+    "ord2": (ord2, [0]),
+    "leq3": (lambda: _leq(3), [0]),
+    "r3": (lambda: structure(3, {"r": [p for p in product(range(3), repeat=2) if p != (1, 2)]}),
+           [0]),
+    "min3": (lambda: _min_graph(3), [0, 1]),
+    "min4": (lambda: _min_graph(4), [0, 1]),
+    # leq5 with 1 and the top element swapped: not min-closed
+    "leq5r": (lambda: _leq(5, [0, 4, 2, 3, 1]), [0]),
+    "perm6": (lambda: structure(6, {"p": [(x, (x + 1) % 6) for x in range(6)]}), [0]),
+    "or5": (lambda: structure(5, {"r": [(x, y) for x, y in product(range(5), repeat=2)
+                                        if max(x, y) >= 1]}), [4]),
+    "leq4, B = A": (lambda: _leq(4), [0, 1, 2, 3]),
+}
+
+
+@st.composite
+def certificates(draw):
+    """Certificates over three elements: a few ternary tables, each shared by
+    any number of steps, and entries of up to three steps, or none."""
+    tables = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * 27).map(lambda v: OperationTable(3, 3, v)),
+        min_size=1, max_size=3,
+    ))
+    value = st.integers(0, 2)
+    step = st.builds(CertStep, value, value, value, st.sampled_from(tables))
+    entry = st.builds(
+        CertEntry, st.builds(Quintuple, *[value] * 5), st.lists(step, max_size=3).map(tuple)
+    )
+    return Certificate(tuple(draw(st.lists(entry, max_size=6))))
+
+
+class TestCertificateText:
+    """`dump_certificate` encodes each distinct table once and formats the
+    rest in place; its text is the nested object's, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(HOLDING))
+    def test_equals_the_reference_text(self, name):
+        make, elements = HOLDING[name]
+        decision = decide_jonsson(make(), subset(elements))
+        assert decision.holds
+        text = codec.dump_certificate(decision.certificate)
+        assert text == reference_certificate_text(decision.certificate)
+
+    @given(certificates())
+    def test_drawn_certificates(self, cert):
+        text = codec.dump_certificate(cert)
+        assert text == reference_certificate_text(cert)
+        assert codec.parse_certificate(text) == cert
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        binary=st.sets(st.tuples(*[st.integers(0, 2)] * 2), min_size=1),
+        elements=st.sets(st.integers(0, 2), min_size=1, max_size=3),
+    )
+    def test_certificates_of_drawn_structures(self, binary, elements):
+        try:
+            decision = decide_jonsson(structure(3, {"r": sorted(binary)}), subset(elements))
+        except NotSubuniverseError:
+            return
+        if decision.holds:
+            cert = decision.certificate
+            assert any(not e.steps for e in cert.entries)
+            assert codec.dump_certificate(cert) == reference_certificate_text(cert)
+
+    def test_encoding_allocates_little_beyond_its_text(self):
+        # the nested object took about 30 times the text's length
+        cert = decide_jonsson(_min_graph(4), subset([0, 1])).certificate
+        length = len(codec.dump_certificate(cert))
+        tracemalloc.start()
+        try:
+            codec.dump_certificate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * length + (64 << 10)
 
 
 class TestBooleansAreNotNumbers:
@@ -194,6 +292,21 @@ class TestBooleansAreNotNumbers:
     )
     def test_rejected(self, parse, text):
         with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (codec.parse_subset, '{"elements":[0,false]}', "subset: expected a list of integers"),
+            (codec.parse_table, '{"arity":1,"values":[true,0]}',
+             "table: expected a list of integers"),
+            (codec.parse_certificate, '{"quintuples":[{"q":[0,1,true,0,0],"steps":[]}]}',
+             "certificate entry 0: expected a list of integers"),
+        ],
+        ids=["subset", "table", "quintuple"],
+    )
+    def test_an_integer_list_holds_no_boolean(self, parse, text, message):
+        with pytest.raises(ParseError, match="^%s$" % message):
             parse(text)
 
 

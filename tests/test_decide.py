@@ -283,7 +283,8 @@ class TestDerivedPairs:
     """decide covers the tables of each pair (a, c) with a < c and reads the
     covered sets of (c, a) off them through the swap; tables are built only
     when a quintuple asks for them, a certificate step of (c, a) restricts
-    its own table, and a min-closed one is read off the table's minima."""
+    its own table, and a min-closed one is read off the table's minima;
+    steps with equal solutions share one table."""
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -331,6 +332,12 @@ class TestDerivedPairs:
         monkeypatch.setattr("absorb.decide._pair_table", counting)
         decide_jonsson(a, subset(elements), certificate=certificate)
         assert sorted(calls) == built
+
+    @pytest.mark.parametrize("make, elements", [(min3, [0, 1]), (leq3, [0])], ids=["min3", "leq3"])
+    def test_steps_share_one_table_per_distinct_solution(self, make, elements):
+        steps = [s for e in decide_jonsson(make(), subset(elements)).certificate.entries
+                 for s in e.steps]
+        assert len({id(s.phi) for s in steps}) == len({s.phi for s in steps}) < len(steps)
 
     @pytest.mark.parametrize(
         "a, elements",
