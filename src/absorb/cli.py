@@ -93,19 +93,10 @@ def _load_inputs(args):
 
 
 def _cap(args):
-    if args.max_power_vertices is not None:
-        cap, source = args.max_power_vertices, "--max-power-vertices"
-    else:
-        env = os.environ.get("ABSORB_MAX_VERTICES")
-        if env is None:
-            return DEFAULT_VERTEX_CAP
-        try:
-            cap, source = int(env), "ABSORB_MAX_VERTICES"
-        except ValueError:
-            raise InputError("ABSORB_MAX_VERTICES is not an integer: %r" % env) from None
-    if cap < 1:
-        raise InputError("%s must be at least 1, got %d" % (source, cap))
-    return cap
+    cap = args.max_power_vertices
+    if cap is not None and cap < 1:
+        raise InputError("--max-power-vertices must be at least 1, got %d" % cap)
+    return DEFAULT_VERTEX_CAP if cap is None else cap
 
 
 def cmd_decide(args):
@@ -138,33 +129,33 @@ def cmd_verify(args):
     return _emit(payload, EXIT_HOLDS if ok else EXIT_FAILS)
 
 
+# --what -> (payload member of the answer, its encoder)
+ANSWERS = {
+    "term": ("table", codec.table_to_obj),
+    "essential": ("witness", codec.witness_to_obj),
+    "chain": ("chain", codec.chain_to_obj),
+}
+
+
 def cmd_search(args):
     a, b = _load_inputs(args)
     cap = _cap(args)
+    # before the --arity check, so that a singleton name collision is the
+    # error reported for every --what
     expanded = with_singletons(a)
-    if args.what in ("term", "essential") and args.arity is None:
+    if args.what == "chain":
+        found = oracle_chain_search(a, b)
+    elif args.arity is None:
         raise InputError("--arity is required for --what %s" % args.what)
-    if args.what == "term":
-        table = absorption_term_search(expanded, b, args.arity, cap)
-        if table is None:
-            return _emit({"holds": False, "what": "term"}, EXIT_FAILS)
-        return _emit(
-            {"holds": True, "what": "term", "table": codec.table_to_obj(table)}, EXIT_HOLDS
-        )
-    if args.what == "essential":
-        gens = essential_witness_search(expanded, b, args.arity, cap)
-        if gens is None:
-            return _emit({"holds": False, "what": "essential"}, EXIT_FAILS)
-        return _emit(
-            {"holds": True, "what": "essential", "witness": codec.witness_to_obj(gens)},
-            EXIT_HOLDS,
-        )
-    chain = oracle_chain_search(a, b)
-    if chain is None:
-        return _emit({"holds": False, "what": "chain"}, EXIT_FAILS)
-    return _emit(
-        {"holds": True, "what": "chain", "chain": codec.chain_to_obj(chain)}, EXIT_HOLDS
-    )
+    elif args.what == "term":
+        found = absorption_term_search(expanded, b, args.arity, cap)
+    else:
+        found = essential_witness_search(expanded, b, args.arity, cap)
+    payload = {"holds": found is not None, "what": args.what}
+    if found is not None:
+        key, encode = ANSWERS[args.what]
+        payload[key] = encode(found)
+    return _emit(payload, EXIT_FAILS if found is None else EXIT_HOLDS)
 
 
 def cmd_bounds(args):
@@ -237,8 +228,7 @@ GLOBAL_OPTIONS = (
     Option(
         ("--max-power-vertices",),
         "cap on power-structure vertices and constraint scopes (verify counts "
-        "those of the cube), and on the relations corpus enumerates (env "
-        "ABSORB_MAX_VERTICES)",
+        "those of the cube), and on the relations corpus enumerates",
         type=int,
     ),
 )

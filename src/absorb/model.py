@@ -213,10 +213,6 @@ class RelationalStructure(Record):
         arities = [rel.arity for _, rel in self.relations]
         return max([2] + arities)
 
-    @property
-    def domain(self):
-        return range(self.size)
-
     def with_relation(self, name: str, rel: Relation) -> "RelationalStructure":
         return RelationalStructure(self.size, self.relations + ((name, rel),))
 

@@ -11,6 +11,8 @@ decides its satisfiability.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .engine import fixpoint
 from .errors import CapExceeded, InputError, SimplifyError
 from .model import (
@@ -59,15 +61,9 @@ class PPFormula(Record):
 
     @property
     def variables(self):
-        seen = list(self.free)
-        for a in self.atoms:
-            for v in a.scope:
-                if v not in seen:
-                    seen.append(v)
-        for v in self.extra_vars:
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        """Free variables, then the others in order of first occurrence in
+        the atoms, then `extra_vars`."""
+        return tuple(dict.fromkeys(chain(self.free, *(a.scope for a in self.atoms), self.extra_vars)))
 
     @property
     def bound(self):
@@ -121,7 +117,13 @@ class FormulaReport:
         self.simple = all(len(set(a.scope)) == len(a.scope) for a in phi.atoms)
         self.components = self._components()
         self.connected = len(self.components) <= 1
-        self.acyclic = self._acyclic()
+        # the incidence multigraph (variables and atoms as nodes, one edge
+        # per scope position) is a forest when its edges number its nodes
+        # less its components: those of the variables, and each atom with
+        # an empty scope
+        nodes = len(self.degrees) + len(phi.atoms)
+        parts = len(self.components) + sum(not a.scope for a in phi.atoms)
+        self.acyclic = sum(self.degrees.values()) == nodes - parts
         self.is_tree = self.simple and self.acyclic
 
     def _components(self):
@@ -134,20 +136,6 @@ class FormulaReport:
         for v in self.phi.variables:
             groups.setdefault(_find(parent, v), []).append(v)
         return [frozenset(g) for g in groups.values()]
-
-    def _acyclic(self):
-        # union-find over incidence edges; a multi-edge or a closing edge
-        # witnesses a cycle
-        nodes = {("v", v) for v in self.phi.variables}
-        nodes |= {("a", i) for i in range(len(self.phi.atoms))}
-        parent = {x: x for x in nodes}
-        for i, a in enumerate(self.phi.atoms):
-            for v in a.scope:
-                ru, rv = _find(parent, ("a", i)), _find(parent, ("v", v))
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-        return True
 
     def neigh(self, v):
         """Variables at incidence distance two from v."""

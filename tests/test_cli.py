@@ -89,11 +89,12 @@ class TestDecideCommand:
         )
         assert code == 3
 
-    def test_cap_from_environment(self, capsys, files, monkeypatch):
+    def test_environment_sets_no_cap(self, capsys, files, monkeypatch):
+        # the cap comes from --max-power-vertices or the default only
         _, ord2_path, _ = files
         monkeypatch.setenv("ABSORB_MAX_VERTICES", "2")
         code, _ = run(capsys, "decide", "-s", ord2_path, "-b", B0)
-        assert code == 3
+        assert code == 0
 
     def test_output_is_stable(self, capsys, files):
         _, ord2_path, _ = files
@@ -199,15 +200,11 @@ class TestDecideCommand:
         assert "27 vertices, cap is 26" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_cap_below_one_is_usage_error(self, capsys, files, monkeypatch, cap):
+    def test_cap_below_one_is_usage_error(self, capsys, files, cap):
         _, ord2_path, _ = files
         code = main(["--max-power-vertices", cap, "decide", "-s", ord2_path, "-b", B0])
         assert code == 2
         assert "--max-power-vertices must be at least 1" in capsys.readouterr().err
-        monkeypatch.setenv("ABSORB_MAX_VERTICES", cap)
-        code = main(["decide", "-s", ord2_path, "-b", B0])
-        assert code == 2
-        assert "ABSORB_MAX_VERTICES must be at least 1" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -438,7 +435,7 @@ class TestVerifyCommand:
         assert code == 1 and payload["holds"] is False
         assert payload["defect"] == "unexpected quintuple [7, 7, 7, 7, 7]"
 
-    def test_cap_refuses_before_replaying(self, capsys, files, monkeypatch):
+    def test_cap_refuses_before_replaying(self, capsys, files):
         tmp, ord2_path, _ = files
         cert = str(tmp / "cert.json")
         run(capsys, "decide", "-s", ord2_path, "-b", B0, "--certificate", cert)
@@ -448,8 +445,6 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "verify would check 29 constraint scopes per table, cap is 28" in captured.err
-        monkeypatch.setenv("ABSORB_MAX_VERTICES", "28")
-        assert run(capsys, *verify)[0] == 3
         code, payload = run(capsys, "--max-power-vertices", "29", *verify)
         assert code == 0 and payload["holds"] is True
 
@@ -504,6 +499,37 @@ class TestVerifyCommand:
 
 
 class TestSearchCommand:
+    # (structure, --what and its arity, exit code, stdout line) with B={0}:
+    # {0} absorbs ord2 by min and has a chain there; aff2 has an essential
+    # witness, ord2 none
+    ANSWERS = [
+        ("ord2", ["term", "--arity", "2"], 0,
+         '{"holds":true,"schema":"absorb/1","table":{"arity":2,"values":[0,0,0,1]},"what":"term"}'),
+        ("aff2", ["term", "--arity", "2"], 1,
+         '{"holds":false,"schema":"absorb/1","what":"term"}'),
+        ("ord2", ["essential", "--arity", "2"], 1,
+         '{"holds":false,"schema":"absorb/1","what":"essential"}'),
+        ("aff2", ["essential", "--arity", "2"], 0,
+         '{"holds":true,"schema":"absorb/1","what":"essential",'
+         '"witness":{"arity":2,"generators":[[1,0],[0,1]]}}'),
+        ("ord2", ["chain"], 0,
+         '{"chain":{"tables":[{"arity":3,"values":[0,0,0,0,1,1,1,1]},'
+         '{"arity":3,"values":[0,0,0,1,0,0,1,1]},{"arity":3,"values":[0,1,0,1,0,1,0,1]}]},'
+         '"holds":true,"schema":"absorb/1","what":"chain"}'),
+        ("aff2", ["chain"], 1,
+         '{"holds":false,"schema":"absorb/1","what":"chain"}'),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, what, code, line", ANSWERS, ids=["%s-%s" % (n, w[0]) for n, w, _, _ in ANSWERS]
+    )
+    def test_exact_answer(self, capsys, files, name, what, code, line):
+        tmp, _, _ = files
+        path = str(tmp / ("%s.json" % name))
+        assert main(["search", "-s", path, "-b", B0, "--what", *what]) == code
+        captured = capsys.readouterr()
+        assert captured.out == line + "\n" and captured.err == ""
+
     def test_term_found(self, capsys, files):
         _, ord2_path, _ = files
         code, payload = run(
@@ -580,8 +606,11 @@ class TestSearchCommand:
 
     def test_missing_arity(self, capsys, files):
         _, ord2_path, _ = files
-        code, _ = run(capsys, "search", "-s", ord2_path, "-b", B0, "--what", "term")
-        assert code == 2
+        for what in ("term", "essential"):
+            assert main(["search", "-s", ord2_path, "-b", B0, "--what", what]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "input error: --arity is required for --what %s\n" % what
 
 
 class TestBoundsCommand:

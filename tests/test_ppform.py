@@ -163,6 +163,27 @@ class TestAnalyze:
         report = analyze_formula(phi)
         assert not report.connected and len(report.components) == 2
 
+    def test_repeated_variable_is_a_cycle(self):
+        # r(x, x, y) joins x to its atom by two edges
+        phi = PPFormula(("y",), (Atom("r", ("x", "x", "y")), Atom("leq", ("y", "z"))))
+        assert not analyze_formula(phi).acyclic
+
+    def test_atoms_with_empty_scopes_are_components(self):
+        phi = PPFormula(("x",), (Atom("t", ()), Atom("leq", ("x", "y")), Atom("t", ())))
+        report = analyze_formula(phi)
+        assert report.acyclic and report.is_tree
+        assert report.components == [frozenset({"x", "y"})]
+
+    def test_extra_variables_are_isolated_nodes(self):
+        tree = PPFormula(("x",), (Atom("leq", ("x", "y")),), ("w", "v"))
+        assert tree.variables == ("x", "y", "w", "v")
+        report = analyze_formula(tree)
+        assert report.acyclic and len(report.components) == 3
+        cycle = PPFormula(
+            ("y",), (Atom("leq", ("x", "y")), Atom("leq", ("y", "x"))), ("w",)
+        )
+        assert not analyze_formula(cycle).acyclic
+
 
 class TestSimplify:
     def test_already_simplified_unchanged(self):
